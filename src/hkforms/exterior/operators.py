@@ -225,13 +225,32 @@ def _full_operator(alg: LefschetzAlgebra, matrices: dict, shift: int) -> np.ndar
     return out
 
 
+def _row_space(A: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of A and an orthonormal basis of its numerical row space.
+
+    The SVD runs only on the columns where some row is nonzero.  An all-zero
+    column carries no singular value: deleting it leaves A A^T, hence the
+    spectrum and the rank decision, unchanged, and the right singular vectors
+    vanish on it.  The kept vectors are scattered back to full width.
+    """
+    support = np.flatnonzero(A.any(axis=0))
+    _, s, vt = np.linalg.svd(A[:, support], full_matrices=False)
+    keep = s > rtol * s[0]
+    basis = np.zeros((int(keep.sum()), A.shape[1]))
+    basis[:, support] = vt[keep]
+    return s, basis
+
+
 def lie_closure_dimension(structure: QuaternionicStructure, max_iter: int = 50,
                           rtol: float = 1e-8) -> int:
     """Dimension of the Lie algebra generated by {L_i, Lambda_i} under brackets.
 
     Works on the whole 2^dim-dimensional exterior algebra: operators are
     flattened and the span rank tracked through repeated bracketing with the
-    generators until it stabilizes.
+    generators until it stabilizes.  The operators touch only a few thousand
+    of the 4^dim matrix entries, so each rank is taken by an SVD over their
+    joint support (see `_row_space`); columns outside it are all zero and
+    carry no singular value, so the rank is the one the full-width SVD gives.
     """
     alg = LefschetzAlgebra(structure)
     n = structure.dim
@@ -241,10 +260,8 @@ def lie_closure_dimension(structure: QuaternionicStructure, max_iter: int = 50,
         gens.append(_full_operator(alg, {p: alg.Lambda_matrix(i, p) for p in range(2, n + 1)}, -2))
 
     def basis_of(mats):
-        A = np.array([m.ravel() for m in mats])
-        _, s, vt = np.linalg.svd(A, full_matrices=False)
-        keep = s > rtol * s[0]
-        return [row.reshape(gens[0].shape) for row in vt[keep]], int(keep.sum())
+        _, rows = _row_space(np.array([m.ravel() for m in mats]), rtol)
+        return list(rows.reshape(-1, *gens[0].shape)), len(rows)
 
     span, rank = basis_of(gens)
     for _ in range(max_iter):

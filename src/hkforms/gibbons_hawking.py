@@ -237,6 +237,15 @@ def tail_decay(d: GHData, radii: np.ndarray | None = None) -> tuple[np.ndarray, 
     return shells, loglog_slope(radii, shells)
 
 
+def shell_volume(d: GHData, r: float) -> float:
+    """Volume of the shell r <= |x| <= 2r, tau-period times int 4 pi s^2 (1 + m/s) ds.
+
+    Evaluated in closed form, tau 4 pi (7 r^3 / 3 + 3 m r^2 / 2): a quadrature
+    to an absolute tolerance cannot resolve an r^3-sized integral at large r.
+    """
+    return d.tau_period * 4.0 * math.pi * (7.0 * r ** 3 / 3.0 + 1.5 * d.m * r ** 2)
+
+
 def cutoff_cross_term(d: GHData, r: float, K: float = 1.0, c1: float = 1.0,
                       c0: float = 0.0, samples: int = 64,
                       seed: int = 0) -> float:
@@ -255,9 +264,7 @@ def cutoff_cross_term(d: GHData, r: float, K: float = 1.0, c1: float = 1.0,
         p = GHPoint(s * u)
         val = (K / s) * (c1 * s + c0) * math.sqrt(two_form_norm_sq(dtheta(p, d), metric_at(p, d)))
         sup = max(sup, val)
-    vol = d.tau_period * adaptive_simpson(
-        lambda s: 4.0 * math.pi * s ** 2 * (1.0 + d.m / s), r, 2.0 * r, 1e-9)
-    return sup * math.sqrt(vol)
+    return sup * math.sqrt(shell_volume(d, r))
 
 
 def patch_transition_tau(p: GHPoint, d_from: GHData, d_to: GHData) -> float:

@@ -9,6 +9,7 @@ duality for 2-forms on 4-dimensional coordinate patches.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -230,15 +231,10 @@ def orthonormal_projector(rows: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
 # pointwise Hodge duality on 4-dimensional patches
 # ---------------------------------------------------------------------------
 
+# Levi-Civita symbol: the sign of each permutation is (-1)^(number of inversions).
 _EPS4 = np.zeros((4, 4, 4, 4))
-for _perm in [(0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2), (1, 0, 3, 2), (1, 2, 0, 3),
-              (1, 3, 2, 0), (2, 0, 1, 3), (2, 1, 3, 0), (2, 3, 0, 1), (3, 0, 2, 1),
-              (3, 1, 0, 2), (3, 2, 1, 0)]:
-    _EPS4[_perm] = 1.0
-for _perm in [(0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1), (1, 0, 2, 3), (1, 2, 3, 0),
-              (1, 3, 0, 2), (2, 0, 3, 1), (2, 1, 0, 3), (2, 3, 1, 0), (3, 0, 1, 2),
-              (3, 1, 2, 0), (3, 2, 0, 1)]:
-    _EPS4[_perm] = -1.0
+for _perm in itertools.permutations(range(4)):
+    _EPS4[_perm] = (-1.0) ** sum(a > b for a, b in itertools.combinations(_perm, 2))
 
 
 def hodge_star_2form(beta: np.ndarray, g: np.ndarray, orientation: float = 1.0) -> np.ndarray:

@@ -204,10 +204,6 @@ def run_taubnut(config: SuiteConfig, m: float = 1.0) -> tuple[list[ReportRecord]
 # bianchi
 # ---------------------------------------------------------------------------
 
-def _verdict_map(profile):
-    return {axis: v for axis, v in bx.classify_l2(profile).items()}
-
-
 def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     rng = np.random.default_rng(config.seed + 2)
     ts = config.tol_scale
@@ -217,7 +213,7 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     eh = bx.eguchi_hanson_profile(0.5)
     tn = bx.biaxial_taubnut_profile(1.0)
 
-    ah_v = _verdict_map(ah)
+    ah_v = bx.classify_l2(ah)
     records.append(flag("bianchi", "two-monopole-verdicts", "only-axis-1-integrable",
                         ah_v[1].integrable and not ah_v[2].integrable
                         and not ah_v[3].integrable
@@ -227,12 +223,12 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     records.append(bounded("bianchi", "two-monopole-endpoint-exponent",
                            "inverse-square-density", worst_exp, 0.05))
 
-    eh_v = _verdict_map(eh)
+    eh_v = bx.classify_l2(eh)
     records.append(flag("bianchi", "eguchi-hanson-verdicts", "only-axis-3-integrable",
                         eh_v[3].integrable and not eh_v[1].integrable
                         and not eh_v[2].integrable))
 
-    tn_v = _verdict_map(tn)
+    tn_v = bx.classify_l2(tn)
     records.append(flag("bianchi", "biaxial-taubnut-verdicts",
                         "axis-3-integrable-and-circle-invariant",
                         tn_v[3].integrable and tn_v[3].extra_circle_invariant
@@ -241,7 +237,7 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
 
     other = bx.atiyah_hitchin_model_profile(band=(math.pi + 0.8, math.pi + 2.5), blend="c3")
     same = {a: v.verdict for a, v in ah_v.items()} \
-        == {a: v.verdict for a, v in _verdict_map(other).items()}
+        == {a: v.verdict for a, v in bx.classify_l2(other).items()}
     records.append(flag("bianchi", "interpolant-independence", "verdicts-match", same))
 
     def h(t):
@@ -253,7 +249,7 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
         return 1.0 + (u * u + 2.0 * u) / (1.0 + u) ** 2
 
     reparam = bx.reparametrize(ah, h, h_prime, math.pi, math.inf, math.pi + 0.8)
-    re_v = _verdict_map(reparam)
+    re_v = bx.classify_l2(reparam)
     same_re = all(re_v[a].integrable == ah_v[a].integrable
                   and re_v[a].divergent_endpoints == ah_v[a].divergent_endpoints
                   for a in (1, 2, 3))

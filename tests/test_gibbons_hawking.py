@@ -21,6 +21,7 @@ from hkforms.gibbons_hawking import (
     patch_transition_tau,
     potential,
     shell_integral,
+    shell_volume,
     tail_decay,
     theta_form,
     two_form_norm_sq,
@@ -198,10 +199,24 @@ def test_shell_integral_positive():
 
 
 def test_cutoff_cross_term_decays():
-    vals = [cutoff_cross_term(D1, r) for r in (1e2, 1e3, 1e4)]
-    assert vals[0] > vals[1] > vals[2]
+    vals = [cutoff_cross_term(D1, r) for r in (1e2, 1e3, 1e4, 1e5)]
+    assert vals[0] > vals[1] > vals[2] > vals[3]
     # the estimate scales like r^{-1/2}
     assert vals[2] / vals[0] <= 0.2
+    assert vals[3] / vals[2] == pytest.approx(10.0 ** -0.5, rel=1e-2)
+
+
+def test_shell_volume_matches_metric_quadrature():
+    # independent route: sqrt(det g) of the full GH metric, integrated along an
+    # off-axis ray where the connection alpha is nonzero
+    from scipy.integrate import quad
+    u = np.array([0.6, 0.0, 0.8])
+    for d in (GHData(m=0.5), D1, GHData(m=2.0, patch="south")):
+        for r in (0.5, 10.0, 100.0):
+            oracle, _ = quad(lambda s: 4.0 * math.pi * s * s
+                             * math.sqrt(np.linalg.det(metric_at(GHPoint(s * u), d))),
+                             r, 2.0 * r, epsabs=0.0, epsrel=1e-13)
+            assert shell_volume(d, r) == pytest.approx(d.tau_period * oracle, rel=1e-12)
 
 
 def test_alpha_regular_on_patch_axis():

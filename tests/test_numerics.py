@@ -155,6 +155,22 @@ def test_hodge_star_flat_two_form():
     assert np.abs(hodge_star_2form(star, g) - B).max() <= 1e-14
 
 
+def test_hodge_star_2form_matches_form_star():
+    # the Levi-Civita table against the merge-sign star of exterior.forms
+    from hkforms.exterior import FormVector, hodge_star
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((4, 4))
+    B = M - M.T
+    A = rng.standard_normal((4, 4))
+    g = A @ A.T + 4.0 * np.eye(4)
+    star = hodge_star_2form(B, g)
+    form = hodge_star(FormVector(4, {(a, b): B[a, b] for a in range(4) for b in range(a + 1, 4)}),
+                      metric=g)
+    for (a, b), c in form.coeffs.items():
+        assert abs(star[a, b] - c.real) <= 1e-13 * np.abs(star).max()
+    assert len(form.coeffs) == 6
+
+
 def test_hodge_star_orientation_flip():
     g = np.diag([2.0, 1.0, 1.0, 0.5])
     rng = np.random.default_rng(1)

@@ -19,6 +19,7 @@ from hkforms.exterior import (
     type_components,
     verify_so5,
 )
+from hkforms.numerics import subspace_distance
 
 Q4 = QuaternionicStructure(4)
 Q8 = QuaternionicStructure(8)
@@ -190,14 +191,18 @@ def test_grading_operator_value():
         assert max(vals) <= 1e-12
 
 
-def test_generators_alone_span_six():
-    alg = ALG4
-    mats = []
+def k1_generators(alg):
+    """L_i and Lambda_i of a k = 1 structure as 16 x 16 operators on all degrees."""
     from hkforms.exterior.operators import _full_operator
+    mats = []
     for i in (1, 2, 3):
         mats.append(_full_operator(alg, {p: alg.L_matrix(i, p) for p in range(3)}, +2))
         mats.append(_full_operator(alg, {p: alg.Lambda_matrix(i, p) for p in range(2, 5)}, -2))
-    A = np.array([m.ravel() for m in mats])
+    return mats
+
+
+def test_generators_alone_span_six():
+    A = np.array([m.ravel() for m in k1_generators(ALG4)])
     assert np.linalg.matrix_rank(A, tol=1e-10) == 6
 
 
@@ -206,7 +211,47 @@ def test_lie_closure_dimension_k1():
 
 
 def test_lie_closure_dimension_matches_k2():
-    assert lie_closure_dimension(Q8) == lie_closure_dimension(Q4)
+    # so(5) at both k, not merely equal ranks: one wrong rank at both would pass
+    assert [lie_closure_dimension(Q) for Q in (Q4, Q8)] == [10, 10]
+
+
+def test_lie_closure_dimension_k2_scaled_metric():
+    # g = 2 Id takes Lambda through the Gram-weighted solve, not the transpose
+    assert lie_closure_dimension(QuaternionicStructure(8, metric=2.0 * np.eye(8))) == 10
+
+
+def random_frame_structure(seed):
+    """Q4 pulled back by a random constant frame P with det P > 0: a non-flat metric."""
+    rng = np.random.default_rng(seed)
+    P = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    if np.linalg.det(P) < 0:
+        P[:, 0] *= -1.0
+    Pinv = np.linalg.inv(P)
+    return QuaternionicStructure(4, metric=P.T @ Q4.metric @ P, I=Pinv @ Q4.I @ P,
+                                 J=Pinv @ Q4.J @ P, K=Pinv @ Q4.K @ P)
+
+
+def test_lie_closure_dimension_k1_random_frame():
+    Q = random_frame_structure(21)
+    assert np.abs(Q.metric - np.eye(4)).max() > 0.1
+    assert lie_closure_dimension(Q) == 10
+
+
+def test_lie_closure_support_svd_matches_dense_svd():
+    # oracle: the full-width SVD over all 4^dim entries, which the closure avoids
+    from hkforms.exterior.operators import _row_space
+    for Q in (Q4, random_frame_structure(21)):
+        gens = k1_generators(LefschetzAlgebra(Q))
+        brackets = [m @ g - g @ m for m in gens for g in gens]
+        for mats in (gens, gens + brackets):
+            A = np.array([m.ravel() for m in mats])
+            assert A.any(axis=0).sum() < A.shape[1]
+            s, basis = _row_space(A, 1e-8)
+            _, s_dense, vt_dense = np.linalg.svd(A, full_matrices=False)
+            assert np.abs(s - s_dense).max() <= 1e-12 * s_dense[0]
+            kept = vt_dense[s_dense > 1e-8 * s_dense[0]]
+            assert len(basis) == len(kept)
+            assert subspace_distance(basis.T, kept.T) <= 1e-10
 
 
 def test_middle_kernel_k1():
