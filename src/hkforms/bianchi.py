@@ -18,6 +18,7 @@ positive, and closed exactly when F_i' = -ratio_i F_i.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -74,7 +75,9 @@ class BianchiProfile:
                                (EndpointData(self.rho_min), EndpointData(self.rho_max)))
 
     def coefficient(self, name: str) -> Callable[[float], float]:
-        return {"f": self.f, "a": self.a, "b": self.b, "c": self.c}[name]
+        if name not in COEFF_NAMES:
+            raise KeyError(name)
+        return getattr(self, name)
 
     def interior(self, rho: float) -> bool:
         return self.rho_min < rho < self.rho_max
@@ -119,7 +122,7 @@ def ratio(axis: int, profile: BianchiProfile, rho: float) -> float:
     """Cyclic coefficient ratio: fa/(bc), fb/(ca), fc/(ab) for axes 1, 2, 3."""
     if not profile.interior(rho):
         raise ValueError(f"rho = {rho} is not interior to {profile.name}")
-    f, a, b, c = (profile.coefficient(n)(rho) for n in COEFF_NAMES)
+    f, a, b, c = profile.f(rho), profile.a(rho), profile.b(rho), profile.c(rho)
     if axis == 1:
         return f * a / (b * c)
     if axis == 2:
@@ -135,18 +138,43 @@ class ClosednessSolution:
     This is the unique (up to scale) coefficient making phi_i closed.
     Cumulative integrals are cached at every queried point, so sweeps that
     approach an endpoint geometrically only ever integrate short hops.
+
+    Each new point integrates from the anchor nearest to it, found by
+    bisection on the sorted anchor list.  Among anchors at the same computed
+    distance |s - rho| the one inserted first wins, which is the anchor a
+    linear `min` scan in insertion order would pick.
     """
 
     def __init__(self, axis: int, profile: BianchiProfile, tol: float = 1e-10):
         self.axis = axis
         self.profile = profile
         self.tol = tol
-        self._anchors: dict[float, float] = {profile.rho_ref: 0.0}
+        # anchor -> (cumulative integral, insertion index); the sorted keys
+        self._anchors: dict[float, tuple[float, int]] = {profile.rho_ref: (0.0, 0)}
+        self._sorted = [profile.rho_ref]
+
+    def _nearest_anchor(self, rho: float) -> float:
+        """The anchor a min scan in insertion order picks: nearest, then oldest."""
+        keys, anchors = self._sorted, self._anchors
+        if math.isnan(rho):   # every distance is NaN and min keeps the first
+            return next(iter(anchors))
+        # abs(s - rho) is monotone in s on each side of rho, so every anchor at
+        # the least distance is in an equal-distance run next to rho's slot
+        i = bisect.bisect_left(keys, rho)
+        run = []
+        for side in (range(i - 1, -1, -1), range(i, len(keys))):
+            d = None
+            for j in side:
+                if d is not None and abs(keys[j] - rho) != d:
+                    break
+                d = abs(keys[j] - rho)
+                run.append(keys[j])
+        return min(run, key=lambda s: (abs(s - rho), anchors[s][1]))
 
     def exponent_integral(self, rho: float) -> float:
         if rho in self._anchors:
-            return self._anchors[rho]
-        nearest = min(self._anchors, key=lambda s: abs(s - rho))
+            return self._anchors[rho][0]
+        nearest = self._nearest_anchor(rho)
         lo, hi = (nearest, rho) if rho > nearest else (rho, nearest)
         # integrate in t = log(rho - rho_min): ratios with power-law endpoint
         # behavior become mild exponentials, so hops near the endpoint stay cheap
@@ -154,8 +182,9 @@ class ClosednessSolution:
         val = adaptive_simpson(
             lambda t: ratio(self.axis, self.profile, base + math.exp(t)) * math.exp(t),
             math.log(lo - base), math.log(hi - base), self.tol, rel=1e-11)
-        total = self._anchors[nearest] + (val if rho > nearest else -val)
-        self._anchors[rho] = total
+        total = self._anchors[nearest][0] + (val if rho > nearest else -val)
+        bisect.insort(self._sorted, rho)
+        self._anchors[rho] = (total, len(self._anchors))
         return total
 
     def __call__(self, rho: float) -> float:

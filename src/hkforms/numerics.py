@@ -116,6 +116,22 @@ def exterior_derivative_at(components: Callable[[np.ndarray], dict], x: np.ndarr
 # quadrature
 # ---------------------------------------------------------------------------
 
+def _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, depth):
+    # module level, not nested: a self-referencing closure would form a
+    # reference cycle holding f (and all f closes over) until a full collection
+    m = 0.5 * (a + b)
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    if depth <= 0:
+        return left + right
+    if abs(left + right - whole) <= 15.0 * tol:
+        return left + right + (left + right - whole) / 15.0
+    return (_simpson_recurse(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
+            + _simpson_recurse(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
+
+
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
                      tol: float = 1e-10, max_depth: int = 48,
                      rel: float = 0.0) -> float:
@@ -128,24 +144,10 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0:
-            return left + right
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-                + recurse(m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
-
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     if rel > 0.0:
         tol = max(tol, rel * abs(whole))
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
+    return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, max_depth)
 
 
 def integrate_endpoint_singular(f: Callable[[float], float], a: float, b: float,

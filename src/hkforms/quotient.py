@@ -32,6 +32,16 @@ from .numerics import orthonormal_projector
 
 _ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
+# frames a QuotientChart keeps before its memo is cleared
+_FRAME_MEMO_SIZE = 256
+
+
+def _chart_point(u: np.ndarray) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if u.shape != (4,):
+        raise ValueError("chart parameters are 4 real numbers")
+    return u
+
 
 @dataclass(frozen=True)
 class FlatCotangentSpace:
@@ -196,6 +206,15 @@ class QuotientChart:
     * calabi_circle (n = 2): u = (Re zeta, Im zeta, Re eta, Im eta) with
       z = mu (1, zeta), w = eta (-zeta, 1); the phase gauge makes z . conj(v0)
       real-positive for the fiducial vector v0 = (1, 0).
+
+    The horizontal frame at a chart point -- the representative p, the
+    projector P and the tangent columns T -- is built once and kept in a
+    memo on the instance, keyed by the exact bytes of u, because every
+    finite-difference stencil on the chart revisits the same 17 points
+    (u, u +- h e_k, u +- h/2 e_k).  `chart_tangents`, `pushdown_field` and
+    `kahler_form` read from it.  The memo lives as long as the chart, is
+    cleared once it holds _FRAME_MEMO_SIZE frames, and its arrays are
+    read-only.
     """
 
     def __init__(self, spec: GroupActionSpec, fd_step: float = 1e-4):
@@ -203,13 +222,12 @@ class QuotientChart:
             raise ValueError("charts are implemented for the 4-dimensional quotients (n = 2)")
         self.spec = spec
         self.fd_step = fd_step
+        self._frames: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- representatives --------------------------------------------------------
 
     def representative(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (4,):
-            raise ValueError("chart parameters are 4 real numbers")
+        u = _chart_point(u)
         spec = self.spec
         if spec.model == "taubnut_R":
             z1 = u[0] + 1j * u[1]
@@ -252,10 +270,15 @@ class QuotientChart:
                           self.spec.generator_real(p)])
         return orthonormal_projector(rows)
 
-    def chart_tangents(self, u: np.ndarray) -> np.ndarray:
-        """Horizontal lifts of the chart-coordinate directions (as columns)."""
-        u = np.asarray(u, dtype=float)
-        P = self.projector(self.representative(u))
+    def _frame(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(p, P, T) at u: representative, horizontal projector, tangent columns."""
+        u = _chart_point(u)
+        key = u.tobytes()
+        frame = self._frames.get(key)
+        if frame is not None:
+            return frame
+        p = self.representative(u)
+        P = self.projector(p)
         cols = []
         h = self.fd_step
         for k in range(4):
@@ -268,7 +291,17 @@ class QuotientChart:
 
             dr = (4.0 * d1(h / 2.0) - d1(h)) / 3.0
             cols.append(P @ dr)
-        return np.column_stack(cols)
+        frame = (p, P, np.column_stack(cols))
+        for arr in frame:
+            arr.flags.writeable = False
+        if len(self._frames) >= _FRAME_MEMO_SIZE:
+            self._frames.clear()
+        self._frames[key] = frame
+        return frame
+
+    def chart_tangents(self, u: np.ndarray) -> np.ndarray:
+        """Horizontal lifts of the chart-coordinate directions (as columns)."""
+        return self._frame(u)[2]
 
     def metric(self, u: np.ndarray) -> np.ndarray:
         """Gram matrix of the quotient metric on chart-coordinate directions."""
@@ -299,9 +332,8 @@ class QuotientChart:
     def pushdown_field(self, ambient_field: Callable[[np.ndarray], np.ndarray],
                        u: np.ndarray) -> np.ndarray:
         """Chart components of the projection of an ambient field."""
-        p = self.representative(np.asarray(u, float))
-        T = self.chart_tangents(u)
-        X = self.projector(p) @ ambient_field(p)
+        p, P, T = self._frame(u)
+        X = P @ ambient_field(p)
         coeffs, *_ = np.linalg.lstsq(T, X, rcond=None)
         return coeffs
 

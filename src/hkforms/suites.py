@@ -42,8 +42,8 @@ class SuiteConfig:
     tol_scale: float = 1.0
 
     def __post_init__(self):
-        if self.tol_scale <= 0:
-            raise ValueError("tolerance scale must be positive")
+        if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
+            raise ValueError("tolerance scale must be finite and positive")
 
 
 def _random_form(rng, dim, degree):

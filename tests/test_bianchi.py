@@ -8,6 +8,7 @@ import pytest
 from hkforms import gibbons_hawking as gh
 from hkforms.bianchi import (
     BianchiProfile,
+    ClosednessSolution,
     ansatz_form_matrix,
     anti_self_duality_residual,
     atiyah_hitchin_model_profile,
@@ -140,6 +141,75 @@ def test_eh_closedness_solution():
     for r in (0.8, 2.0, 4.0):
         assert F3(r) == pytest.approx(1.0 / r, rel=1e-10)   # rho_ref = 2a = 1
     assert l2_density(3, EH, 4.0) == pytest.approx(2.0 * 1.0 / 4.0 ** 3, rel=1e-9)
+
+
+def _scan_nearest(sol, rho):
+    # the linear scan the sorted lookup replaces: first minimum in insertion order
+    return min(sol._anchors, key=lambda s: abs(s - rho))
+
+
+def test_nearest_anchor_matches_linear_scan():
+    sol = solve_closedness(1, EH)          # rho_ref = 1.0
+    for rho in (3.0, 5.0, 9.0, 7.0, 0.75, 1.25, 0.55, 40.0):
+        sol.exponent_integral(rho)
+    # exact midpoints of neighbours inserted in both orders -- (3, 5), (5, 7),
+    # (9, 40), rho_ref and 1.25 older first; (7, 9), (1.25, 3) newer first --
+    # then points beyond both ends of the sorted list
+    queries = [4.0, 6.0, 24.5, 1.125, 8.0, 2.125, 0.5 + 2.0 ** -41, 1e3, 1e300]
+    queries += list(np.random.default_rng(30).uniform(0.5, 45.0, 200))
+    for rho in queries:
+        assert sol._nearest_anchor(rho) == _scan_nearest(sol, rho)
+    assert [sol._nearest_anchor(rho) for rho in queries[:6]] == [3.0, 5.0, 9.0, 1.0, 9.0, 3.0]
+    assert sol._sorted == sorted(sol._anchors)
+
+
+def test_nearest_anchor_ties_match_linear_scan():
+    # integer anchors in random order make many exact ties; huge queries make
+    # anchors on one side round to the same distance
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        sol = solve_closedness(1, EH)
+        points = [float(x) for x in rng.permutation(np.arange(-12, 13)) if x != 1]
+        for i, s in enumerate(points, start=1):
+            sol._anchors[s] = (0.0, i)
+        sol._sorted = sorted(sol._anchors)
+        queries = [x / 2.0 for x in range(-30, 31)] + [2.0 ** 54, -(2.0 ** 54), 1e300,
+                                                       math.inf, -math.inf, math.nan]
+        for rho in queries:
+            assert sol._nearest_anchor(rho) == _scan_nearest(sol, rho)
+
+
+def test_classification_unchanged_under_linear_scan(monkeypatch):
+    # verdicts alone hide the tie rule, so every cumulative integral is compared too
+    profiles = (atiyah_hitchin_model_profile(), eguchi_hanson_profile(0.5),
+                biaxial_taubnut_profile(1.0))
+    integral = ClosednessSolution.exponent_integral
+
+    def classify_all():
+        values = []
+
+        def recorded(self, rho):
+            values.append(integral(self, rho))
+            return values[-1]
+
+        monkeypatch.setattr(ClosednessSolution, "exponent_integral", recorded)
+        return [classify_l2(p) for p in profiles], values
+
+    verdicts, values = classify_all()
+    monkeypatch.setattr(ClosednessSolution, "_nearest_anchor", _scan_nearest)
+    scanned, scanned_values = classify_all()
+    assert scanned_values == values
+    assert scanned == verdicts
+    for v, w in zip(scanned, verdicts):
+        for axis in (1, 2, 3):
+            assert v[axis].fitted_exponents == w[axis].fitted_exponents
+
+
+def test_coefficient_lookup():
+    assert [TN.coefficient(n) for n in ("f", "a", "b", "c")] == [TN.f, TN.a, TN.b, TN.c]
+    for bad in ("rho_ref", "name", "g"):
+        with pytest.raises(KeyError):
+            TN.coefficient(bad)
 
 
 def test_ah_f1_tends_to_constant_at_pi():

@@ -145,3 +145,11 @@ def test_taubnut_suite_schema():
 def test_suite_config_validation():
     with pytest.raises(ValueError):
         SuiteConfig(tol_scale=0.0)
+
+
+@pytest.mark.parametrize("flag", [["--tol-scale", "nan"], ["--tol-scale", "inf"],
+                                  ["--tol-scale=-inf"]])
+def test_cli_rejects_non_finite_tol_scale(tmp_path, flag):
+    out = tmp_path / "report"
+    assert main(["--suite", "taubnut", "--out", str(out), "--quiet"] + flag) == 2
+    assert not out.exists()

@@ -1,6 +1,8 @@
 """Shared numerics: stencils, quadrature, nullspaces, pointwise duality."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -89,6 +91,26 @@ def test_adaptive_simpson_relative_mode():
     # huge integrand with relative tolerance terminates quickly and accurately
     val = adaptive_simpson(lambda x: 1e12 * math.exp(x), 0.0, 1.0, 1e-10, rel=1e-10)
     assert val == pytest.approx(1e12 * (math.e - 1.0), rel=1e-9)
+
+
+def test_adaptive_simpson_leaves_no_reference_cycle():
+    # the integrand (and all it closes over) must die with the call, without
+    # waiting for the cycle collector
+    class Integrand:
+        def __call__(self, x):
+            return x * x
+
+    f = Integrand()
+    ref = weakref.ref(f)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert adaptive_simpson(f, 0.0, 1.0, 1e-12) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        del f
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_integrate_endpoint_singular_power_law():

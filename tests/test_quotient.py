@@ -10,6 +10,7 @@ from hkforms.quotient import (
     FlatCotangentSpace,
     GroupActionSpec,
     QuotientChart,
+    _FRAME_MEMO_SIZE,
     ambient_linear_part,
     calabi_orbit_data,
     cotangent_moment,
@@ -259,6 +260,83 @@ def test_beta_exactness():
     for chart in (CHART_TN, CHART_CAL):
         u = 0.7 * rng.standard_normal(4)
         assert chart.beta_exactness_residual(u) <= 1e-5
+
+
+# -- horizontal frame memo ------------------------------------------------------
+
+def _stencil(u, h):
+    """The 17 points every chart stencil visits, built as the stencils build them."""
+    pts = [u]
+    for k in range(4):
+        e = np.zeros(4)
+        e[k] = 1.0
+        for step in (h, h / 2.0):
+            pts += [u + step * e, u - step * e]
+    return pts
+
+
+def _count_frames(chart):
+    # every frame the chart builds calls its projector exactly once
+    calls = []
+    projector = chart.projector
+    chart.projector = lambda p: (calls.append(1), projector(p))[1]
+    return calls
+
+
+def test_frame_memo_matches_fresh_chart():
+    rng = np.random.default_rng(16)
+    for spec in (TN, CAL):
+        chart = QuotientChart(spec)
+        u = 0.7 * rng.standard_normal(4)
+        chart.closedness_residual(1, u)
+        for v in _stencil(u, chart.fd_step):
+            assert v.tobytes() in chart._frames
+            fresh = QuotientChart(spec)
+            for cached, built in zip(chart._frame(v), fresh._frame(v)):
+                assert np.array_equal(cached, built)
+        assert len(chart._frames) == 17
+
+
+def test_frame_arrays_are_read_only():
+    u = np.array([0.3, -0.2, 0.5, 0.1])
+    chart = QuotientChart(CAL)
+    with pytest.raises(ValueError):
+        chart.chart_tangents(u)[0, 0] = 1.0
+    for arr in chart._frame(u):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_frame_memo_is_per_chart():
+    u = np.array([0.3, -0.2, 0.5, 0.1])
+    for model, shifts in (("taubnut_R", (0.0, 0.3)), ("calabi_circle", (0.5, 0.75))):
+        a, b = (QuotientChart(GroupActionSpec(model, level_shift=s)) for s in shifts)
+        assert not np.array_equal(a.chart_tangents(u), b.chart_tangents(u))
+        assert not np.array_equal(a._frame(u)[0], b._frame(u)[0])
+
+
+def test_frame_memo_is_bounded():
+    rng = np.random.default_rng(17)
+    chart = QuotientChart(TN)
+    for _ in range(300):
+        chart.chart_tangents(rng.standard_normal(4))
+        assert len(chart._frames) <= _FRAME_MEMO_SIZE
+
+
+def test_residuals_build_one_frame_per_stencil_point():
+    rng = np.random.default_rng(18)
+    for spec in (TN, CAL):
+        u = 0.7 * rng.standard_normal(4)
+        chart = QuotientChart(spec)
+        calls = _count_frames(chart)
+        chart.omegas_relation_residuals(u)
+        assert len(calls) == 17
+        chart = QuotientChart(spec)
+        calls = _count_frames(chart)
+        for axis in (1, 2, 3):
+            chart.closedness_residual(axis, u)
+        chart.beta_exactness_residual(u)
+        assert len(calls) == 17
 
 
 def test_triholomorphic_circle_annihilates_forms():
