@@ -19,12 +19,14 @@ positive, and closed exactly when F_i' = -ratio_i F_i.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .exterior.forms import merge_sign
 from .numerics import (
     adaptive_simpson,
     exterior_derivative_at,
@@ -195,34 +197,6 @@ def solve_closedness(axis: int, profile: BianchiProfile) -> ClosednessSolution:
     return ClosednessSolution(axis, profile)
 
 
-@dataclass(frozen=True)
-class AnsatzForm:
-    """The invariant anti-self-dual 2-form phi_i on a profile.
-
-    Bundles the axis, the closedness coefficient F_i (positive on the
-    interior by construction) and the profile it lives on.
-    """
-
-    axis: int
-    profile: BianchiProfile
-    F: ClosednessSolution = None
-
-    def __post_init__(self):
-        if self.axis not in (1, 2, 3):
-            raise ValueError("axis must be 1, 2 or 3")
-        if self.F is None:
-            object.__setattr__(self, "F", solve_closedness(self.axis, self.profile))
-
-    def coefficient(self, rho: float) -> float:
-        return self.F(rho)
-
-    def matrix(self, coords: np.ndarray) -> np.ndarray:
-        return ansatz_form_matrix(self.axis, self.profile, np.asarray(coords, float), self.F)
-
-    def density(self, rho: float) -> float:
-        return l2_density(self.axis, self.profile, rho, self.F)
-
-
 def l2_density(axis: int, profile: BianchiProfile, rho: float,
                F: ClosednessSolution | None = None) -> float:
     """Signed density 2 F_i^2 ratio_i of phi_i ^ *phi_i against drho^s1^s2^s3."""
@@ -336,10 +310,8 @@ def wedge_density_cross_check(axis: int, profile: BianchiProfile, coords: np.nda
     B = ansatz_form_matrix(axis, profile, coords, F)
     # coefficient of -phi^phi on dtheta-ordered coordinates
     coeff = 0.0
-    import itertools
     for (i, j) in itertools.combinations(range(4), 2):
         kl = tuple(sorted(set(range(4)) - {i, j}))
-        from .exterior.forms import merge_sign
         s, _ = merge_sign((i, j), kl)
         coeff += -B[i, j] * B[kl[0], kl[1]] * s
     # drho^s1^s2^s3 = -sin(theta) in coordinates

@@ -3,10 +3,8 @@
 from .forms import FormVector, basis_indices, hodge_star, inner, wedge
 from .operators import (
     LefschetzAlgebra,
-    OperatorMatrix,
     asd_two_form_basis,
     duality_sign,
-    export_operator_csv,
     kernel_subspace_distance,
     lie_closure_dimension,
     middle_kernel,
@@ -19,12 +17,10 @@ from .quaternionic import QuaternionicStructure
 __all__ = [
     "FormVector",
     "LefschetzAlgebra",
-    "OperatorMatrix",
     "QuaternionicStructure",
     "asd_two_form_basis",
     "basis_indices",
     "duality_sign",
-    "export_operator_csv",
     "hodge_star",
     "inner",
     "kernel_subspace_distance",

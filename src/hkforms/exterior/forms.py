@@ -85,9 +85,6 @@ class FormVector:
             raise ValueError(f"mixed-degree form: degrees {sorted(degs)}")
         return degs.pop() if degs else 0
 
-    def component(self, degree: int) -> "FormVector":
-        return FormVector(self.dim, {k: c for k, c in self.coeffs.items() if len(k) == degree})
-
     def to_vector(self, degree: int) -> np.ndarray:
         """Dense coefficient vector in the canonical basis of Lambda^degree."""
         basis = basis_indices(self.dim, degree)

@@ -13,34 +13,11 @@ Conventions, fixed once and verified by the commutator suite:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..numerics import nullspace, subspace_distance
-from .forms import FormVector, basis_indices, hodge_star, merge_sign
+from .forms import FormVector, basis_indices, form_gram, hodge_star, merge_sign
 from .quaternionic import QuaternionicStructure
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense matrix of a degree-homogeneous operator in the canonical basis."""
-
-    dim: int
-    source_degree: int
-    target_degree: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        import math
-        expected = (math.comb(self.dim, self.target_degree),
-                    math.comb(self.dim, self.source_degree))
-        if self.matrix.shape != expected:
-            raise ValueError(f"operator shape {self.matrix.shape} != {expected}")
-
-    def __call__(self, a: FormVector) -> FormVector:
-        v = a.to_vector(self.source_degree)
-        return FormVector.from_vector(self.dim, self.target_degree, self.matrix @ v)
 
 
 def wedge_operator_matrix(two_form: FormVector, degree: int) -> np.ndarray:
@@ -102,7 +79,6 @@ class LefschetzAlgebra:
         return self._L[key]
 
     def gram(self, degree: int) -> np.ndarray:
-        from .forms import form_gram
         if degree not in self._grams:
             self._grams[degree] = form_gram(self.structure.metric, degree)
         return self._grams[degree]
@@ -125,16 +101,6 @@ class LefschetzAlgebra:
         if key not in self._sigma:
             self._sigma[key] = derivation_matrix(self.structure.complex_structure(axis), degree)
         return self._sigma[key]
-
-    def operator(self, kind: str, axis: int, degree: int) -> OperatorMatrix:
-        """Wrap one degree-homogeneous block as a typed OperatorMatrix."""
-        if kind == "L":
-            return OperatorMatrix(self.dim, degree, degree + 2, self.L_matrix(axis, degree))
-        if kind == "Lambda":
-            return OperatorMatrix(self.dim, degree, degree - 2, self.Lambda_matrix(axis, degree))
-        if kind == "sigma":
-            return OperatorMatrix(self.dim, degree, degree, self.sigma_matrix(axis, degree))
-        raise ValueError("kind must be 'L', 'Lambda' or 'sigma'")
 
     # -- operator application -------------------------------------------------
 
@@ -380,8 +346,3 @@ def kernel_subspace_distance(kernel: list[FormVector], reference: list[FormVecto
     A = np.column_stack([f.to_vector(degree) for f in kernel])
     B = np.column_stack([f.to_vector(degree) for f in reference])
     return subspace_distance(A, B)
-
-
-def export_operator_csv(matrix: np.ndarray, path: str) -> None:
-    """Write an operator matrix as CSV for external cross-checks."""
-    np.savetxt(path, matrix, delimiter=",", fmt="%.17g")

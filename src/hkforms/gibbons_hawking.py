@@ -143,15 +143,6 @@ def two_form_norm_sq(B: np.ndarray, g: np.ndarray) -> float:
     return float(0.5 * np.sum(B * (ginv @ B @ ginv)))
 
 
-def theta_components_fn(d: GHData):
-    """theta as a dict-of-components function of (x1, x2, x3, tau) for FD checks."""
-    def fn(coords: np.ndarray) -> dict:
-        p = GHPoint(coords[:3], coords[3])
-        t = theta_form(p, d)
-        return {(mu,): t[mu] for mu in range(4)}
-    return fn
-
-
 def dtheta_components_fn(d: GHData):
     def fn(coords: np.ndarray) -> dict:
         p = GHPoint(coords[:3], coords[3])
@@ -198,18 +189,12 @@ def l2_norm(d: GHData, r_min: float = 0.0, r_max: float = math.inf,
     Converges to the closed form 4 pi m tau_period as r_min -> 0, r_max -> inf.
     """
     f = lambda r: _radial_density(r, d)
+    lo = max(r_min, 0.0)
     if math.isinf(r_max):
-        if r_min <= 0.0:
-            # substitute r = m u / (1 - u): smooth integrand on (0, 1)
-            radial = integrate_to_infinity(f, 0.0, scale=d.m, tol=tol)
-        else:
-            radial = integrate_to_infinity(f, r_min, scale=d.m, tol=tol)
+        # substitute r = lo + m u / (1 - u): smooth integrand on (0, 1)
+        radial = integrate_to_infinity(f, lo, scale=d.m, tol=tol)
     else:
-        lo = max(r_min, 0.0)
-        if lo == 0.0:
-            radial = adaptive_simpson(f, 1e-14 * d.m, r_max, tol)
-        else:
-            radial = adaptive_simpson(f, lo, r_max, tol)
+        radial = adaptive_simpson(f, lo or 1e-14 * d.m, r_max, tol)
     return d.tau_period * radial
 
 
@@ -265,13 +250,3 @@ def cutoff_cross_term(d: GHData, r: float, K: float = 1.0, c1: float = 1.0,
         val = (K / s) * (c1 * s + c0) * math.sqrt(two_form_norm_sq(dtheta(p, d), metric_at(p, d)))
         sup = max(sup, val)
     return sup * math.sqrt(shell_volume(d, r))
-
-
-def patch_transition_tau(p: GHPoint, d_from: GHData, d_to: GHData) -> float:
-    """tau coordinate of the same geometric point in the other patch's chart."""
-    phi = math.atan2(p.x[1], p.x[0])
-    if d_from.patch == d_to.patch:
-        return p.tau
-    # alpha_south - alpha_north = 2 m dphi, so tau_north = tau_south + 2 m phi
-    shift = 2.0 * d_from.m * phi
-    return p.tau + shift if d_from.patch == "south" else p.tau - shift

@@ -25,13 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import composite_simpson, grid_derivative
-
-_PAULI = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
+from .numerics import PAULI, composite_simpson, grid_derivative
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -70,7 +64,7 @@ def standard_residues(k: int = 2) -> ResidueTriple:
     """rho_i = (i/2) Pauli_i, the irreducible su(2) residues for k = 2."""
     if k != 2:
         raise ValueError("only the k = 2 representation is built in")
-    return ResidueTriple(tuple(0.5j * s for s in _PAULI))
+    return ResidueTriple(tuple(0.5j * s for s in PAULI))
 
 
 def _anti_hermitian_ok(M: np.ndarray, tol: float) -> bool:

@@ -3,8 +3,8 @@
 Everything here is dimension-agnostic plumbing used by the geometry modules:
 high-order finite-difference stencils (Fornberg weights), Richardson-extrapolated
 partial derivatives, adaptive Simpson quadrature with endpoint substitutions for
-improper integrals, SVD nullspaces and subspace distances, and pointwise Hodge
-duality for 2-forms on 4-dimensional coordinate patches.
+improper integrals, SVD nullspaces and subspace distances, pointwise Hodge
+duality for 2-forms on 4-dimensional coordinate patches, and the Pauli matrices.
 """
 
 from __future__ import annotations
@@ -14,6 +14,14 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+
+# (i/2) PAULI_k are the su(2) residues of the Nahm pole and the orbit generators
+# of the Calabi quotient
+PAULI = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +85,12 @@ def grid_derivative(values: np.ndarray, h: float, order: int = 6) -> np.ndarray:
     return out
 
 
-def partial_derivative(f: Callable[[np.ndarray], float], x: np.ndarray, axis: int,
-                       h: float = 1e-4) -> float:
-    """Richardson-extrapolated central difference of a scalar function."""
+def partial_derivative(f: Callable[[np.ndarray], float | np.ndarray], x: np.ndarray,
+                       axis: int, h: float = 1e-4) -> float | np.ndarray:
+    """Richardson-extrapolated central difference (4 D(h/2) - D(h)) / 3.
+
+    `f` may return a scalar or an array; arrays are differenced entrywise.
+    """
     e = np.zeros_like(x, dtype=float)
     e[axis] = 1.0
 
@@ -148,25 +159,6 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     if rel > 0.0:
         tol = max(tol, rel * abs(whole))
     return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def integrate_endpoint_singular(f: Callable[[float], float], a: float, b: float,
-                                singular_at: float | None = None,
-                                tol: float = 1e-10) -> float:
-    """Integrate f over (a, b) with a power-law singularity at one finite end.
-
-    Substitutes t = log(x - a) (or log(b - x)), which turns integrable
-    power laws into smooth exponentially-weighted integrands.
-    """
-    if singular_at is None:
-        return adaptive_simpson(f, a, b, tol)
-    if not (math.isclose(singular_at, a) or math.isclose(singular_at, b)):
-        raise ValueError("singular endpoint must be a or b")
-    # the cutoff truncates delta^{p+1}-size mass for integrable powers p > -1
-    lo, hi = math.log(1e-30 * (b - a)), math.log(b - a)
-    if math.isclose(singular_at, a):
-        return adaptive_simpson(lambda t: f(a + math.exp(t)) * math.exp(t), lo, hi, tol)
-    return adaptive_simpson(lambda t: f(b - math.exp(t)) * math.exp(t), lo, hi, tol)
 
 
 def integrate_to_infinity(f: Callable[[float], float], a: float, scale: float = 1.0,
@@ -251,19 +243,19 @@ def hodge_star_2form(beta: np.ndarray, g: np.ndarray, orientation: float = 1.0) 
     return 0.5 * vol * np.einsum("mnab,ab->mn", _EPS4, beta_up)
 
 
+def _clip_unit(t: np.ndarray | float) -> np.ndarray | float:
+    if isinstance(t, float):
+        return 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    return np.clip(t, 0.0, 1.0)
+
+
 def smoothstep_c2(t: np.ndarray | float) -> np.ndarray | float:
     """Quintic smoothstep: 0 to 1 on [0,1] with vanishing first two derivatives."""
-    if isinstance(t, float):
-        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    else:
-        t = np.clip(t, 0.0, 1.0)
+    t = _clip_unit(t)
     return t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
 def smoothstep_c3(t: np.ndarray | float) -> np.ndarray | float:
     """Septic smoothstep: 0 to 1 on [0,1], C^3 at the ends."""
-    if isinstance(t, float):
-        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    else:
-        t = np.clip(t, 0.0, 1.0)
+    t = _clip_unit(t)
     return t ** 4 * (35.0 - 84.0 * t + 70.0 * t * t - 20.0 * t ** 3)

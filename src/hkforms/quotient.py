@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .numerics import orthonormal_projector
+from .numerics import PAULI, exterior_derivative_at, orthonormal_projector, partial_derivative
 
 _ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -91,10 +92,17 @@ class FlatCotangentSpace:
     def K_matrix(self) -> np.ndarray:
         return self.I_matrix() @ self.J_matrix()
 
+    @cached_property
+    def _omegas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # built once per space: omega_matrix is read on every kahler_form call
+        omegas = tuple(M.T for M in (self.I_matrix(), self.J_matrix(), self.K_matrix()))
+        for M in omegas:
+            M.flags.writeable = False
+        return omegas
+
     def omega_matrix(self, axis: int) -> np.ndarray:
-        """Antisymmetric coefficient matrix of omega_axis (flat metric)."""
-        M = (self.I_matrix(), self.J_matrix(), self.K_matrix())[axis - 1]
-        return M.T
+        """Antisymmetric coefficient matrix of omega_axis (flat metric), read-only."""
+        return self._omegas[axis - 1]
 
     def canonical_pairing(self, X: np.ndarray, Y: np.ndarray) -> complex:
         """sum_j dz_j ^ dw_j evaluated on two real tangents."""
@@ -279,19 +287,9 @@ class QuotientChart:
             return frame
         p = self.representative(u)
         P = self.projector(p)
-        cols = []
-        h = self.fd_step
-        for k in range(4):
-            e = np.zeros(4)
-            e[k] = 1.0
-
-            def d1(step):
-                return (self.representative(u + step * e)
-                        - self.representative(u - step * e)) / (2.0 * step)
-
-            dr = (4.0 * d1(h / 2.0) - d1(h)) / 3.0
-            cols.append(P @ dr)
-        frame = (p, P, np.column_stack(cols))
+        T = np.column_stack([P @ partial_derivative(self.representative, u, k, self.fd_step)
+                             for k in range(4)])
+        frame = (p, P, T)
         for arr in frame:
             arr.flags.writeable = False
         if len(self._frames) >= _FRAME_MEMO_SIZE:
@@ -321,7 +319,6 @@ class QuotientChart:
 
     def closedness_residual(self, axis: int, u: np.ndarray) -> float:
         """Finite-difference d(omega_axis) on the chart."""
-        from .numerics import exterior_derivative_at
         out = exterior_derivative_at(self.kahler_components_fn(axis),
                                      np.asarray(u, float), 4, self.fd_step)
         scale = max(np.abs(self.kahler_form(axis, u)).max(), 1e-300)
@@ -360,17 +357,8 @@ class QuotientChart:
         X = X_fn(u)
         B = omega_fn(u)
         out = np.zeros((4, 4))
-        dB = np.empty((4, 4, 4))
-        dX = np.empty((4, 4))
-        for g in range(4):
-            e = np.zeros(4)
-            e[g] = 1.0
-
-            def cb(step, fn):
-                return (fn(u + step * e) - fn(u - step * e)) / (2.0 * step)
-
-            dB[g] = (4.0 * cb(h / 2.0, omega_fn) - cb(h, omega_fn)) / 3.0
-            dX[g] = (4.0 * cb(h / 2.0, X_fn) - cb(h, X_fn)) / 3.0
+        dB = np.array([partial_derivative(omega_fn, u, g, h) for g in range(4)])
+        dX = np.array([partial_derivative(X_fn, u, g, h) for g in range(4)])
         for a in range(4):
             for b in range(4):
                 out[a, b] = (X @ dB[:, a, b]
@@ -392,8 +380,6 @@ class QuotientChart:
 
     def beta_exactness_residual(self, u: np.ndarray) -> float:
         """d(iota(X) omega_2) = omega_3, checked by finite differences."""
-        from .numerics import exterior_derivative_at
-
         def beta_fn(v: np.ndarray) -> dict:
             X = self.pushdown_field(self.rotation_ambient, v)
             B = self.kahler_form(2, v)
@@ -412,17 +398,6 @@ class QuotientChart:
 # ---------------------------------------------------------------------------
 # growth estimates
 # ---------------------------------------------------------------------------
-
-def rotating_field(chart: QuotientChart, u: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Pushed-down rotation circle at a chart point, with its relation residuals.
-
-    Returns the chart components of the projected generator of w -> e^{-it} w
-    together with the finite-difference residuals of L_X omega_1 = 0,
-    L_X omega_2 = omega_3, L_X omega_3 = -omega_2.
-    """
-    vec = chart.pushdown_field(chart.rotation_ambient, u)
-    return vec, chart.omegas_relation_residuals(u)
-
 
 @dataclass(frozen=True)
 class GrowthReport:
@@ -484,13 +459,6 @@ def growth_check(chart: QuotientChart,
 # su(2)-orbit extraction for the Calabi model
 # ---------------------------------------------------------------------------
 
-_PAULI = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
-
-
 def su2_generators() -> list[np.ndarray]:
     """Basis E_k = (i/2) Pauli_k with [E_1, E_2] = -E_3 cyclic.
 
@@ -498,7 +466,7 @@ def su2_generators() -> list[np.ndarray]:
     metric coefficients extracted against it compare directly with the
     cohomogeneity-one profiles.
     """
-    return [0.5j * s for s in _PAULI]
+    return [0.5j * s for s in PAULI]
 
 
 def calabi_orbit_data(chart: QuotientChart, t: float) -> dict:
@@ -511,18 +479,14 @@ def calabi_orbit_data(chart: QuotientChart, t: float) -> dict:
         raise ValueError("orbit extraction is implemented for the n=2 circle model")
     space = chart.spec.space
 
-    def point(s: float) -> np.ndarray:
-        return space.to_real(np.array([math.sqrt(1.0 + s * s), 0.0]),
-                             np.array([0.0, s]))
-
-    p = point(t)
+    root = math.sqrt(1.0 + t * t)
+    p = space.to_real(np.array([root, 0.0]), np.array([0.0, t]))
     P = chart.projector(p)
     fields = []
     for E in su2_generators():
         z, w = space.to_complex(p)
         fields.append(space.to_real(E @ z, np.conj(E) @ w))
-    h = 1e-6
-    gamma_dot = (point(t + h) - point(t - h)) / (2.0 * h)
+    gamma_dot = space.to_real(np.array([t / root, 0.0]), np.array([0.0, 1.0]))
     out = {"t": t}
     X = [P @ v for v in fields]
     out["A_sq"] = float(X[0] @ X[0])

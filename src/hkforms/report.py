@@ -104,7 +104,3 @@ def emit_profile_csv(columns: dict[str, list], path: Path) -> bytes:
     data = ("\n".join(lines) + "\n").encode()
     path.write_bytes(data)
     return data
-
-
-def parse_json(data: bytes) -> dict:
-    return json.loads(data.decode())

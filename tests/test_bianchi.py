@@ -249,17 +249,17 @@ def test_eh_density_closed_form():
 
 
 def test_ansatz_form_bundle():
-    from hkforms.bianchi import AnsatzForm
-    form = AnsatzForm(3, EH)
-    assert form.coefficient(4.0) == pytest.approx(0.25, rel=1e-10)
-    assert form.density(4.0) == pytest.approx(2.0 / 64.0, rel=1e-9)
+    F3 = solve_closedness(3, EH)
+    assert F3(4.0) == pytest.approx(0.25, rel=1e-10)
+    assert l2_density(3, EH, 4.0, F3) == pytest.approx(2.0 / 64.0, rel=1e-9)
     for rho in (0.6, 1.0, 5.0):
-        assert form.coefficient(rho) > 0
+        assert F3(rho) > 0
+    # phi_3 is F_3 times the unit-coefficient form
     coords = np.array([2.0, 1.1, 0.4, 0.9])
-    assert np.abs(form.matrix(coords)
-                  - ansatz_form_matrix(3, EH, coords, form.F)).max() == 0.0
+    unit = ansatz_form_matrix(3, EH, coords, lambda rho: 1.0)
+    assert np.abs(ansatz_form_matrix(3, EH, coords, F3) - F3(2.0) * unit).max() == 0.0
     with pytest.raises(ValueError):
-        AnsatzForm(4, EH)
+        l2_density(4, EH, 4.0)
 
 
 # -- coordinate model: closedness, duality, wedge cross-check -----------------

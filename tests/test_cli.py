@@ -12,7 +12,6 @@ from hkforms.report import (
     emit_csv,
     emit_json,
     emit_profile_csv,
-    parse_json,
     report_payload,
 )
 from hkforms.suites import SuiteConfig, run_suite
@@ -28,7 +27,7 @@ def test_json_roundtrip(tmp_path):
                ReportRecord("s", "c2", "plumbing", "eq", 3.0, 3.0, True)]
     payload = report_payload(records, suite="s", seed=1, tol_scale=1.0)
     data = emit_json(payload, tmp_path / "r.json")
-    parsed = parse_json(data)
+    parsed = json.loads(data)
     assert parsed == payload
     assert parsed["schema"] == 1
     assert parsed["records"][0]["measured"] == 0.5

@@ -18,7 +18,6 @@ from hkforms.gibbons_hawking import (
     l2_density_from_forms,
     l2_norm,
     metric_at,
-    patch_transition_tau,
     potential,
     shell_integral,
     shell_volume,
@@ -110,15 +109,6 @@ def test_theta_global_across_patches():
         assert np.abs(converted - ts).max() <= 1e-12
 
 
-def test_patch_transition_tau_roundtrip():
-    north = GHData(m=1.0, patch="north")
-    south = GHData(m=1.0, patch="south")
-    p = GHPoint(np.array([0.4, -0.7, 0.2]), 0.9)
-    tau_s = patch_transition_tau(p, north, south)
-    back = patch_transition_tau(GHPoint(p.x, tau_s), south, north)
-    assert back == pytest.approx(p.tau)
-
-
 def test_dtheta_closed():
     worst = max(ddtheta_residual(p, D1) for p in random_points(25, 25))
     assert worst <= 1e-6
@@ -173,6 +163,16 @@ def test_l2_norm_oracle_quadrature():
     from scipy.integrate import quad
     oracle, _ = quad(lambda r: 8.0 * math.pi * r / (r + 1.0) ** 3, 0.0, math.inf)
     assert l2_norm(D1) == pytest.approx(D1.tau_period * oracle, rel=1e-9)
+
+
+def test_l2_norm_one_sided_truncations_oracle():
+    # r_min > 0 up to infinity, and from the NUT out to a finite radius
+    from scipy.integrate import quad
+    radial = lambda r: 8.0 * math.pi * r / (r + 1.0) ** 3
+    for r_min, r_max in ((0.5, math.inf), (0.0, 50.0)):
+        oracle, _ = quad(radial, r_min, r_max)
+        assert l2_norm(D1, r_min=r_min, r_max=r_max) == pytest.approx(
+            D1.tau_period * oracle, rel=1e-9)
 
 
 def test_l2_norm_scaling_in_mass():

@@ -14,7 +14,6 @@ from hkforms.numerics import (
     fd_weights,
     grid_derivative,
     hodge_star_2form,
-    integrate_endpoint_singular,
     integrate_to_infinity,
     loglog_slope,
     nullspace,
@@ -111,12 +110,6 @@ def test_adaptive_simpson_leaves_no_reference_cycle():
     finally:
         if enabled:
             gc.enable()
-
-
-def test_integrate_endpoint_singular_power_law():
-    # integral of x^{-1/2} over (0, 1) = 2
-    val = integrate_endpoint_singular(lambda x: x ** -0.5, 0.0, 1.0, singular_at=0.0)
-    assert val == pytest.approx(2.0, rel=1e-8)
 
 
 def test_integrate_to_infinity():

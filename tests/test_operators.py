@@ -286,21 +286,9 @@ def test_middle_kernel_oracle_k1():
 
 
 def test_operator_matrix_wrapper():
-    from hkforms.exterior import OperatorMatrix
-    op = ALG4.operator("L", 1, 0)
-    assert (op.source_degree, op.target_degree) == (0, 2)
-    assert op(FormVector.scalar(4)).isclose(Q4.omega(1), 1e-14)
-    sig = ALG4.operator("sigma", 1, 2)
-    assert sig(Q4.omega(1)).norm() <= 1e-14
-    with pytest.raises(ValueError):
-        ALG4.operator("H", 1, 0)
-    with pytest.raises(ValueError):
-        OperatorMatrix(4, 0, 2, np.zeros((3, 1)))
-
-
-def test_operator_csv_export(tmp_path):
-    from hkforms.exterior import export_operator_csv
-    path = tmp_path / "L1_deg0.csv"
-    export_operator_csv(ALG4.L_matrix(1, 0), str(path))
-    loaded = np.loadtxt(path, delimiter=",").reshape(6, 1)
-    assert np.abs(loaded - ALG4.L_matrix(1, 0)).max() == 0.0
+    # the degree blocks themselves: L_1 sends 1 to omega_1, and sigma_1 omega_1 = 0
+    one = FormVector.scalar(4).to_vector(0)
+    L1_one = FormVector.from_vector(4, 2, ALG4.L_matrix(1, 0) @ one)
+    assert L1_one.isclose(Q4.omega(1), 1e-14)
+    omega1 = Q4.omega(1).to_vector(2)
+    assert np.abs(ALG4.sigma_matrix(1, 2) @ omega1).max() <= 1e-14

@@ -49,6 +49,7 @@ def test_omegas_constant_and_closed_by_construction():
     sp = FlatCotangentSpace(2)
     for axis in (1, 2, 3):
         W = sp.omega_matrix(axis)
+        assert W is sp.omega_matrix(axis) and not W.flags.writeable
         assert np.abs(W + W.T).max() == 0
         assert abs(np.linalg.det(W)) == pytest.approx(1.0)
 
@@ -339,6 +340,49 @@ def test_residuals_build_one_frame_per_stencil_point():
         assert len(calls) == 17
 
 
+# -- the shared Richardson difference --------------------------------------------
+
+def _inline_richardson(fn, u, k, h):
+    """(4 D(h/2) - D(h)) / 3 along e_k, written out apart from numerics.partial_derivative."""
+    e = np.zeros(4)
+    e[k] = 1.0
+
+    def central(step):
+        return (fn(u + step * e) - fn(u - step * e)) / (2.0 * step)
+
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+def test_frame_tangents_match_inline_stencil():
+    rng = np.random.default_rng(19)
+    for spec in (TN, CAL):
+        chart = QuotientChart(spec)
+        u = 0.7 * rng.standard_normal(4)
+        _, P, T = chart._frame(u)
+        inline = np.column_stack([P @ _inline_richardson(chart.representative, u, k,
+                                                         chart.fd_step)
+                                  for k in range(4)])
+        assert np.array_equal(T, inline)
+
+
+def test_lie_derivative_matches_inline_stencil():
+    rng = np.random.default_rng(20)
+    for spec in (TN, CAL):
+        chart = QuotientChart(spec)
+        u = 0.7 * rng.standard_normal(4)
+        h = chart.fd_step
+        for axis in (1, 2, 3):
+            omega_fn = lambda v: chart.kahler_form(axis, v)
+            X_fn = lambda v: chart.pushdown_field(chart.rotation_ambient, v)
+            X, B = X_fn(u), omega_fn(u)
+            dB = np.array([_inline_richardson(omega_fn, u, g, h) for g in range(4)])
+            dX = np.array([_inline_richardson(X_fn, u, g, h) for g in range(4)])
+            inline = np.array([[X @ dB[:, a, b] + dX[a, :] @ B[:, b] + B[a, :] @ dX[b, :]
+                                for b in range(4)] for a in range(4)])
+            assert np.array_equal(chart.lie_derivative(chart.rotation_ambient, axis, u),
+                                  inline)
+
+
 def test_triholomorphic_circle_annihilates_forms():
     rng = np.random.default_rng(15)
     for _ in range(3):
@@ -354,12 +398,11 @@ def test_rotation_field_fixed_on_zero_section():
 
 
 def test_rotating_field_bundle():
-    from hkforms.quotient import rotating_field
     u = np.array([0.4, -0.3, 0.5, 0.2])
-    vec, residuals = rotating_field(CHART_TN, u)
+    vec = CHART_TN.pushdown_field(CHART_TN.rotation_ambient, u)
     assert vec.shape == (4,)
     assert np.abs(vec).max() > 1e-3      # nonzero away from the fixed set
-    assert max(residuals.values()) <= 1e-5
+    assert max(CHART_TN.omegas_relation_residuals(u).values()) <= 1e-5
 
 
 # -- growth --------------------------------------------------------------------------
