@@ -3,7 +3,9 @@
 Runs one or all suites, prints a pass/fail line per check, and writes
 machine-readable reports.  Fixed seed and configuration give byte-identical
 output files across runs; the process exit status is 0 exactly when every
-check passed.
+check passed.  A suite that raises a numerical fault (see
+`suites.SUITE_FAULTS`) becomes one failed record, the other suites still run
+and the report is still written; bad configuration exits with status 2.
 """
 
 from __future__ import annotations

@@ -6,6 +6,14 @@ the exact one-pole solution B_i = rho_i / s meets tight residual targets on
 moderate grids; integrals use the composite Simpson rule.  Pole behavior is
 handled by explicit boundary-term bookkeeping rather than singular solves.
 
+Tangents of the one-pole solution come in closed form: around B_i = rho_i / s
+the linearized flow (gauge A_0 = 0) is the Euler system s A' = M A with a
+fixed 3k^2 x 3k^2 operator M built from the residues.  For k = 2 its
+exponents are the integers -2, -1 (x3), 0 (x3), 1 (x5), so
+A(s) = V diag((s/eps)^lambda) V^-1 A(eps) is exact on every node and the
+pole-end boundary term of an admissible tangent vanishes linearly in eps.
+An RK4 integration of the same system is kept only as a test oracle.
+
 Sign conventions: the flow equations are B_i' + [B_0, B_i] = [B_j, B_k] for
 (i, j, k) cyclic, and the residue triple satisfies [rho_j, rho_k] = -rho_i.
 The symplectic pairing is
@@ -186,7 +194,7 @@ def bump_gauge_path(state: NahmState, direction: np.ndarray,
     phi = amplitude * (t * (1.0 - t)) ** 3
     phi_prime = amplitude * 3.0 * (t * (1.0 - t)) ** 2 * (1.0 - 2.0 * t) / (s[-1] - s[0])
     evals, evecs = np.linalg.eig(xi)
-    g = np.array([evecs @ np.diag(np.exp(p * evals)) @ np.linalg.inv(evecs) for p in phi])
+    g = (evecs * np.exp(np.outer(phi, evals))[:, None, :]) @ np.linalg.inv(evecs)
     g_prime = phi_prime[:, None, None] * (g @ xi)
     return g, g_prime
 
@@ -257,15 +265,50 @@ def pole_shift_tangent(state: NahmState) -> TangentState:
     return TangentState(state.s, tuple(comps))
 
 
+EULER_EXPONENTS = (-2.0, -1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+
+
+def _euler_operator(rho: tuple) -> np.ndarray:
+    """The matrix M of s A' = M A on (A_1, A_2, A_3) flattened, A_0 = 0.
+
+    Around B_i = rho_i / s the linearized flow reads
+    s A_i' = [A_j, rho_k] + [rho_j, A_k]; M is that right-hand side applied
+    to the 3 k^2 unit matrices, one column each.
+    """
+    rho = tuple(np.asarray(r, dtype=complex) for r in rho)
+    k = rho[0].shape[0]
+    n = 3 * k * k
+    units = np.eye(n, dtype=complex).reshape(n, 3, k, k)
+    images = np.empty_like(units)
+    for i, j, k_ in _CYCLIC:
+        images[:, i] = _comm(units[:, j], rho[k_]) + _comm(rho[j], units[:, k_])
+    return images.reshape(n, n).T
+
+
+def euler_exponents(rho: tuple) -> np.ndarray:
+    """Spectrum of the Euler operator M for residues rho, sorted.
+
+    For an irreducible k = 2 triple with [rho_j, rho_k] = -rho_i it is
+    EULER_EXPONENTS: the scalar directions give 0 three times, and the
+    trace-free ones split as spin 0 + 1 + 2 into -2, -1 (x3) and 1 (x5).
+    """
+    return np.sort_complex(np.linalg.eigvals(_euler_operator(rho)))
+
+
 def ivp_tangent(state: NahmState, scalars: np.ndarray,
                 directions: tuple | None = None,
                 seed: int = 0) -> TangentState:
-    """Linearized solution integrated from the left end of a one-pole state.
+    """Linearized solution from the left end of a one-pole state, in closed form.
 
     Initial data A_i(eps) = scalars_i * i * Id + eps * eta_i with anti-hermitian
     eta_i, which is the admissible near-pole shape (scalar plus a vanishing
     correction).  The gauge slice is A_0 = 0 and the state must be the exact
-    one-pole background so half-step values are available in closed form.
+    one-pole background, around which the flow is the Euler system
+    s A' = M A (see `euler_exponents`).  Its solution
+    A(s) = V diag((s/eps)^lambda) V^-1 A(eps), with M = V diag(lambda) V^-1,
+    is evaluated on every node and projected onto anti-hermitian matrices to
+    absorb roundoff.  The tests keep an RK4 integration of the same system
+    as an oracle.
     """
     res = state.residues
     if res is None:
@@ -281,33 +324,24 @@ def ivp_tangent(state: NahmState, scalars: np.ndarray,
             directions.append(0.5 * (M - M.conj().T))
         directions = tuple(directions)
     eps = state.eps
-    A = [np.array(1j * scalars[i] * np.eye(k) + eps * directions[i], dtype=complex)
-         for i in range(3)]
-
-    def rhs(s, A3):
-        out = []
-        for i, j, k_ in _CYCLIC:
-            rj, rk = res.rho[j] / s, res.rho[k_] / s
-            out.append(_comm(A3[j], rk) + _comm(rj, A3[k_]))
-        return out
-
-    nodes = state.s.size
-    h = state.h
-    result = [np.empty((nodes, k, k), dtype=complex) for _ in range(3)]
-    for i in range(3):
-        result[i][0] = A[i]
-    for n in range(nodes - 1):
-        s0 = state.s[n]
-        k1 = rhs(s0, A)
-        k2 = rhs(s0 + 0.5 * h, [A[i] + 0.5 * h * k1[i] for i in range(3)])
-        k3 = rhs(s0 + 0.5 * h, [A[i] + 0.5 * h * k2[i] for i in range(3)])
-        k4 = rhs(s0 + h, [A[i] + h * k3[i] for i in range(3)])
-        A = [A[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-             for i in range(3)]
-        for i in range(3):
-            result[i][n + 1] = A[i]
-    zero = np.zeros((nodes, k, k), dtype=complex)
-    return TangentState(state.s, (zero, result[0], result[1], result[2]))
+    start = np.concatenate([(1j * scalars[i] * np.eye(k) + eps * directions[i]).ravel()
+                            for i in range(3)])
+    lam, V = np.linalg.eig(_euler_operator(res.rho))
+    modes = np.linalg.solve(V, start)
+    # in place, so that at most two (nodes x 12) arrays are alive at once:
+    # larger transients raise the process's peak RSS
+    growth = np.outer(np.log(state.s / eps), lam)
+    np.exp(growth, out=growth)
+    growth *= modes
+    # einsum keeps the (nodes x 12)(12 x 12) product off threaded BLAS
+    A = np.einsum("nm,im->ni", growth, V)
+    del growth
+    A[0] = start   # the initial data, without the roundoff of V V^-1
+    A = A.reshape(-1, 3, k, k)
+    A -= np.conj(np.swapaxes(A, -1, -2))
+    A *= 0.5
+    zero = np.zeros_like(A[:, 0])
+    return TangentState(state.s, (zero, A[:, 0], A[:, 1], A[:, 2]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ Running the same suite with the same seed twice produces identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -69,8 +70,24 @@ def report_payload(records: list[ReportRecord], *, suite: str, seed: int,
     }
 
 
+_NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _strict(node):
+    """Replace non-finite floats by the strings "NaN", "Infinity", "-Infinity"."""
+    if isinstance(node, float) and not math.isfinite(node):
+        return _NON_FINITE.get(node, "NaN")
+    if isinstance(node, dict):
+        return {key: _strict(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_strict(value) for value in node]
+    return node
+
+
 def emit_json(payload: dict, path: Path) -> bytes:
-    data = (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode()
+    """Strict JSON: non-finite floats are written as strings, never as bare tokens."""
+    data = (json.dumps(_strict(payload), sort_keys=True, indent=1, allow_nan=False)
+            + "\n").encode()
     path.write_bytes(data)
     return data
 

@@ -390,6 +390,14 @@ def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
 # nahm
 # ---------------------------------------------------------------------------
 
+def _euler_record(rho: tuple, ts: float) -> tuple[ReportRecord, list[float]]:
+    """Distance of the Euler exponents of rho from {-2, -1 (x3), 0 (x3), 1 (x5)}."""
+    lam = nahm.euler_exponents(rho)
+    distance = float(np.abs(lam - np.array(nahm.EULER_EXPONENTS)).max())
+    return (bounded("nahm", "euler-exponents", "integer-pole-exponents", distance, 1e-10 * ts),
+            [float(x.real) for x in lam])
+
+
 def run_nahm(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     ts = config.tol_scale
     records: list[ReportRecord] = []
@@ -409,6 +417,9 @@ def run_nahm(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     shifted = nahm.translation_action(state, np.array([0.3, -0.5, 0.2]))
     records.append(bounded("nahm", "translation-invariance", "central-shift-symmetry",
                            abs(nahm.nahm_residual(shifted) - res_value), 1e-10 * ts))
+
+    euler, exponents = _euler_record(state.residues.rho, ts)
+    records.append(euler)
 
     big = nahm.one_pole_state(1e-3, 1.0, 20001)
     psi, psi_prime = nahm.bumped_psi(big, eta)
@@ -457,6 +468,7 @@ def run_nahm(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
         "epsilon": big.eps,
         "h": big.h,
         "nahm_residual": res_value,
+        "euler_exponents": exponents,
         "lhs": rep_main.lhs,
         "rhs": rep_main.rhs,
         "boundary": rep_main.boundary,
@@ -482,16 +494,32 @@ _RUNNERS = {
 }
 
 
+# numerical faults a suite may raise; each becomes one failed record
+SUITE_FAULTS = (ArithmeticError, RuntimeError, np.linalg.LinAlgError)
+
+
+def _run_isolated(suite: str, config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
+    try:
+        return _RUNNERS[suite](config)
+    except SUITE_FAULTS as exc:
+        return ([flag(suite, "suite-error", "plumbing", False)],
+                {"error": f"{type(exc).__name__}: {exc}"})
+
+
 def run_suite(name: str, config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
-    """Run one suite (or 'all'); unknown names raise ValueError."""
+    """Run one suite (or 'all'); unknown names raise ValueError.
+
+    A suite that raises one of SUITE_FAULTS yields a single failed
+    `<suite>/suite-error` record in place of its own, and the others still run.
+    """
     if name == "all":
         records: list[ReportRecord] = []
         details: dict = {}
         for suite in SUITE_NAMES:
-            r, d = _RUNNERS[suite](config)
+            r, d = _run_isolated(suite, config)
             records.extend(r)
             details[suite] = d
         return records, details
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    return _RUNNERS[name](config)
+    return _run_isolated(name, config)

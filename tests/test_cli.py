@@ -1,9 +1,12 @@
 """Report serialization, determinism, and the batch driver surface."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
+from hkforms import suites
 from hkforms.cli import main
 from hkforms.report import (
     CSV_FIELDS,
@@ -12,6 +15,7 @@ from hkforms.report import (
     emit_csv,
     emit_json,
     emit_profile_csv,
+    flag,
     report_payload,
 )
 from hkforms.suites import SuiteConfig, run_suite
@@ -152,3 +156,77 @@ def test_cli_rejects_non_finite_tol_scale(tmp_path, flag):
     out = tmp_path / "report"
     assert main(["--suite", "taubnut", "--out", str(out), "--quiet"] + flag) == 2
     assert not out.exists()
+
+
+def _raise(exc):
+    def runner(config):
+        raise exc
+    return runner
+
+
+def _passing(name):
+    def runner(config):
+        return [flag(name, "ran", "plumbing", True)], {"ran": True}
+    return runner
+
+
+@pytest.mark.parametrize("exc", [ArithmeticError("no verdict"), RuntimeError("no closure"),
+                                 np.linalg.LinAlgError("singular")])
+def test_cli_isolates_a_failing_suite(tmp_path, monkeypatch, exc):
+    for name in suites.SUITE_NAMES:
+        monkeypatch.setitem(suites._RUNNERS, name, _passing(name))
+    monkeypatch.setitem(suites._RUNNERS, "bianchi", _raise(exc))
+    assert main(["--suite", "all", "--out", str(tmp_path), "--quiet"]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    checks = [(r["suite"], r["check"], r["anchor"], r["passed"]) for r in report["records"]]
+    assert checks == [(name, "suite-error", "plumbing", False) if name == "bianchi"
+                      else (name, "ran", "plumbing", True) for name in suites.SUITE_NAMES]
+    assert report["counts"] == {"total": 5, "failed": 1}
+    assert report["details"]["bianchi"] == {"error": f"{type(exc).__name__}: {exc}"}
+    assert report["details"]["nahm"] == {"ran": True}
+
+
+def test_cli_isolates_a_failing_single_suite(tmp_path, monkeypatch):
+    monkeypatch.setitem(suites._RUNNERS, "taubnut", _raise(ArithmeticError("no verdict")))
+    assert main(["--suite", "taubnut", "--out", str(tmp_path), "--quiet"]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [r["check"] for r in report["records"]] == ["suite-error"]
+    assert report["passed"] is False
+
+
+def test_cli_value_errors_still_exit_2(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "nosuch"}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "a"), "--quiet"]) == 2
+    monkeypatch.setitem(suites._RUNNERS, "taubnut", _raise(ValueError("bad input")))
+    assert main(["--suite", "taubnut", "--out", str(tmp_path / "b"), "--quiet"]) == 2
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+def _reject_constant(name):
+    raise AssertionError(f"bare {name} token in report.json")
+
+
+def test_json_non_finite_values_are_strict(tmp_path):
+    records = [bounded("s", "nan", "a", math.nan, 1.0),
+               ReportRecord("s", "inf", "a", "eq", math.inf, -math.inf, False)]
+    assert not records[0].passed
+    payload = report_payload(records, suite="s", seed=1, tol_scale=1.0,
+                             details={"values": [1.5, math.nan, np.float64(-math.inf)],
+                                      "nested": {"x": (math.inf, 2)}})
+    emit_json(payload, tmp_path / "r.json")
+    parsed = json.loads((tmp_path / "r.json").read_text(), parse_constant=_reject_constant)
+    assert parsed["records"][0]["measured"] == "NaN"
+    assert parsed["records"][0]["passed"] is False
+    assert parsed["records"][1]["measured"] == "Infinity"
+    assert parsed["records"][1]["expected"] == "-Infinity"
+    assert parsed["details"] == {"values": [1.5, "NaN", "-Infinity"],
+                                 "nested": {"x": ["Infinity", 2]}}
+
+
+def test_json_finite_output_unchanged(tmp_path):
+    records = [bounded("s", "c", "a", 1.0 / 3.0, 1e-300), flag("s", "f", "a", True)]
+    payload = report_payload(records, suite="s", seed=1, tol_scale=0.5,
+                             details={"xs": [0.1, -2.5e-17, 1e308], "n": 3, "t": (1.0, "a")})
+    data = emit_json(payload, tmp_path / "r.json")
+    assert data == (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode()

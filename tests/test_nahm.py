@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from hkforms import suites
 from hkforms.nahm import (
+    EULER_EXPONENTS,
     NahmState,
     TangentState,
     bump_gauge_path,
     bumped_psi,
     constant_psi,
     contraction_identity,
+    euler_exponents,
     gauge_tangent,
     gauge_transform,
     ivp_tangent,
@@ -26,6 +29,45 @@ from hkforms.nahm import (
 
 XI = 1j * np.array([[0.3, 0.2 + 0.1j], [0.2 - 0.1j, -0.3]])
 ETA = 1j * np.array([[0.1, 0.4 - 0.2j], [0.4 + 0.2j, -0.1]])
+
+
+def _rk4_tangent(state, scalars, seed):
+    """RK4 integration of the linearized flow from the left end: the oracle
+    for the closed form of `ivp_tangent`, with the same random directions."""
+    res = state.residues
+    k = state.k
+    rng = np.random.default_rng(seed)
+    directions = []
+    for _ in range(3):
+        M = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        directions.append(0.5 * (M - M.conj().T))
+    eps = state.eps
+    A = [np.array(1j * scalars[i] * np.eye(k) + eps * directions[i], dtype=complex)
+         for i in range(3)]
+
+    def rhs(s, A3):
+        out = []
+        for i, j, k_ in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            rj, rk = res.rho[j] / s, res.rho[k_] / s
+            out.append((A3[j] @ rk - rk @ A3[j]) + (rj @ A3[k_] - A3[k_] @ rj))
+        return out
+
+    nodes = state.s.size
+    h = state.h
+    result = [np.empty((nodes, k, k), dtype=complex) for _ in range(3)]
+    for i in range(3):
+        result[i][0] = A[i]
+    for n in range(nodes - 1):
+        s0 = state.s[n]
+        k1 = rhs(s0, A)
+        k2 = rhs(s0 + 0.5 * h, [A[i] + 0.5 * h * k1[i] for i in range(3)])
+        k3 = rhs(s0 + 0.5 * h, [A[i] + 0.5 * h * k2[i] for i in range(3)])
+        k4 = rhs(s0 + h, [A[i] + h * k3[i] for i in range(3)])
+        A = [A[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+             for i in range(3)]
+        for i in range(3):
+            result[i][n + 1] = A[i]
+    return result
 
 
 def bump_path_pair(state, direction):
@@ -162,17 +204,26 @@ def test_gauge_tangent_linearized():
     assert linearized_residual(tangent, state) <= 1e-7
 
 
+def test_bump_gauge_path_matches_per_node_exponential():
+    state = one_pole_state(0.1, 1.0, 2001)
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    for xi, amplitude in ((XI, 0.3), (0.5 * (M - M.conj().T), 0.7)):
+        g, g_prime = bump_gauge_path(state, xi, amplitude=amplitude)
+        t = (state.s - state.s[0]) / (state.s[-1] - state.s[0])
+        phi = amplitude * (t * (1.0 - t)) ** 3
+        evals, evecs = np.linalg.eig(xi)
+        loop = np.array([evecs @ np.diag(np.exp(p * evals)) @ np.linalg.inv(evecs)
+                         for p in phi])
+        assert np.array_equal(g, loop)
+        assert np.array_equal(g_prime[0], np.zeros((2, 2)))
+
+
 def test_finite_difference_gauge_family_tangent():
     # (B(lambda) - B(0)) / lambda from the gauge orbit: residual O(lambda)
     state = one_pole_state(0.1, 1.0, 1001)
     lam = 1e-3
-    path, path_prime = bump_path_pair(state, XI)
-    g, g_prime = bump_gauge_path(state, lam * XI / 0.3, amplitude=0.3)
-    # rebuild with exact amplitude lam: exp(phi * lam * xi / ...) ~ use direct exp
-    t = (state.s - state.s[0]) / (state.s[-1] - state.s[0])
-    phi = lam * (t * (1.0 - t)) ** 3
-    evals, evecs = np.linalg.eig(XI)
-    g = np.array([evecs @ np.diag(np.exp(p * evals)) @ np.linalg.inv(evecs) for p in phi])
+    g, _ = bump_gauge_path(state, XI, amplitude=lam)
     moved = gauge_transform(state, g)
     fd = TangentState(state.s, tuple((a - b) / lam for a, b in zip(moved.B, state.B)))
     res = linearized_residual(fd, state)
@@ -193,6 +244,40 @@ def test_ivp_tangent_linearized_and_near_scalar():
         A0 = tangent.A[i][0]
         scalar = np.trace(A0) / 2.0
         assert np.abs(A0 - scalar * np.eye(2)).max() <= 2.0 * state.eps
+
+
+@pytest.mark.parametrize("nodes,bound", [(501, 2e-6), (2001, 5e-9)])
+def test_ivp_tangent_closed_form_matches_rk4(nodes, bound):
+    # measured differences 1.1e-7 (501 nodes) and 3.6e-10 (2001), the RK4
+    # truncation error, which falls by 4^4 as h falls by 4
+    state = one_pole_state(1e-2, 1.0, nodes)
+    scalars = np.array([0.4, -0.2, 0.6])
+    tangent = ivp_tangent(state, scalars, seed=3)
+    oracle = _rk4_tangent(state, scalars, seed=3)
+    for i in range(3):
+        assert np.array_equal(tangent.A[i + 1][0], oracle[i][0])
+        assert np.abs(tangent.A[i + 1] - oracle[i]).max() <= bound
+    for a in tangent.A:
+        assert np.array_equal(a, -np.conj(np.swapaxes(a, -1, -2)))
+    assert not tangent.A[0].any()
+
+
+def test_euler_exponents_are_integers():
+    lam = euler_exponents(standard_residues().rho)
+    assert np.abs(lam - np.array(EULER_EXPONENTS)).max() <= 1e-12
+    record, exponents = suites._euler_record(standard_residues().rho, 1.0)
+    assert record.passed and record.measured <= 1e-12
+    assert exponents == [float(x.real) for x in lam]
+
+
+def test_euler_exponents_record_fails_for_negated_residues():
+    # -rho breaks [rho_j, rho_k] = -rho_i, so ResidueTriple would reject it
+    negated = tuple(-r for r in standard_residues().rho)
+    lam = euler_exponents(negated)
+    assert np.abs(lam + np.array(EULER_EXPONENTS[::-1])).max() <= 1e-12
+    record, _ = suites._euler_record(negated, 1.0)
+    assert not record.passed
+    assert record.measured >= 0.5
 
 
 def test_zero_tangent():
