@@ -3,15 +3,18 @@
 Conventions, fixed once and verified by the commutator suite:
 
 * L_i is wedging with omega_i; Lambda_i is its metric adjoint.
-* sigma_i is the derivation extension of the matrix I_i acting on coefficient
-  vectors, i.e. the generator of the unit-quaternion action on forms.  This
-  normalization satisfies [sigma_1, sigma_2] = 2 sigma_3 and the commutator
-  identities [L_1, Lambda_2] = [Lambda_1, L_2] = -sigma_3 (plus cyclic)
-  exactly.  On (p, q)-forms for the matching complex structure, sigma_i acts
-  with eigenvalue i(q - p), so omega_2 + i omega_3 is of type (2, 0).
+* sigma_i is the derivation extension of -I_i^T, the action on 1-forms dual
+  to I_i on vectors (-I_i^T = I_i in an orthonormal frame), i.e. the generator
+  of the unit-quaternion action on forms.  This normalization satisfies
+  [sigma_1, sigma_2] = 2 sigma_3 and the commutator identities
+  [L_1, Lambda_2] = [Lambda_1, L_2] = -sigma_3 (plus cyclic) exactly.  On
+  (p, q)-forms for the matching complex structure, sigma_i acts with
+  eigenvalue i(q - p), so omega_2 + i omega_3 is of type (2, 0).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,144 +102,136 @@ class LefschetzAlgebra:
     def sigma_matrix(self, axis: int, degree: int) -> np.ndarray:
         key = (axis, degree)
         if key not in self._sigma:
-            self._sigma[key] = derivation_matrix(self.structure.complex_structure(axis), degree)
+            I = self.structure.complex_structure(axis)
+            self._sigma[key] = derivation_matrix(-I.T, degree)
         return self._sigma[key]
 
     # -- operator application -------------------------------------------------
 
-    def lefschetz(self, axis: int, a: FormVector) -> FormVector:
-        """omega_i ^ a, degree by degree."""
+    def _apply(self, matrix, axis: int, shift: int, a: FormVector) -> FormVector:
+        """Apply the degree-block operator matrix(axis, p), of degree shift, to a."""
         out = FormVector.zero(self.dim)
         for p in a.degrees():
-            if p + 2 > self.dim:
-                continue
-            v = self.L_matrix(axis, p) @ a.to_vector(p)
-            out = out + FormVector.from_vector(self.dim, p + 2, v)
+            if 0 <= p + shift <= self.dim:
+                v = matrix(axis, p) @ a.to_vector(p)
+                out = out + FormVector.from_vector(self.dim, p + shift, v)
         return out
+
+    def lefschetz(self, axis: int, a: FormVector) -> FormVector:
+        """omega_i ^ a, degree by degree."""
+        return self._apply(self.L_matrix, axis, +2, a)
 
     def lefschetz_adjoint(self, axis: int, a: FormVector) -> FormVector:
         """Metric adjoint of lefschetz: <L_i a, b> = <a, Lambda_i b>."""
-        out = FormVector.zero(self.dim)
-        for p in a.degrees():
-            if p - 2 < 0:
-                continue
-            v = self.Lambda_matrix(axis, p) @ a.to_vector(p)
-            out = out + FormVector.from_vector(self.dim, p - 2, v)
-        return out
+        return self._apply(self.Lambda_matrix, axis, -2, a)
 
     def su2_action(self, axis: int, a: FormVector) -> FormVector:
-        out = FormVector.zero(self.dim)
-        for p in a.degrees():
-            v = self.sigma_matrix(axis, p) @ a.to_vector(p)
-            out = out + FormVector.from_vector(self.dim, p, v)
-        return out
+        return self._apply(self.sigma_matrix, axis, 0, a)
 
 
 # ---------------------------------------------------------------------------
-# commutator residual suite
+# brackets on degree blocks: commutator residuals and the Lie closure
 # ---------------------------------------------------------------------------
 
 _CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+_CLOSURE_RTOL = 1e-8
+
+
+def _bracket(X: tuple, Y: tuple) -> tuple:
+    """[X, Y] of operators given as (shift, {source degree: block}).
+
+    The block at degree p is X[p + sy] @ Y[p] - Y[p + sx] @ X[p]; a product
+    whose blocks are absent is zero, so no full-width matrix is formed.
+    """
+    (sx, xb), (sy, yb) = X, Y
+    xy = {p: xb[p + sy] @ yb[p] for p in yb if p + sy in xb}
+    yx = {p: yb[p + sx] @ xb[p] for p in xb if p + sx in yb}
+    return sx + sy, {p: xy.get(p, 0.0) - yx.get(p, 0.0) for p in xy.keys() | yx.keys()}
+
+
+def _generators(alg: LefschetzAlgebra) -> tuple[list, list]:
+    """L_i and Lambda_i (axes 1, 2, 3) as degree-block operators."""
+    n = alg.dim
+    L = [(+2, {p: alg.L_matrix(i, p) for p in range(n - 1)}) for i in (1, 2, 3)]
+    Lam = [(-2, {p: alg.Lambda_matrix(i, p) for p in range(2, n + 1)}) for i in (1, 2, 3)]
+    return L, Lam
 
 
 def verify_so5(structure: QuaternionicStructure) -> dict:
     """Residuals of [L_a, Lambda_b] + sigma_c and [Lambda_a, L_b] + sigma_c.
 
-    Returns per-identity, per-degree operator-norm residuals together with
-    the residuals of the grading identity [L_i, Lambda_i] = (p - 2k) Id.
+    Returns per-identity, per-degree operator-norm residuals, for degrees
+    2 .. dim - 2, together with the residuals of the grading identity
+    [L_i, Lambda_i] = (p - 2k) Id.  "so5" names the complexification of the
+    real algebra so(4,1) that these operators generate.
     """
     alg = LefschetzAlgebra(structure)
     n = structure.dim
-    k = structure.k
-    report: dict = {"per_identity": {}, "grading": {}, "max_residual": 0.0}
+    L, Lam = _generators(alg)
+    degrees = range(2, n - 1)
+
+    def residuals(X, Y, targets):
+        blocks = _bracket(X, Y)[1]
+        return [float(np.linalg.norm(blocks[p] - t, 2)) for p, t in zip(degrees, targets)]
+
+    report: dict = {"per_identity": {}, "grading": {}}
+    identities = report["per_identity"]
     for (a, b, c) in _CYCLIC:
-        res1 = []
-        res2 = []
-        for p in range(2, n - 1):
-            LaLb = alg.L_matrix(a, p - 2) @ alg.Lambda_matrix(b, p) \
-                - alg.Lambda_matrix(b, p + 2) @ alg.L_matrix(a, p)
-            LbLa = alg.Lambda_matrix(a, p + 2) @ alg.L_matrix(b, p) \
-                - alg.L_matrix(b, p - 2) @ alg.Lambda_matrix(a, p)
-            sig = alg.sigma_matrix(c, p)
-            res1.append(float(np.linalg.norm(LaLb + sig, 2)))
-            res2.append(float(np.linalg.norm(LbLa + sig, 2)))
-        report["per_identity"][f"[L{a},Lam{b}]+sigma{c}"] = res1
-        report["per_identity"][f"[Lam{a},L{b}]+sigma{c}"] = res2
-        report["max_residual"] = max(report["max_residual"], max(res1), max(res2))
+        minus_sigma = [-alg.sigma_matrix(c, p) for p in degrees]
+        identities[f"[L{a},Lam{b}]+sigma{c}"] = residuals(L[a - 1], Lam[b - 1], minus_sigma)
+        identities[f"[Lam{a},L{b}]+sigma{c}"] = residuals(Lam[a - 1], L[b - 1], minus_sigma)
+    grading = [(p - 2 * structure.k) * np.eye(len(basis_indices(n, p))) for p in degrees]
     for i in (1, 2, 3):
-        res = []
-        for p in range(2, n - 1):
-            H = alg.L_matrix(i, p - 2) @ alg.Lambda_matrix(i, p) \
-                - alg.Lambda_matrix(i, p + 2) @ alg.L_matrix(i, p)
-            res.append(float(np.linalg.norm(H - (p - 2 * k) * np.eye(H.shape[0]), 2)))
-        report["grading"][f"[L{i},Lam{i}]-(p-2k)"] = res
-        report["max_residual"] = max(report["max_residual"], max(res))
+        report["grading"][f"[L{i},Lam{i}]-(p-2k)"] = residuals(L[i - 1], Lam[i - 1], grading)
+    report["max_residual"] = max(max(r) for part in report.values() for r in part.values())
     return report
 
 
-# ---------------------------------------------------------------------------
-# Lie closure
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class LieClosure:
+    """Rank, bracket closure and Killing signature of the generated algebra."""
 
-def _full_operator(alg: LefschetzAlgebra, matrices: dict, shift: int) -> np.ndarray:
-    n = alg.dim
-    sizes = [len(basis_indices(n, p)) for p in range(n + 1)]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    N = offsets[-1]
-    out = np.zeros((N, N))
-    for p, M in matrices.items():
-        q = p + shift
-        if 0 <= q <= n and M.size:
-            out[offsets[q]:offsets[q] + M.shape[0], offsets[p]:offsets[p] + M.shape[1]] = M
-    return out
+    dimension: int
+    closure_residual: float
+    smallest_singular_value: float
+    killing_signature: tuple[int, int]
 
 
-def _row_space(A: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of A and an orthonormal basis of its numerical row space.
+def _flat(blocks: dict) -> np.ndarray:
+    return np.concatenate([blocks[p].ravel() for p in sorted(blocks)])
 
-    The SVD runs only on the columns where some row is nonzero.  An all-zero
-    column carries no singular value: deleting it leaves A A^T, hence the
-    spectrum and the rank decision, unchanged, and the right singular vectors
-    vanish on it.  The kept vectors are scattered back to full width.
+
+def lie_closure_dimension(structure: QuaternionicStructure) -> LieClosure:
+    """The Lie algebra generated by {L_i, Lambda_i}, by its structure constants.
+
+    L_i, Lambda_i, sigma_c = -[L_a, Lambda_b] (cyclic) and H = [L_1, Lambda_1]
+    lie in it.  If their span has rank 10 and holds all 100 brackets among
+    them (those of shift +-4 vanish), the algebra is that span: no iteration.
+    Ranks and least-squares coefficients are taken per degree shift.  so(4,1)
+    has Killing form tr(ad_i ad_j) of signature (4 positive, 6 negative).
     """
-    support = np.flatnonzero(A.any(axis=0))
-    _, s, vt = np.linalg.svd(A[:, support], full_matrices=False)
-    keep = s > rtol * s[0]
-    basis = np.zeros((int(keep.sum()), A.shape[1]))
-    basis[:, support] = vt[keep]
-    return s, basis
-
-
-def lie_closure_dimension(structure: QuaternionicStructure, max_iter: int = 50,
-                          rtol: float = 1e-8) -> int:
-    """Dimension of the Lie algebra generated by {L_i, Lambda_i} under brackets.
-
-    Works on the whole 2^dim-dimensional exterior algebra: operators are
-    flattened and the span rank tracked through repeated bracketing with the
-    generators until it stabilizes.  The operators touch only a few thousand
-    of the 4^dim matrix entries, so each rank is taken by an SVD over their
-    joint support (see `_row_space`); columns outside it are all zero and
-    carry no singular value, so the rank is the one the full-width SVD gives.
-    """
-    alg = LefschetzAlgebra(structure)
-    n = structure.dim
-    gens = []
-    for i in (1, 2, 3):
-        gens.append(_full_operator(alg, {p: alg.L_matrix(i, p) for p in range(n - 1)}, +2))
-        gens.append(_full_operator(alg, {p: alg.Lambda_matrix(i, p) for p in range(2, n + 1)}, -2))
-
-    def basis_of(mats):
-        _, rows = _row_space(np.array([m.ravel() for m in mats]), rtol)
-        return list(rows.reshape(-1, *gens[0].shape)), len(rows)
-
-    span, rank = basis_of(gens)
-    for _ in range(max_iter):
-        brackets = [m @ g - g @ m for m in span for g in gens]
-        span, new_rank = basis_of(span + brackets)
-        if new_rank == rank:
-            return rank
-        rank = new_rank
-    raise RuntimeError(f"Lie closure did not stabilize within {max_iter} iterations")
+    L, Lam = _generators(LefschetzAlgebra(structure))
+    ops = L + Lam + [_bracket(Lam[b - 1], L[a - 1]) for a, b, _ in _CYCLIC] \
+        + [_bracket(L[0], Lam[0])]
+    groups = {s: [i for i, op in enumerate(ops) if op[0] == s] for s in (-2, 0, 2)}
+    bases = {s: np.column_stack([_flat(ops[i][1]) for i in m]) for s, m in groups.items()}
+    singular = [np.linalg.svd(B, compute_uv=False) for B in bases.values()]
+    pinvs = {s: np.linalg.pinv(B, _CLOSURE_RTOL) for s, B in bases.items()}
+    constants = np.zeros((len(ops),) * 3)
+    residual = 0.0
+    for i, X in enumerate(ops):
+        for j, Y in enumerate(ops):
+            shift, blocks = _bracket(X, Y)
+            v = miss = _flat(blocks)
+            if shift in bases:
+                constants[i, j, groups[shift]] = pinvs[shift] @ v
+                miss = v - bases[shift] @ constants[i, j, groups[shift]]
+            residual = max(residual, np.linalg.norm(miss) / max(np.linalg.norm(v), 1.0))
+    eigs = np.linalg.eigvalsh(np.einsum("ijk,lkj->il", constants, constants))
+    cut = _CLOSURE_RTOL * np.abs(eigs).max()
+    return LieClosure(sum(int((sv > _CLOSURE_RTOL * sv[0]).sum()) for sv in singular),
+                      float(residual), float(min(sv[-1] for sv in singular)),
+                      (int((eigs > cut).sum()), int((eigs < -cut).sum())))
 
 
 # ---------------------------------------------------------------------------

@@ -62,14 +62,12 @@ def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     records: list[ReportRecord] = []
     details: dict = {}
 
-    for k in (1, 2):
-        Q = QuaternionicStructure(4 * k)
-        rep = verify_so5(Q)
+    Q4, Q8 = QuaternionicStructure(4), QuaternionicStructure(8)
+    for k, Q in ((1, Q4), (2, Q8)):
         records.append(bounded("algebra", f"so5-commutators-k{k}",
                                "lefschetz-adjoint-su2-commutators",
-                               rep["max_residual"], 1e-12 * ts))
+                               verify_so5(Q)["max_residual"], 1e-12 * ts))
 
-    Q4 = QuaternionicStructure(4)
     alg = LefschetzAlgebra(Q4)
     worst = 0.0
     for _ in range(100):
@@ -103,7 +101,6 @@ def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
                            "primitive-su2-invariant", worst_ann, 1e-10 * ts))
     records.append(flag("algebra", "middle-kernel-type-k1", "type-1-1-all-axes", type_ok))
 
-    Q8 = QuaternionicStructure(8)
     alg8 = LefschetzAlgebra(Q8)
     kernel2 = middle_kernel(Q8)
     oracle_dim = middle_kernel_oracle_dimension(Q8)
@@ -121,11 +118,17 @@ def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
                            "su2-invariant", worst_ann2, 1e-10 * ts))
     records.append(flag("algebra", "middle-kernel-type-k2", "type-2-2-all-axes", type_ok2))
 
-    closure1 = lie_closure_dimension(Q4)
-    closure2 = lie_closure_dimension(Q8)
-    records.append(exact("algebra", "lie-closure-k1-vs-k2", "bracket-closure-rank",
-                         closure1, closure2))
-    details["lie_closure_dimension"] = closure1
+    details["lie_closure"] = {}
+    for k, Q in ((1, Q4), (2, Q8)):
+        c = lie_closure_dimension(Q)
+        positive, negative = c.killing_signature
+        records += [
+            exact("algebra", f"lie-closure-dim-k{k}", "bracket-closure-rank", c.dimension, 10),
+            bounded("algebra", f"lie-closure-residual-k{k}", "bracket-closure-residual",
+                    c.closure_residual, 1e-12 * ts),
+            exact("algebra", f"lie-closure-killing-positive-k{k}", "so41-killing", positive, 4),
+            exact("algebra", f"lie-closure-killing-negative-k{k}", "so41-killing", negative, 6)]
+        details["lie_closure"][f"k{k}"] = {"smallest_singular_value": c.smallest_singular_value}
     details["middle_kernel_dimensions"] = {"k1": len(kernel1), "k2": len(kernel2)}
     return records, details
 

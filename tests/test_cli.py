@@ -107,6 +107,22 @@ def test_cli_tol_scale_tightening_can_fail(tmp_path, capsys):
     assert code == 1
 
 
+def test_algebra_suite_schema():
+    records, details = run_suite("algebra", SuiteConfig(seed=7))
+    assert all(r.passed for r in records)
+    checks = {r.check for r in records}
+    for k in (1, 2):
+        assert {f"lie-closure-dim-k{k}", f"lie-closure-residual-k{k}",
+                f"lie-closure-killing-positive-k{k}",
+                f"lie-closure-killing-negative-k{k}"} <= checks
+    assert "lie-closure-k1-vs-k2" not in checks
+    assert set(details) == {"lie_closure", "middle_kernel_dimensions"}
+    assert set(details["lie_closure"]) == {"k1", "k2"}
+    for entry in details["lie_closure"].values():
+        assert set(entry) == {"smallest_singular_value"}
+        assert entry["smallest_singular_value"] > 1.0
+
+
 def test_bianchi_suite_verdict_schema():
     records, details = run_suite("bianchi", SuiteConfig(seed=7))
     assert all(r.passed for r in records)

@@ -1,7 +1,12 @@
 """Lefschetz triple, su(2) action, commutator identities and middle kernels."""
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkforms.exterior import (
     FormVector,
@@ -19,7 +24,6 @@ from hkforms.exterior import (
     type_components,
     verify_so5,
 )
-from hkforms.numerics import subspace_distance
 
 Q4 = QuaternionicStructure(4)
 Q8 = QuaternionicStructure(8)
@@ -178,7 +182,38 @@ def test_type_components_complete():
     assert total.isclose(a, 1e-12)
 
 
-@pytest.mark.parametrize("Q", [Q4, Q8], ids=["k1", "k2"])
+def random_frame_structure(seed):
+    """Q4 pulled back by a random constant frame P with det P > 0: a non-flat metric."""
+    rng = np.random.default_rng(seed)
+    P = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    if np.linalg.det(P) < 0:
+        P[:, 0] *= -1.0
+    Pinv = np.linalg.inv(P)
+    return QuaternionicStructure(4, metric=P.T @ Q4.metric @ P, I=Pinv @ Q4.I @ P,
+                                 J=Pinv @ Q4.J @ P, K=Pinv @ Q4.K @ P)
+
+
+@dataclass(frozen=True)
+class FaultyOmega2(QuaternionicStructure):
+    """A valid structure whose omega_2 (hence L_2 and Lambda_2) is replaced by fault(omega_2)."""
+
+    fault: Callable = None
+
+    def omega(self, axis):
+        w = super().omega(axis)
+        return self.fault(w) if axis == 2 else w
+
+
+def bent(dim):
+    return FaultyOmega2(dim, fault=lambda w: w + FormVector.basis(dim, (0, 1)) * 0.1)
+
+
+def flipped(dim):
+    return FaultyOmega2(dim, fault=lambda w: -w)
+
+
+@pytest.mark.parametrize("Q", [Q4, Q8, random_frame_structure(21)],
+                         ids=["k1", "k2", "k1-random-frame"])
 def test_so5_relations(Q):
     report = verify_so5(Q)
     assert report["max_residual"] <= 1e-12
@@ -191,67 +226,94 @@ def test_grading_operator_value():
         assert max(vals) <= 1e-12
 
 
-def k1_generators(alg):
+def dense_generators(alg):
     """L_i and Lambda_i of a k = 1 structure as 16 x 16 operators on all degrees."""
-    from hkforms.exterior.operators import _full_operator
-    mats = []
-    for i in (1, 2, 3):
-        mats.append(_full_operator(alg, {p: alg.L_matrix(i, p) for p in range(3)}, +2))
-        mats.append(_full_operator(alg, {p: alg.Lambda_matrix(i, p) for p in range(2, 5)}, -2))
-    return mats
+    offsets = np.cumsum([0] + [len(basis_indices(4, p)) for p in range(5)])
+
+    def full(blocks, shift):
+        M = np.zeros((16, 16))
+        for p, B in blocks.items():
+            M[offsets[p + shift]:offsets[p + shift + 1], offsets[p]:offsets[p + 1]] = B
+        return M
+
+    return [full({p: alg.L_matrix(i, p) for p in range(3)}, +2) for i in (1, 2, 3)] \
+        + [full({p: alg.Lambda_matrix(i, p) for p in range(2, 5)}, -2) for i in (1, 2, 3)]
+
+
+def dense_closure_dimension(Q):
+    """Oracle: bracket the span with the generators until its rank stops growing.
+
+    The rank rises at each step it does not stop and is at most 256, so this ends.
+    """
+    gens = dense_generators(LefschetzAlgebra(Q))
+    span = gens
+    while True:
+        A = np.array([m.ravel() for m in span + [x @ g - g @ x for x in span for g in gens]])
+        _, s, vt = np.linalg.svd(A, full_matrices=False)
+        rank = int((s > 1e-8 * s[0]).sum())
+        if rank == len(span):
+            return rank
+        span = list(vt[:rank].reshape(rank, 16, 16))
+
+
+def assert_so41(closure, bound=1e-12):
+    assert closure.dimension == 10
+    assert closure.closure_residual <= bound
+    assert closure.killing_signature == (4, 6)
 
 
 def test_generators_alone_span_six():
-    A = np.array([m.ravel() for m in k1_generators(ALG4)])
+    A = np.array([m.ravel() for m in dense_generators(ALG4)])
     assert np.linalg.matrix_rank(A, tol=1e-10) == 6
 
 
 def test_lie_closure_dimension_k1():
-    assert lie_closure_dimension(Q4) == 10
+    closure = lie_closure_dimension(Q4)
+    assert_so41(closure)
+    assert closure.smallest_singular_value > 1.0
 
 
 def test_lie_closure_dimension_matches_k2():
-    # so(5) at both k, not merely equal ranks: one wrong rank at both would pass
-    assert [lie_closure_dimension(Q) for Q in (Q4, Q8)] == [10, 10]
+    # so(4,1) at both k, not merely equal ranks: one wrong rank at both would pass
+    for Q in (Q4, Q8):
+        assert_so41(lie_closure_dimension(Q))
 
 
 def test_lie_closure_dimension_k2_scaled_metric():
     # g = 2 Id takes Lambda through the Gram-weighted solve, not the transpose
-    assert lie_closure_dimension(QuaternionicStructure(8, metric=2.0 * np.eye(8))) == 10
-
-
-def random_frame_structure(seed):
-    """Q4 pulled back by a random constant frame P with det P > 0: a non-flat metric."""
-    rng = np.random.default_rng(seed)
-    P = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
-    if np.linalg.det(P) < 0:
-        P[:, 0] *= -1.0
-    Pinv = np.linalg.inv(P)
-    return QuaternionicStructure(4, metric=P.T @ Q4.metric @ P, I=Pinv @ Q4.I @ P,
-                                 J=Pinv @ Q4.J @ P, K=Pinv @ Q4.K @ P)
+    assert_so41(lie_closure_dimension(QuaternionicStructure(8, metric=2.0 * np.eye(8))))
 
 
 def test_lie_closure_dimension_k1_random_frame():
     Q = random_frame_structure(21)
     assert np.abs(Q.metric - np.eye(4)).max() > 0.1
-    assert lie_closure_dimension(Q) == 10
+    assert_so41(lie_closure_dimension(Q))
 
 
-def test_lie_closure_support_svd_matches_dense_svd():
-    # oracle: the full-width SVD over all 4^dim entries, which the closure avoids
-    from hkforms.exterior.operators import _row_space
+def test_lie_closure_matches_dense_oracle():
     for Q in (Q4, random_frame_structure(21)):
-        gens = k1_generators(LefschetzAlgebra(Q))
-        brackets = [m @ g - g @ m for m in gens for g in gens]
-        for mats in (gens, gens + brackets):
-            A = np.array([m.ravel() for m in mats])
-            assert A.any(axis=0).sum() < A.shape[1]
-            s, basis = _row_space(A, 1e-8)
-            _, s_dense, vt_dense = np.linalg.svd(A, full_matrices=False)
-            assert np.abs(s - s_dense).max() <= 1e-12 * s_dense[0]
-            kept = vt_dense[s_dense > 1e-8 * s_dense[0]]
-            assert len(basis) == len(kept)
-            assert subspace_distance(basis.T, kept.T) <= 1e-10
+        assert dense_closure_dimension(Q) == lie_closure_dimension(Q).dimension == 10
+    # a bent omega_2 generates a larger algebra; the ten operators then fail to close
+    assert dense_closure_dimension(bent(4)) == 15
+    assert lie_closure_dimension(bent(4)).closure_residual > 1e-2
+
+
+@pytest.mark.parametrize("dim", [4, 8], ids=["k1", "k2"])
+def test_faulty_omega2_is_seen(dim):
+    # bending omega_2 breaks the closure; flipping its sign keeps the generated
+    # algebra (the same span) and is seen only by the commutator identities
+    assert lie_closure_dimension(bent(dim)).closure_residual > 1e-2
+    assert verify_so5(flipped(dim))["max_residual"] == pytest.approx(dim, rel=1e-12)
+    assert_so41(lie_closure_dimension(flipped(dim)))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_random_frames_generate_so41(seed):
+    Q = random_frame_structure(seed)
+    bound = 1e-13 * np.linalg.cond(Q.metric) ** 2
+    assert verify_so5(Q)["max_residual"] <= bound
+    assert_so41(lie_closure_dimension(Q), bound)
 
 
 def test_middle_kernel_k1():
