@@ -254,24 +254,13 @@ def ansatz_form_matrix(axis: int, profile: BianchiProfile, coords: np.ndarray,
     return F(rho) * (ds - ratio(axis, profile, rho) * drho_si)
 
 
-def ansatz_components_fn(axis: int, profile: BianchiProfile,
-                         F: ClosednessSolution | None = None):
-    if F is None:
-        F = solve_closedness(axis, profile)
-
-    def fn(coords: np.ndarray) -> dict:
-        B = ansatz_form_matrix(axis, profile, coords, F)
-        return {(i, j): B[i, j] for i in range(4) for j in range(i + 1, 4)}
-
-    return fn
-
-
 def closedness_residual(axis: int, profile: BianchiProfile, coords: np.ndarray,
                         h: float = 1e-4) -> float:
     """Max finite-difference coefficient of d(phi_i); zero when F solves the ODE."""
-    fn = ansatz_components_fn(axis, profile)
-    out = exterior_derivative_at(fn, np.asarray(coords, float), 4, h)
-    return max(abs(v) for v in out.values()) if out else 0.0
+    F = solve_closedness(axis, profile)
+    out = exterior_derivative_at(lambda c: ansatz_form_matrix(axis, profile, c, F),
+                                 np.asarray(coords, float), h)
+    return max(abs(v) for v in out.values())
 
 
 def orientation_sign(profile: BianchiProfile, coords: np.ndarray) -> float:

@@ -120,9 +120,6 @@ class FormVector:
     def __neg__(self) -> "FormVector":
         return (-1.0) * self
 
-    def conjugate(self) -> "FormVector":
-        return FormVector(self.dim, {k: c.conjugate() for k, c in self.coeffs.items()})
-
     def norm(self) -> float:
         return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
 

@@ -70,7 +70,7 @@ class QuaternionicStructure:
 
     def omega(self, axis: int) -> FormVector:
         """Kahler 2-form omega_i(X, Y) = g(I_i X, Y)."""
-        C = self.complex_structure(axis).T @ self.metric
+        C = self.omega_matrix(axis)
         coeffs = {}
         for a in range(self.dim):
             for b in range(a + 1, self.dim):

@@ -74,22 +74,16 @@ def potential(p: GHPoint, d: GHData) -> float:
     return 1.0 + d.m / p.r
 
 
-def _check_patch(p: GHPoint, d: GHData):
-    rho_sq = p.x[0] ** 2 + p.x[1] ** 2
-    if rho_sq <= _AXIS_TOL * p.r ** 2:
-        if d.patch == "north" and p.x[2] < 0:
-            raise ValueError("point on the excluded -z axis of the north patch")
-        if d.patch == "south" and p.x[2] > 0:
-            raise ValueError("point on the excluded +z axis of the south patch")
-
-
 def alpha_components(p: GHPoint, d: GHData) -> np.ndarray:
     """Cartesian components of the Dirac-gauge connection 1-form."""
-    _check_patch(p, d)
     x1, x2, x3 = p.x
     r = p.r
     rho_sq = x1 * x1 + x2 * x2
     if rho_sq <= _AXIS_TOL * r * r:
+        if d.patch == "north" and x3 < 0:
+            raise ValueError("point on the excluded -z axis of the north patch")
+        if d.patch == "south" and x3 > 0:
+            raise ValueError("point on the excluded +z axis of the south patch")
         return np.zeros(3)  # on the regular axis of the patch
     sign = -1.0 if d.patch == "north" else 1.0
     factor = d.m * (x3 / r + sign) / rho_sq
@@ -143,18 +137,11 @@ def two_form_norm_sq(B: np.ndarray, g: np.ndarray) -> float:
     return float(0.5 * np.sum(B * (ginv @ B @ ginv)))
 
 
-def dtheta_components_fn(d: GHData):
-    def fn(coords: np.ndarray) -> dict:
-        p = GHPoint(coords[:3], coords[3])
-        B = dtheta(p, d)
-        return {(i, j): B[i, j] for i in range(4) for j in range(i + 1, 4)}
-    return fn
-
-
 def ddtheta_residual(p: GHPoint, d: GHData, h: float = 1e-4) -> float:
     """Max finite-difference coefficient of d(dtheta); zero for a closed form."""
-    three_form = exterior_derivative_at(dtheta_components_fn(d), np.append(p.x, p.tau), 4, h)
-    return max(abs(v) for v in three_form.values()) if three_form else 0.0
+    three_form = exterior_derivative_at(lambda c: dtheta(GHPoint(c[:3], c[3]), d),
+                                        np.append(p.x, p.tau), h)
+    return max(abs(v) for v in three_form.values())
 
 
 def anti_self_duality_residual(p: GHPoint, d: GHData) -> float:

@@ -2,7 +2,8 @@
 
 Everything here is dimension-agnostic plumbing used by the geometry modules:
 high-order finite-difference stencils (Fornberg weights), Richardson-extrapolated
-partial derivatives, adaptive Simpson quadrature with endpoint substitutions for
+partial derivatives, the exterior derivative of a form field given by its
+coefficient arrays, adaptive Simpson quadrature with endpoint substitutions for
 improper integrals, SVD nullspaces and subspace distances, pointwise Hodge
 duality for 2-forms on 4-dimensional coordinate patches, and the Pauli matrices.
 """
@@ -102,21 +103,23 @@ def partial_derivative(f: Callable[[np.ndarray], float | np.ndarray], x: np.ndar
     return (4.0 * d2 - d1) / 3.0
 
 
-def exterior_derivative_at(components: Callable[[np.ndarray], dict], x: np.ndarray,
-                           ncoords: int, h: float = 1e-4) -> dict:
-    """Finite-difference exterior derivative of a form field on R^ncoords.
+def exterior_derivative_at(components: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                           h: float = 1e-4) -> dict:
+    """Finite-difference exterior derivative of a form field on R^(x.size).
 
-    `components` maps a point to {sorted index tuple: coefficient}.  Returns
-    the (p+1)-form components at x, each partial Richardson-extrapolated.
+    `components` maps a point to the form's coefficient array: a vector for a
+    1-form, an antisymmetric matrix for a 2-form; the degree is its `ndim`.
+    Returns the (p+1)-form components at x as {sorted index tuple: value},
+    each partial Richardson-extrapolated.
     """
-    base = components(np.asarray(x, dtype=float))
-    keys = sorted(base.keys())
+    x = np.asarray(x, dtype=float)
+    degree = np.ndim(components(x))
     out: dict = {}
-    for key in keys:
-        for mu in range(ncoords):
+    for key in itertools.combinations(range(x.size), degree):
+        for mu in range(x.size):
             if mu in key:
                 continue
-            dmu = partial_derivative(lambda p, k=key: components(p)[k], np.asarray(x, float), mu, h)
+            dmu = partial_derivative(lambda p, k=key: components(p)[k], x, mu, h)
             pos = sum(1 for idx in key if idx < mu)
             merged = tuple(sorted(key + (mu,)))
             out[merged] = out.get(merged, 0.0) + (-1.0) ** pos * dmu

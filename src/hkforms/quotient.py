@@ -172,32 +172,10 @@ class GroupActionSpec:
         mu1, muc = self.moment_maps(*self.space.to_complex(p))
         return max(abs(mu1), abs(muc))
 
-    def _complex_partials(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Holomorphic partials of mu^c in the order (z_1..z_n, w_1..w_n)."""
-        if self.model == "taubnut_R":
-            return np.array([1j * w[0], 0.0, 1j * z[0], 1.0], dtype=complex)
-        return np.concatenate([1j * np.asarray(w, complex), 1j * np.asarray(z, complex)])
-
     def moment_gradient_rows(self, p: np.ndarray) -> np.ndarray:
-        """Real gradients of (mu_1, Re mu^c, Im mu^c) as three rows."""
-        z, w = self.space.to_complex(p)
-        n = self.n
-        grad1 = np.zeros(4 * n)
-        if self.model == "taubnut_R":
-            grad1[0:2] = -p[0:2]   # -(x1, y1) from -|z_1|^2 / 2
-            grad1[3] = 1.0         # Im z_2
-            grad1[4:6] = p[4:6]    # +(u1, v1) from |w_1|^2 / 2
-        else:
-            grad1[0:2 * n] = -p[0:2 * n]
-            grad1[2 * n:] = p[2 * n:]
-        F = self._complex_partials(z, w)
-        grad_re = np.empty(4 * n)
-        grad_im = np.empty(4 * n)
-        grad_re[0::2] = np.real(F)
-        grad_re[1::2] = -np.imag(F)
-        grad_im[0::2] = np.imag(F)
-        grad_im[1::2] = np.real(F)
-        return np.vstack([grad1, grad_re, grad_im])
+        """Real gradients of (mu_1, Re mu^c, Im mu^c) as rows: d mu_a = iota(Y) omega_a."""
+        Y = self.generator_real(p)
+        return np.vstack([Y @ self.space.omega_matrix(axis) for axis in (1, 2, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +289,12 @@ class QuotientChart:
         T = self.chart_tangents(u)
         return T.T @ self.spec.space.omega_matrix(axis) @ T
 
-    def kahler_components_fn(self, axis: int):
-        def fn(u: np.ndarray) -> dict:
-            B = self.kahler_form(axis, u)
-            return {(i, j): B[i, j] for i in range(4) for j in range(i + 1, 4)}
-        return fn
-
     def closedness_residual(self, axis: int, u: np.ndarray) -> float:
         """Finite-difference d(omega_axis) on the chart."""
-        out = exterior_derivative_at(self.kahler_components_fn(axis),
-                                     np.asarray(u, float), 4, self.fd_step)
+        out = exterior_derivative_at(lambda v: self.kahler_form(axis, v),
+                                     np.asarray(u, float), self.fd_step)
         scale = max(np.abs(self.kahler_form(axis, u)).max(), 1e-300)
-        return max(abs(v) for v in out.values()) / scale if out else 0.0
+        return max(abs(v) for v in out.values()) / scale
 
     # -- distinguished vector fields -----------------------------------------------
 
@@ -380,13 +352,11 @@ class QuotientChart:
 
     def beta_exactness_residual(self, u: np.ndarray) -> float:
         """d(iota(X) omega_2) = omega_3, checked by finite differences."""
-        def beta_fn(v: np.ndarray) -> dict:
+        def beta_fn(v: np.ndarray) -> np.ndarray:
             X = self.pushdown_field(self.rotation_ambient, v)
-            B = self.kahler_form(2, v)
-            comp = X @ B     # beta_a = omega_2(X, e_a)
-            return {(a,): comp[a] for a in range(4)}
+            return X @ self.kahler_form(2, v)     # beta_a = omega_2(X, e_a)
 
-        dbeta = exterior_derivative_at(beta_fn, np.asarray(u, float), 4, self.fd_step)
+        dbeta = exterior_derivative_at(beta_fn, np.asarray(u, float), self.fd_step)
         target = self.kahler_form(3, u)
         scale = max(np.abs(target).max(), 1e-300)
         worst = 0.0

@@ -50,18 +50,13 @@ def flag(suite: str, check: str, anchor: str, ok: bool) -> ReportRecord:
     return ReportRecord(suite, check, anchor, "eq", float(bool(ok)), 1.0, bool(ok))
 
 
-def _float_repr(x: float) -> float:
-    # floats serialize through repr, which is already shortest-roundtrip
-    return float(x)
-
-
 def report_payload(records: list[ReportRecord], *, suite: str, seed: int,
                    tol_scale: float, details: dict | None = None) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "suite": suite,
         "seed": seed,
-        "tol_scale": _float_repr(tol_scale),
+        "tol_scale": float(tol_scale),
         "passed": all(r.passed for r in records),
         "counts": {"total": len(records),
                    "failed": sum(0 if r.passed else 1 for r in records)},

@@ -1,12 +1,15 @@
 """Shared numerics: stencils, quadrature, nullspaces, pointwise duality."""
 
 import gc
+import itertools
 import math
 import weakref
 
 import numpy as np
 import pytest
 
+from hkforms.bianchi import ansatz_form_matrix, eguchi_hanson_profile, solve_closedness
+from hkforms.gibbons_hawking import GHData, GHPoint, dtheta
 from hkforms.numerics import (
     adaptive_simpson,
     composite_simpson,
@@ -23,6 +26,7 @@ from hkforms.numerics import (
     smoothstep_c3,
     subspace_distance,
 )
+from hkforms.quotient import GroupActionSpec, QuotientChart
 
 
 def test_fd_weights_centered_order2():
@@ -67,19 +71,81 @@ def test_partial_derivative_richardson():
 def test_exterior_derivative_of_exact_form_vanishes():
     # d(df) = 0 for f = x0 x1 + x2^3
     def df(p):
-        return {(0,): p[1], (1,): p[0], (2,): 3.0 * p[2] ** 2, (3,): 0.0}
+        return np.array([p[1], p[0], 3.0 * p[2] ** 2, 0.0])
 
-    out = exterior_derivative_at(df, np.array([0.3, -0.7, 0.4, 0.1]), 4)
+    out = exterior_derivative_at(df, np.array([0.3, -0.7, 0.4, 0.1]))
     assert max(abs(v) for v in out.values()) <= 1e-9
 
 
 def test_exterior_derivative_known_two_form():
     # d(x1 dx0) = -dx0^dx1: coefficient -1 on (0, 1)
     def comp(p):
-        return {(0,): p[1], (1,): 0.0, (2,): 0.0, (3,): 0.0}
+        return np.array([p[1], 0.0, 0.0, 0.0])
 
-    out = exterior_derivative_at(comp, np.array([0.2, 0.5, 0.0, 0.0]), 4)
+    out = exterior_derivative_at(comp, np.array([0.2, 0.5, 0.0, 0.0]))
     assert out[(0, 1)] == pytest.approx(-1.0, abs=1e-10)
+
+
+def _dict_exterior_derivative(components, x, dim, h=1e-4):
+    # reference: the exterior derivative of a field given as {index tuple: coefficient}
+    base = components(np.asarray(x, dtype=float))
+    out = {}
+    for key in sorted(base.keys()):
+        for mu in range(dim):
+            if mu in key:
+                continue
+            dmu = partial_derivative(lambda p, k=key: components(p)[k],
+                                     np.asarray(x, float), mu, h)
+            pos = sum(1 for idx in key if idx < mu)
+            merged = tuple(sorted(key + (mu,)))
+            out[merged] = out.get(merged, 0.0) + (-1.0) ** pos * dmu
+    return out
+
+
+def _form_fields():
+    # the library's form fields on R^4 as arrays, with sample points
+    rng = np.random.default_rng(12)
+    d = GHData(1.0)
+    gh_points = [np.append(rng.standard_normal(3) + 1.0, rng.random()) for _ in range(3)]
+    yield pytest.param(lambda c: dtheta(GHPoint(c[:3], c[3]), d), gh_points, id="gh-dtheta")
+    eh = eguchi_hanson_profile(0.5)
+    eh_points = [np.array([1.0 + 2.0 * rng.random(), 0.4 + 2.2 * rng.random(),
+                           6.0 * rng.random(), 6.0 * rng.random()]) for _ in range(3)]
+    for axis in (1, 2, 3):
+        F = solve_closedness(axis, eh)
+        yield pytest.param(lambda c, axis=axis, F=F: ansatz_form_matrix(axis, eh, c, F),
+                           eh_points, id=f"bianchi-phi{axis}")
+    chart = QuotientChart(GroupActionSpec("calabi_circle", level_shift=0.5))
+    chart_points = [rng.standard_normal(4) for _ in range(3)]
+    for axis in (1, 2, 3):
+        yield pytest.param(lambda v, axis=axis: chart.kahler_form(axis, v), chart_points,
+                           id=f"quotient-omega{axis}")
+    yield pytest.param(
+        lambda v: chart.pushdown_field(chart.rotation_ambient, v) @ chart.kahler_form(2, v),
+        chart_points, id="quotient-beta")
+
+
+@pytest.mark.parametrize("field, points", list(_form_fields()))
+def test_exterior_derivative_matches_dict_route_bit_for_bit(field, points):
+    # the array route differences the same components in the same order as the
+    # dict route, so every coefficient and the evaluation count agree exactly
+    def counted(fn, calls):
+        def wrapped(x):
+            calls.append(None)
+            return fn(x)
+        return wrapped
+
+    def as_dict(x):
+        B = field(x)
+        return {k: B[k] for k in itertools.combinations(range(4), B.ndim)}
+
+    for x in points:
+        array_calls, dict_calls = [], []
+        got = exterior_derivative_at(counted(field, array_calls), x)
+        want = _dict_exterior_derivative(counted(as_dict, dict_calls), x, 4)
+        assert list(got) == list(want)
+        assert all(got[k] == want[k] for k in want)
+        assert len(array_calls) == len(dict_calls) == 49
 
 
 def test_adaptive_simpson_smooth():

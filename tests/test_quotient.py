@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hkforms.bianchi import eguchi_hanson_profile, ratio
+from hkforms.numerics import partial_derivative
 from hkforms.quotient import (
     FlatCotangentSpace,
     GroupActionSpec,
@@ -86,18 +87,22 @@ def test_moment_equivariance():
             assert abs(before[1] - after[1]) <= 1e-12
 
 
+def _moment_gradient_defect(spec, p):
+    # the rows are iota(Y) omega_a; difference the displayed moment maps against them
+    def mus(q):
+        mu1, muc = spec.moment_maps(*spec.space.to_complex(q))
+        return np.array([mu1, muc.real, muc.imag])
+
+    fd = np.column_stack([partial_derivative(mus, p, k) for k in range(p.size)])
+    return float(np.abs(fd - spec.moment_gradient_rows(p)).max())
+
+
 def test_moment_defining_identity():
     # d mu = iota(Y) omega for all three components, both models
     rng = np.random.default_rng(4)
     for spec in (TN, CAL):
         for _ in range(20):
-            p = rng.standard_normal(8)
-            rows = spec.moment_gradient_rows(p)
-            Y = spec.generator_real(p)
-            X = rng.standard_normal(8)
-            for i, axis in enumerate((1, 2, 3)):
-                assert rows[i] @ X == pytest.approx(Y @ spec.space.omega_matrix(axis) @ X,
-                                                    abs=1e-12)
+            assert _moment_gradient_defect(spec, rng.standard_normal(8)) <= 1e-9
 
 
 def test_generator_preserves_kahler_forms():
@@ -137,13 +142,7 @@ def test_calabi_n3_regression():
         before = spec.moment_maps(z, w)
         after = spec.moment_maps(*spec.act(t, z, w))
         assert abs(before[1] - after[1]) <= 1e-12
-        p = spec.space.to_real(z, w)
-        rows = spec.moment_gradient_rows(p)
-        Y = spec.generator_real(p)
-        X = rng.standard_normal(12)
-        for i, axis in enumerate((1, 2, 3)):
-            assert rows[i] @ X == pytest.approx(Y @ spec.space.omega_matrix(axis) @ X,
-                                                abs=1e-12)
+        assert _moment_gradient_defect(spec, spec.space.to_real(z, w)) <= 1e-9
     # charts stay a 4-dimensional construction
     with pytest.raises(ValueError):
         QuotientChart(spec)
