@@ -13,7 +13,11 @@ c); only measures take absolute values.  The invariant 2-form ansatz
     phi_i = F_i(rho) (ds_i - ratio_i drho ^ s_i),    ratio_1 = f a / (b c), ...
 
 is anti-self-dual for the orientation in which f*a*b*c drho^s1^s2^s3 is
-positive, and closed exactly when F_i' = -ratio_i F_i.
+positive, and closed exactly when F_i' = -ratio_i F_i; every function of the
+ansatz takes that closedness solution F as an argument.  A profile is its
+radial domain (rho_min, rho_max), the four coefficient functions and an
+interior reference point; `classify_l2` decides at rho_min and at rho_max
+whether each phi_i is L^2 there.
 """
 
 from __future__ import annotations
@@ -36,27 +40,10 @@ from .numerics import (
     smoothstep_c3,
 )
 
-COEFF_NAMES = ("f", "a", "b", "c")
-
-
-@dataclass(frozen=True)
-class EndpointData:
-    """Leading behavior of the coefficients at one domain endpoint.
-
-    `leading` maps a coefficient name to one of
-        ("constant", v)        value tends to v
-        ("linear", s)          value ~ s * (rho - location), or s * rho at infinity
-        ("power", coeff, e)    value ~ coeff * (rho - location)**e
-    and may be None when only the endpoint location is known.
-    """
-
-    location: float
-    leading: dict | None = None
-
 
 @dataclass(frozen=True)
 class BianchiProfile:
-    """Signed coefficient functions of a cohomogeneity-one metric."""
+    """Signed coefficient functions of a cohomogeneity-one metric on (rho_min, rho_max)."""
 
     name: str
     rho_min: float
@@ -66,54 +53,14 @@ class BianchiProfile:
     b: Callable[[float], float]
     c: Callable[[float], float]
     rho_ref: float
-    endpoints: tuple[EndpointData, EndpointData] = None
     biaxial: bool = False
 
     def __post_init__(self):
         if not self.rho_min < self.rho_ref < self.rho_max:
             raise ValueError("reference point must be interior")
-        if self.endpoints is None:
-            object.__setattr__(self, "endpoints",
-                               (EndpointData(self.rho_min), EndpointData(self.rho_max)))
-
-    def coefficient(self, name: str) -> Callable[[float], float]:
-        if name not in COEFF_NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
 
     def interior(self, rho: float) -> bool:
         return self.rho_min < rho < self.rho_max
-
-
-def validate_endpoint_data(profile: BianchiProfile, rel_tol: float = 0.05,
-                           probe: float = 1e-4) -> None:
-    """Check stated leading behaviors against function values near endpoints."""
-    for end in profile.endpoints:
-        if end.leading is None:
-            continue
-        for name, spec in end.leading.items():
-            fn = profile.coefficient(name)
-            if math.isinf(end.location):
-                rho = 1.0 / probe
-                dist = rho
-            else:
-                sign = 1.0 if end.location <= profile.rho_ref else -1.0
-                rho = end.location + sign * probe
-                dist = sign * probe
-            kind = spec[0]
-            if kind == "constant":
-                expected = spec[1]
-            elif kind == "linear":
-                expected = spec[1] * dist
-            elif kind == "power":
-                expected = spec[1] * dist ** spec[2]
-            else:
-                raise ValueError(f"unknown leading kind {kind!r}")
-            value = fn(rho)
-            if abs(value - expected) > rel_tol * max(abs(expected), 1e-300):
-                raise ValueError(
-                    f"{profile.name}: endpoint data for {name} at {end.location} "
-                    f"predicts {expected:.6g}, function gives {value:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +94,9 @@ class ClosednessSolution:
     linear `min` scan in insertion order would pick.
     """
 
-    def __init__(self, axis: int, profile: BianchiProfile, tol: float = 1e-10):
+    def __init__(self, axis: int, profile: BianchiProfile):
         self.axis = axis
         self.profile = profile
-        self.tol = tol
         # anchor -> (cumulative integral, insertion index); the sorted keys
         self._anchors: dict[float, tuple[float, int]] = {profile.rho_ref: (0.0, 0)}
         self._sorted = [profile.rho_ref]
@@ -183,7 +129,7 @@ class ClosednessSolution:
         base = self.profile.rho_min
         val = adaptive_simpson(
             lambda t: ratio(self.axis, self.profile, base + math.exp(t)) * math.exp(t),
-            math.log(lo - base), math.log(hi - base), self.tol, rel=1e-11)
+            math.log(lo - base), math.log(hi - base), 1e-10, rel=1e-11)
         total = self._anchors[nearest][0] + (val if rho > nearest else -val)
         bisect.insort(self._sorted, rho)
         self._anchors[rho] = (total, len(self._anchors))
@@ -198,16 +144,14 @@ def solve_closedness(axis: int, profile: BianchiProfile) -> ClosednessSolution:
 
 
 def l2_density(axis: int, profile: BianchiProfile, rho: float,
-               F: ClosednessSolution | None = None) -> float:
+               F: ClosednessSolution) -> float:
     """Signed density 2 F_i^2 ratio_i of phi_i ^ *phi_i against drho^s1^s2^s3."""
-    if F is None:
-        F = solve_closedness(axis, profile)
     val = F(rho)
     return 2.0 * val * val * ratio(axis, profile, rho)
 
 
 def l2_measure_density(axis: int, profile: BianchiProfile, rho: float,
-                       F: ClosednessSolution | None = None) -> float:
+                       F: ClosednessSolution) -> float:
     """|phi_i|^2 against the positive measure: absolute value of the display."""
     return abs(l2_density(axis, profile, rho, F))
 
@@ -231,7 +175,7 @@ def coframe_rows(theta: float, psi: float) -> np.ndarray:
 def metric_matrix(profile: BianchiProfile, coords: np.ndarray) -> np.ndarray:
     rho, theta, _, psi = coords
     rows = coframe_rows(theta, psi)
-    f, a, b, c = (profile.coefficient(n)(rho) for n in COEFF_NAMES)
+    f, a, b, c = profile.f(rho), profile.a(rho), profile.b(rho), profile.c(rho)
     weights = (f * f, a * a, b * b, c * c)
     g = np.zeros((4, 4))
     for w, row in zip(weights, rows):
@@ -255,11 +199,10 @@ def ansatz_form_matrix(axis: int, profile: BianchiProfile, coords: np.ndarray,
 
 
 def closedness_residual(axis: int, profile: BianchiProfile, coords: np.ndarray,
-                        h: float = 1e-4) -> float:
+                        F: ClosednessSolution) -> float:
     """Max finite-difference coefficient of d(phi_i); zero when F solves the ODE."""
-    F = solve_closedness(axis, profile)
     out = exterior_derivative_at(lambda c: ansatz_form_matrix(axis, profile, c, F),
-                                 np.asarray(coords, float), h)
+                                 np.asarray(coords, float))
     return max(abs(v) for v in out.values())
 
 
@@ -270,16 +213,13 @@ def orientation_sign(profile: BianchiProfile, coords: np.ndarray) -> float:
     s1^s2^s3 = -sin(theta) dtheta^dphi^dpsi.
     """
     rho, theta = coords[0], coords[1]
-    fabc = math.prod(profile.coefficient(n)(rho) for n in COEFF_NAMES)
+    fabc = profile.f(rho) * profile.a(rho) * profile.b(rho) * profile.c(rho)
     return -math.copysign(1.0, fabc) * math.copysign(1.0, math.sin(theta))
 
 
 def anti_self_duality_residual(axis: int, profile: BianchiProfile,
-                               coords: np.ndarray,
-                               F: ClosednessSolution | None = None) -> float:
+                               coords: np.ndarray, F: ClosednessSolution) -> float:
     """Max coefficient of *phi_i + phi_i in coordinates (vanishes identically)."""
-    if F is None:
-        F = solve_closedness(axis, profile)
     B = ansatz_form_matrix(axis, profile, coords, F)
     g = metric_matrix(profile, coords)
     star = hodge_star_2form(B, g, orientation_sign(profile, coords))
@@ -288,14 +228,12 @@ def anti_self_duality_residual(axis: int, profile: BianchiProfile,
 
 
 def wedge_density_cross_check(axis: int, profile: BianchiProfile, coords: np.ndarray,
-                              F: ClosednessSolution | None = None) -> tuple[float, float]:
+                              F: ClosednessSolution) -> tuple[float, float]:
     """(-phi^phi coefficient, displayed density): equal for anti-self-dual phi.
 
     -phi ^ phi is read off against drho ^ s1 ^ s2 ^ s3 through the coordinate
     volume; compared with 2 F^2 ratio.
     """
-    if F is None:
-        F = solve_closedness(axis, profile)
     B = ansatz_form_matrix(axis, profile, coords, F)
     # coefficient of -phi^phi on dtheta-ordered coordinates
     coeff = 0.0
@@ -334,14 +272,8 @@ def atiyah_hitchin_model_profile(band: tuple[float, float] = None,
     a = mix(lambda r: 2.0 * (r - math.pi), lambda r: r)
     b = mix(lambda r: math.pi, lambda r: r)
     c = mix(lambda r: -math.pi, lambda r: -2.0)
-    endpoints = (
-        EndpointData(math.pi, {"f": ("constant", -1.0), "a": ("linear", 2.0),
-                               "b": ("constant", math.pi), "c": ("constant", -math.pi)}),
-        EndpointData(math.inf, {"f": ("constant", -1.0), "a": ("linear", 1.0),
-                                "b": ("linear", 1.0), "c": ("constant", -2.0)}),
-    )
     return BianchiProfile(f"atiyah-hitchin-model[{blend}]", math.pi, math.inf,
-                          f, a, b, c, rho_ref=lo, endpoints=endpoints)
+                          f, a, b, c, rho_ref=lo)
 
 
 def eguchi_hanson_profile(a_param: float) -> BianchiProfile:
@@ -358,15 +290,8 @@ def eguchi_hanson_profile(a_param: float) -> BianchiProfile:
     a = lambda r: r
     b = lambda r: r
     c = lambda r: r * math.sqrt(check(r))
-    endpoints = (
-        EndpointData(a_param, {"a": ("constant", a_param), "b": ("constant", a_param),
-                               "f": ("power", math.sqrt(a_param / 4.0), -0.5),
-                               "c": ("power", 2.0 * math.sqrt(a_param), 0.5)}),
-        EndpointData(math.inf, {"f": ("constant", 1.0), "a": ("linear", 1.0),
-                                "b": ("linear", 1.0), "c": ("linear", 1.0)}),
-    )
     return BianchiProfile("eguchi-hanson", a_param, math.inf, f, a, b, c,
-                          rho_ref=2.0 * a_param, endpoints=endpoints, biaxial=True)
+                          rho_ref=2.0 * a_param, biaxial=True)
 
 
 def biaxial_taubnut_profile(m: float) -> BianchiProfile:
@@ -390,31 +315,22 @@ def biaxial_taubnut_profile(m: float) -> BianchiProfile:
     a = lambda r: r * math.sqrt(V(r))
     b = lambda r: r * math.sqrt(V(r))
     c = lambda r: m / math.sqrt(V(r))
-    endpoints = (
-        EndpointData(0.0, {"f": ("power", -math.sqrt(m), -0.5),
-                           "a": ("power", math.sqrt(m), 0.5),
-                           "b": ("power", math.sqrt(m), 0.5),
-                           "c": ("power", math.sqrt(m), 0.5)}),
-        EndpointData(math.inf, {"f": ("constant", -1.0), "a": ("linear", 1.0),
-                                "b": ("linear", 1.0), "c": ("constant", m)}),
-    )
     return BianchiProfile("biaxial-taubnut", 0.0, math.inf, f, a, b, c,
-                          rho_ref=m, endpoints=endpoints, biaxial=True)
+                          rho_ref=m, biaxial=True)
 
 
 def reparametrize(profile: BianchiProfile, h: Callable[[float], float],
                   h_prime: Callable[[float], float], t_min: float, t_max: float,
-                  t_ref: float, name: str | None = None) -> BianchiProfile:
+                  t_ref: float) -> BianchiProfile:
     """Pull a profile back along a monotone smooth change of radial variable."""
     return BianchiProfile(
-        name or f"{profile.name}[reparam]",
+        f"{profile.name}[reparam]",
         t_min, t_max,
         lambda t: profile.f(h(t)) * h_prime(t),
         lambda t: profile.a(h(t)),
         lambda t: profile.b(h(t)),
         lambda t: profile.c(h(t)),
         rho_ref=t_ref,
-        endpoints=(EndpointData(t_min), EndpointData(t_max)),
         biaxial=profile.biaxial,
     )
 
@@ -439,26 +355,25 @@ class AxisVerdict:
         return f"divergent-at-endpoint({ends})"
 
 
-def _endpoint_exponent(axis, profile, F, end: EndpointData, spread=(1e-5, 1e-2),
-                       far_range=(8.0, 40.0)) -> float:
+def _endpoint_exponent(axis, profile, F, end: float) -> float:
     """Fitted log-log slope of the measure density toward one endpoint."""
-    if math.isinf(end.location):
+    if math.isinf(end):
         base = max(profile.rho_ref, profile.rho_min + 1.0)
-        xs = np.geomspace(base + far_range[0], base + far_range[1], 12)
+        xs = np.geomspace(base + 8.0, base + 40.0, 12)
         ys = [l2_measure_density(axis, profile, float(x), F) for x in xs]
         return loglog_slope(xs, ys)
-    sign = 1.0 if end.location <= profile.rho_ref else -1.0
-    scale = min(1.0, abs(profile.rho_ref - end.location))
-    deltas = np.geomspace(spread[0], spread[1], 12) * scale
-    ys = [l2_measure_density(axis, profile, end.location + sign * float(d), F) for d in deltas]
+    sign = 1.0 if end <= profile.rho_ref else -1.0
+    scale = min(1.0, abs(profile.rho_ref - end))
+    deltas = np.geomspace(1e-5, 1e-2, 12) * scale
+    ys = [l2_measure_density(axis, profile, end + sign * float(d), F) for d in deltas]
     return loglog_slope(deltas, ys)
 
 
-def _endpoint_quadrature_convergent(axis, profile, F, end: EndpointData) -> bool:
+def _endpoint_quadrature_convergent(axis, profile, F, end: float) -> bool:
     """Truncated-integral route: do shrinking/expanding truncations converge?"""
     dens = lambda rho: l2_measure_density(axis, profile, rho, F)
     anchor = profile.rho_ref
-    if math.isinf(end.location):
+    if math.isinf(end):
         vals = []
         for R in (8.0, 16.0, 32.0, 64.0):
             vals.append(adaptive_simpson(dens, anchor, anchor + R, 1e-10, rel=1e-7))
@@ -466,15 +381,15 @@ def _endpoint_quadrature_convergent(axis, profile, F, end: EndpointData) -> bool
     else:
         # integrate in t = log(distance to endpoint): power-law densities
         # become smooth exponentials, so truncation sweeps stay cheap
-        sign = 1.0 if end.location <= anchor else -1.0
-        scale = min(1.0, abs(anchor - end.location))
-        width = abs(anchor - end.location)
+        sign = 1.0 if end <= anchor else -1.0
+        scale = min(1.0, abs(anchor - end))
+        width = abs(anchor - end)
         vals = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5):
             lo_t = math.log(eps * scale)
             hi_t = math.log(width)
             vals.append(adaptive_simpson(
-                lambda t: dens(end.location + sign * math.exp(t)) * math.exp(t),
+                lambda t: dens(end + sign * math.exp(t)) * math.exp(t),
                 lo_t, hi_t, 1e-10, rel=1e-7))
         increments = np.diff(vals)
     increments = np.abs(increments)
@@ -485,36 +400,36 @@ def _endpoint_quadrature_convergent(axis, profile, F, end: EndpointData) -> bool
     return bool(np.all(ratios < 0.9) or increments[-1] < 1e-10 * max(vals[-1], 1.0))
 
 
-def classify_axis(axis: int, profile: BianchiProfile,
-                  exponent_margin: float = 0.1) -> AxisVerdict:
+def classify_axis(axis: int, profile: BianchiProfile) -> AxisVerdict:
     """Integrability verdict for one axis from two independent routes.
 
     Route (a): adaptive quadrature on shrinking/expanding truncations.
-    Route (b): fitted endpoint exponent of the density.
-    The verdict requires both to agree at each endpoint.
+    Route (b): fitted endpoint exponent of the density, which must clear the
+    borderline slope -1 by 0.1.
+    The verdict requires both to agree at each endpoint of (rho_min, rho_max).
     """
     F = solve_closedness(axis, profile)
     divergent = []
     exponents = {}
-    for end in profile.endpoints:
+    for end in (profile.rho_min, profile.rho_max):
         slope = _endpoint_exponent(axis, profile, F, end)
-        exponents[end.location] = slope
+        exponents[end] = slope
         converges_quad = _endpoint_quadrature_convergent(axis, profile, F, end)
-        if math.isinf(end.location):
-            converges_fit = slope < -1.0 - exponent_margin
-            diverges_fit = slope > -1.0 + exponent_margin
+        if math.isinf(end):
+            converges_fit = slope < -1.1
+            diverges_fit = slope > -0.9
         else:
-            converges_fit = slope > -1.0 + exponent_margin
-            diverges_fit = slope < -1.0 - exponent_margin
+            converges_fit = slope > -0.9
+            diverges_fit = slope < -1.1
         if converges_quad and converges_fit:
             continue
         if (not converges_quad) and diverges_fit:
-            divergent.append(end.location)
+            divergent.append(end)
             continue
         raise ArithmeticError(
             f"{profile.name} axis {axis}: quadrature route "
             f"({'convergent' if converges_quad else 'divergent'}) and exponent route "
-            f"(slope {slope:.3f}) disagree at endpoint {end.location}")
+            f"(slope {slope:.3f}) disagree at endpoint {end}")
     invariant = (not profile.biaxial) or axis == 3
     return AxisVerdict(axis, not divergent, tuple(divergent), exponents, invariant)
 

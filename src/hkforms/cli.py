@@ -40,10 +40,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CONFIG_KEYS = {"suite", "seed", "tol_scale", "out", "format"}
+
+
 def load_config(args: argparse.Namespace) -> tuple[str, SuiteConfig, Path | None, str]:
+    """Merge the config file under the flags; a bad file raises ValueError."""
     file_cfg: dict = {}
     if args.config is not None:
-        file_cfg = json.loads(Path(args.config).read_text())
+        try:
+            file_cfg = json.loads(Path(args.config).read_text())
+        except OSError as exc:
+            raise ValueError(f"cannot read config {args.config}: {exc.strerror}") from exc
+        if not isinstance(file_cfg, dict) or not file_cfg.keys() <= _CONFIG_KEYS:
+            raise ValueError(f"config {args.config} must be a JSON object with keys "
+                             f"among {sorted(_CONFIG_KEYS)}")
     suite = args.suite if args.suite is not None else file_cfg.get("suite", "all")
     seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 7))
     tol_scale = args.tol_scale if args.tol_scale is not None \
@@ -51,6 +61,8 @@ def load_config(args: argparse.Namespace) -> tuple[str, SuiteConfig, Path | None
     out = args.out if args.out is not None else (
         Path(file_cfg["out"]) if "out" in file_cfg else None)
     fmt = args.fmt if args.fmt is not None else file_cfg.get("format", "json")
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"format must be json or csv, not {fmt!r}")
     return suite, SuiteConfig(seed=seed, tol_scale=tol_scale), out, fmt
 
 

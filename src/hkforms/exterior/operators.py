@@ -239,12 +239,12 @@ def lie_closure_dimension(structure: QuaternionicStructure) -> LieClosure:
 # ---------------------------------------------------------------------------
 
 def type_components(a: FormVector, axis: int,
-                    structure: QuaternionicStructure,
-                    tol: float = 1e-10) -> list[tuple[int, int, FormVector]]:
+                    structure: QuaternionicStructure) -> list[tuple[int, int, FormVector]]:
     """Decompose a pure-degree form into (p, q)-types for one complex structure.
 
     Components are sigma_axis eigenspace projections computed by Lagrange
-    interpolation on the exact spectrum {i(q - p) : p + q = degree}.
+    interpolation on the exact spectrum {i(q - p) : p + q = degree}.  A
+    component is dropped, and an eigen-residual refused, at 1e-10 relative.
     """
     alg = LefschetzAlgebra(structure)
     d = a.degree()
@@ -259,10 +259,10 @@ def type_components(a: FormVector, axis: int,
                 continue
             proj = (sigma @ proj - mu * proj) / (lam - mu)
         comp = FormVector.from_vector(a.dim, d, proj)
-        if comp.norm() <= tol * max(a.norm(), 1.0):
+        if comp.norm() <= 1e-10 * max(a.norm(), 1.0):
             continue
         residual = np.abs(sigma @ proj - lam * proj).max()
-        if residual > tol * max(a.norm(), 1.0):
+        if residual > 1e-10 * max(a.norm(), 1.0):
             raise ArithmeticError(f"eigenspace projection residual {residual:.3e}")
         m = int(lam.imag)
         p, q = (d - m) // 2, (d + m) // 2
@@ -270,7 +270,7 @@ def type_components(a: FormVector, axis: int,
     return out
 
 
-def middle_kernel(structure: QuaternionicStructure, rtol: float = 1e-10) -> list[FormVector]:
+def middle_kernel(structure: QuaternionicStructure) -> list[FormVector]:
     """Orthonormal basis of the joint kernel of all L_i, Lambda_i in degree 2k.
 
     Computed as the nullspace of the six operators stacked into one matrix.
@@ -281,13 +281,12 @@ def middle_kernel(structure: QuaternionicStructure, rtol: float = 1e-10) -> list
     p = 2 * structure.k
     stacked = np.vstack([alg.L_matrix(i, p) for i in (1, 2, 3)]
                         + [alg.Lambda_matrix(i, p) for i in (1, 2, 3)])
-    basis = nullspace(stacked, rtol)
+    basis = nullspace(stacked)
     return [FormVector.from_vector(structure.dim, p, basis[:, j])
             for j in range(basis.shape[1])]
 
 
-def middle_kernel_oracle_dimension(structure: QuaternionicStructure,
-                                   rtol: float = 1e-10) -> int:
+def middle_kernel_oracle_dimension(structure: QuaternionicStructure) -> int:
     """Independent route to the middle-kernel dimension.
 
     Intersects the six kernels one at a time by projector composition instead
@@ -301,7 +300,7 @@ def middle_kernel_oracle_dimension(structure: QuaternionicStructure,
     for op in [alg.L_matrix(i, p) for i in (1, 2, 3)] \
             + [alg.Lambda_matrix(i, p) for i in (1, 2, 3)]:
         restricted = op @ basis
-        inner_null = nullspace(restricted, rtol)
+        inner_null = nullspace(restricted)
         if inner_null.shape[1] == 0:
             return 0
         basis = basis @ inner_null

@@ -13,7 +13,7 @@ all self-dual for the standard orientation, and fixes every sign downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class QuaternionicStructure:
     I: np.ndarray = None
     J: np.ndarray = None
     K: np.ndarray = None
-    _validate_tol: float = field(default=1e-12, repr=False)
 
     def __post_init__(self):
         if self.dim % 4 != 0 or self.dim <= 0:
@@ -87,7 +86,7 @@ class QuaternionicStructure:
         return self.omega(2) + 1j * self.omega(3)
 
     def _validate(self):
-        tol = self._validate_tol
+        tol = 1e-12
         g = self.metric
         eye = np.eye(self.dim)
         if np.abs(g - g.T).max() > tol or np.linalg.eigvalsh(g).min() <= 0:

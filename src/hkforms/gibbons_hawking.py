@@ -137,10 +137,10 @@ def two_form_norm_sq(B: np.ndarray, g: np.ndarray) -> float:
     return float(0.5 * np.sum(B * (ginv @ B @ ginv)))
 
 
-def ddtheta_residual(p: GHPoint, d: GHData, h: float = 1e-4) -> float:
+def ddtheta_residual(p: GHPoint, d: GHData) -> float:
     """Max finite-difference coefficient of d(dtheta); zero for a closed form."""
     three_form = exterior_derivative_at(lambda c: dtheta(GHPoint(c[:3], c[3]), d),
-                                        np.append(p.x, p.tau), h)
+                                        np.append(p.x, p.tau))
     return max(abs(v) for v in three_form.values())
 
 
@@ -169,8 +169,7 @@ def _radial_density(r: float, d: GHData) -> float:
     return 8.0 * math.pi * d.m ** 2 * r / (r + d.m) ** 3
 
 
-def l2_norm(d: GHData, r_min: float = 0.0, r_max: float = math.inf,
-            tol: float = 1e-9) -> float:
+def l2_norm(d: GHData, r_min: float = 0.0, r_max: float = math.inf) -> float:
     """L^2 norm of dtheta by adaptive radial quadrature times the tau-period.
 
     Converges to the closed form 4 pi m tau_period as r_min -> 0, r_max -> inf.
@@ -179,9 +178,9 @@ def l2_norm(d: GHData, r_min: float = 0.0, r_max: float = math.inf,
     lo = max(r_min, 0.0)
     if math.isinf(r_max):
         # substitute r = lo + m u / (1 - u): smooth integrand on (0, 1)
-        radial = integrate_to_infinity(f, lo, scale=d.m, tol=tol)
+        radial = integrate_to_infinity(f, lo, scale=d.m, tol=1e-9)
     else:
-        radial = adaptive_simpson(f, lo or 1e-14 * d.m, r_max, tol)
+        radial = adaptive_simpson(f, lo or 1e-14 * d.m, r_max, 1e-9)
     return d.tau_period * radial
 
 
@@ -190,21 +189,20 @@ def closed_form_l2_norm(d: GHData) -> float:
     return 4.0 * math.pi * d.m * d.tau_period
 
 
-def shell_integral(d: GHData, r: float, tol: float = 1e-10) -> float:
+def shell_integral(d: GHData, r: float) -> float:
     """Integral of |dtheta|^2 over the shell r <= |x| <= 2r (times tau-period)."""
     if r <= 0:
         raise ValueError("shell radius must be positive")
-    return d.tau_period * adaptive_simpson(lambda s: _radial_density(s, d), r, 2.0 * r, tol)
+    return d.tau_period * adaptive_simpson(lambda s: _radial_density(s, d), r, 2.0 * r, 1e-10)
 
 
-def tail_decay(d: GHData, radii: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Shell integrals over a radius sweep and the fitted log-log slope.
+def tail_decay(d: GHData) -> tuple[np.ndarray, float]:
+    """Shell integrals over radii 1e2 m .. 1e4 m and the fitted log-log slope.
 
     The density falls off like 2 m^2 / r^4 while the shell measure grows like
     r^2 dr, so the shell mass decays like 1/r and the slope tends to -1.
     """
-    if radii is None:
-        radii = np.geomspace(1e2, 1e4, 9) * d.m
+    radii = np.geomspace(1e2, 1e4, 9) * d.m
     shells = np.array([shell_integral(d, float(r)) for r in radii])
     return shells, loglog_slope(radii, shells)
 

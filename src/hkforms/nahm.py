@@ -130,12 +130,11 @@ class TangentState:
         object.__setattr__(self, "A", tuple(np.asarray(a, dtype=complex) for a in self.A))
 
 
-def one_pole_state(s_min: float, s_max: float, nodes: int,
-                   residues: ResidueTriple | None = None) -> NahmState:
-    """The exact solution B_i = rho_i / s, B_0 = 0 on [s_min, s_max]."""
+def one_pole_state(s_min: float, s_max: float, nodes: int) -> NahmState:
+    """The exact solution B_i = rho_i / s, B_0 = 0 on [s_min, s_max], standard residues."""
     if s_min <= 0:
         raise ValueError("the pole at s = 0 must be excluded")
-    res = standard_residues() if residues is None else residues
+    res = standard_residues()
     s = np.linspace(s_min, s_max, nodes)
     inv = 1.0 / s
     B0 = np.zeros((nodes, res.k, res.k), dtype=complex)
@@ -147,14 +146,14 @@ def _comm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y - Y @ X
 
 
-def nahm_residual(state: NahmState, order: int = 6) -> float:
+def nahm_residual(state: NahmState) -> float:
     """Max over the grid and the three equations of |B_i' + [B_0,B_i] - [B_j,B_k]|."""
     h = state.h
     B0 = state.B[0]
     worst = 0.0
     for i, j, k in _CYCLIC:
         Bi, Bj, Bk = state.B[i + 1], state.B[j + 1], state.B[k + 1]
-        res = grid_derivative(Bi, h, order) + _comm(B0, Bi) - _comm(Bj, Bk)
+        res = grid_derivative(Bi, h) + _comm(B0, Bi) - _comm(Bj, Bk)
         worst = max(worst, float(np.sqrt(np.sum(np.abs(res) ** 2, axis=(1, 2))).max()))
     return worst
 
@@ -209,8 +208,7 @@ def translation_action(state: NahmState, x: np.ndarray) -> NahmState:
     return NahmState(state.s, tuple(new), state.residues)
 
 
-def linearized_residual(tangent: TangentState, state: NahmState,
-                        order: int = 6) -> float:
+def linearized_residual(tangent: TangentState, state: NahmState) -> float:
     """Residual of A_i' + [A_0,B_i] + [B_0,A_i] = [A_j,B_k] + [B_j,A_k]."""
     if tangent.s.shape != state.s.shape or np.abs(tangent.s - state.s).max() > 1e-12:
         raise ValueError("tangent and state must share a grid")
@@ -220,7 +218,7 @@ def linearized_residual(tangent: TangentState, state: NahmState,
     for i, j, k in _CYCLIC:
         Ai, Aj, Ak = tangent.A[i + 1], tangent.A[j + 1], tangent.A[k + 1]
         Bi, Bj, Bk = state.B[i + 1], state.B[j + 1], state.B[k + 1]
-        res = (grid_derivative(Ai, h, order) + _comm(A0, Bi) + _comm(B0, Ai)
+        res = (grid_derivative(Ai, h) + _comm(A0, Bi) + _comm(B0, Ai)
                - _comm(Aj, Bk) - _comm(Bj, Ak))
         worst = max(worst, float(np.sqrt(np.sum(np.abs(res) ** 2, axis=(1, 2))).max()))
     return worst

@@ -147,13 +147,12 @@ def _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, depth):
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-10, max_depth: int = 48,
-                     rel: float = 0.0) -> float:
+                     tol: float = 1e-10, rel: float = 0.0) -> float:
     """Adaptive Simpson quadrature with the usual Richardson correction.
 
     `tol` is absolute; when `rel` is nonzero the effective tolerance is
     floored at rel * |initial estimate| so that large integrals do not force
-    full-depth recursion.
+    full-depth recursion.  Bisection stops at depth 48.
     """
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
@@ -161,7 +160,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     if rel > 0.0:
         tol = max(tol, rel * abs(whole))
-    return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, 48)
 
 
 def integrate_to_infinity(f: Callable[[float], float], a: float, scale: float = 1.0,
@@ -218,9 +217,9 @@ def subspace_distance(U: np.ndarray, V: np.ndarray) -> float:
     return float(np.linalg.norm(pu - pv, 2))
 
 
-def orthonormal_projector(rows: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def orthonormal_projector(rows: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the nullspace of the given row constraints."""
-    N = nullspace(rows, rtol)
+    N = nullspace(rows, 1e-12)
     return N @ N.conj().T
 
 

@@ -203,11 +203,12 @@ class QuotientChart:
     read-only.
     """
 
-    def __init__(self, spec: GroupActionSpec, fd_step: float = 1e-4):
+    fd_step = 1e-4   # finite-difference step of every chart derivative
+
+    def __init__(self, spec: GroupActionSpec):
         if spec.n != 2:
             raise ValueError("charts are implemented for the 4-dimensional quotients (n = 2)")
         self.spec = spec
-        self.fd_step = fd_step
         self._frames: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- representatives --------------------------------------------------------
@@ -391,9 +392,8 @@ def ambient_linear_part(field: Callable[[np.ndarray], np.ndarray], dim: int) -> 
 
 def growth_check(chart: QuotientChart,
                  ambient_field: Callable[[np.ndarray], np.ndarray],
-                 chart_points: np.ndarray,
-                 base_u: np.ndarray | None = None) -> GrowthReport:
-    """Linear-growth fit for a pushed-down Killing field.
+                 chart_points: np.ndarray) -> GrowthReport:
+    """Linear-growth fit for a pushed-down Killing field, from the chart origin.
 
     Uses the ambient distance |p - p0| as a stand-in for the quotient
     distance (which it bounds from below), so |X_pushed| <= c1 dist + c0
@@ -401,7 +401,7 @@ def growth_check(chart: QuotientChart,
     """
     spec = chart.spec
     dim = spec.space.real_dim
-    p0 = chart.representative(np.zeros(4) if base_u is None else np.asarray(base_u, float))
+    p0 = chart.representative(np.zeros(4))
     c0 = float(np.linalg.norm(ambient_field(p0)))
     A = ambient_linear_part(ambient_field, dim)
     a_norm = float(np.linalg.norm(A, 2))

@@ -25,7 +25,6 @@ from hkforms.bianchi import (
     ratio,
     reparametrize,
     solve_closedness,
-    validate_endpoint_data,
     wedge_density_cross_check,
 )
 from hkforms.numerics import exterior_derivative_at
@@ -74,9 +73,29 @@ def test_profile_validation():
         ratio(1, EH, 0.3)
 
 
+# Leading coefficient behavior at both ends of each shipped profile, probed
+# 1e-4 inside a finite end and at rho = 1e4 toward infinity.
+P = 1e-4
+ENDPOINT_ROWS = [
+    (AH, "f", math.pi + P, -1.0), (AH, "a", math.pi + P, 2.0 * P),
+    (AH, "b", math.pi + P, math.pi), (AH, "c", math.pi + P, -math.pi),
+    (AH, "f", 1e4, -1.0), (AH, "a", 1e4, 1e4), (AH, "b", 1e4, 1e4), (AH, "c", 1e4, -2.0),
+    # Eguchi-Hanson bolt: f ~ sqrt(a/4) (r - a)^(-1/2), c ~ 2 sqrt(a) (r - a)^(1/2)
+    (EH, "a", 0.5 + P, 0.5), (EH, "b", 0.5 + P, 0.5),
+    (EH, "f", 0.5 + P, math.sqrt(0.5 / 4.0) * P ** -0.5),
+    (EH, "c", 0.5 + P, 2.0 * math.sqrt(0.5) * P ** 0.5),
+    (EH, "f", 1e4, 1.0), (EH, "a", 1e4, 1e4), (EH, "b", 1e4, 1e4), (EH, "c", 1e4, 1e4),
+    # Taub-NUT (m = 1) at the nut: f ~ -sqrt(m) rho^(-1/2), a, b, c ~ sqrt(m) rho^(1/2)
+    (TN, "f", P, -P ** -0.5), (TN, "a", P, P ** 0.5), (TN, "b", P, P ** 0.5),
+    (TN, "c", P, P ** 0.5),
+    (TN, "f", 1e4, -1.0), (TN, "a", 1e4, 1e4), (TN, "b", 1e4, 1e4), (TN, "c", 1e4, 1.0),
+]
+
+
 def test_endpoint_data_consistent():
-    for profile in (AH, EH, TN):
-        validate_endpoint_data(profile)
+    for profile, name, rho, expected in ENDPOINT_ROWS:
+        value = getattr(profile, name)(rho)
+        assert value == pytest.approx(expected, rel=0.05), (profile.name, name, rho)
 
 
 # -- ratios against the displayed asymptotics --------------------------------
@@ -137,7 +156,7 @@ def test_eh_closedness_solution():
     F3 = solve_closedness(3, EH)
     for r in (0.8, 2.0, 4.0):
         assert F3(r) == pytest.approx(1.0 / r, rel=1e-10)   # rho_ref = 2a = 1
-    assert l2_density(3, EH, 4.0) == pytest.approx(2.0 * 1.0 / 4.0 ** 3, rel=1e-9)
+    assert l2_density(3, EH, 4.0, F3) == pytest.approx(2.0 * 1.0 / 4.0 ** 3, rel=1e-9)
 
 
 def _scan_nearest(sol, rho):
@@ -202,13 +221,6 @@ def test_classification_unchanged_under_linear_scan(monkeypatch):
             assert v[axis].fitted_exponents == w[axis].fitted_exponents
 
 
-def test_coefficient_lookup():
-    assert [TN.coefficient(n) for n in ("f", "a", "b", "c")] == [TN.f, TN.a, TN.b, TN.c]
-    for bad in ("rho_ref", "name", "g"):
-        with pytest.raises(KeyError):
-            TN.coefficient(bad)
-
-
 def test_ah_f1_tends_to_constant_at_pi():
     F1 = solve_closedness(1, AH)
     vals = [F1(math.pi + d) for d in (1e-2, 1e-4, 1e-6)]
@@ -256,7 +268,7 @@ def test_ansatz_form_bundle():
     unit = ansatz_form_matrix(3, EH, coords, lambda rho: 1.0)
     assert np.abs(ansatz_form_matrix(3, EH, coords, F3) - F3(2.0) * unit).max() == 0.0
     with pytest.raises(ValueError):
-        l2_density(4, EH, 4.0)
+        l2_density(4, EH, 4.0, F3)
 
 
 # -- coordinate model: closedness, duality, wedge cross-check -----------------
@@ -268,8 +280,9 @@ def test_ansatz_closed_and_asd(profile, rho_lo):
     for _ in range(2):
         coords = sample_coords(rng, rho_lo)
         for axis in (1, 2, 3):
-            assert closedness_residual(axis, profile, coords) <= 1e-6
-            assert anti_self_duality_residual(axis, profile, coords) <= 1e-8
+            F = solve_closedness(axis, profile)
+            assert closedness_residual(axis, profile, coords, F) <= 1e-6
+            assert anti_self_duality_residual(axis, profile, coords, F) <= 1e-8
 
 
 def test_wedge_density_cross_check():
@@ -277,7 +290,8 @@ def test_wedge_density_cross_check():
     for profile, rho_lo in ((AH, math.pi + 0.3), (EH, 0.7), (TN, 0.4)):
         coords = sample_coords(rng, rho_lo)
         for axis in (1, 2, 3):
-            wedge_val, display_val = wedge_density_cross_check(axis, profile, coords)
+            F = solve_closedness(axis, profile)
+            wedge_val, display_val = wedge_density_cross_check(axis, profile, coords, F)
             assert wedge_val == pytest.approx(display_val, rel=1e-10)
 
 

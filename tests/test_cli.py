@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hkforms import bianchi as bx
 from hkforms import suites
 from hkforms.cli import main
 from hkforms.report import (
@@ -123,6 +124,23 @@ def test_algebra_suite_schema():
         assert entry["smallest_singular_value"] > 1.0
 
 
+def test_bianchi_suite_schema():
+    records, details = run_suite("bianchi", SuiteConfig(seed=7))
+    assert [r.check for r in records] == [
+        "two-monopole-verdicts", "two-monopole-endpoint-exponent", "eguchi-hanson-verdicts",
+        "biaxial-taubnut-verdicts", "interpolant-independence",
+        "reparametrization-independence", "ansatz-closed", "ansatz-anti-self-dual",
+        "cross-module-proportionality"]
+    assert all(r.passed for r in records)
+    assert set(details) == {"verdicts", "density_profile", "proportionality_constant"}
+    profiles = {"two-monopole": bx.atiyah_hitchin_model_profile(),
+                "eguchi-hanson": bx.eguchi_hanson_profile(0.5),
+                "biaxial-taubnut": bx.biaxial_taubnut_profile(1.0)}
+    for v in details["verdicts"]:
+        profile = profiles[v["profile"]]
+        assert list(v["fitted_exponent"]) == [str(profile.rho_min), str(profile.rho_max)]
+
+
 def test_bianchi_suite_verdict_schema():
     records, details = run_suite("bianchi", SuiteConfig(seed=7))
     assert all(r.passed for r in records)
@@ -210,13 +228,21 @@ def test_cli_isolates_a_failing_single_suite(tmp_path, monkeypatch):
     assert report["passed"] is False
 
 
-def test_cli_value_errors_still_exit_2(tmp_path, monkeypatch):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"suite": "nosuch"}))
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "a"), "--quiet"]) == 2
+def test_cli_value_errors_still_exit_2(tmp_path, monkeypatch, capsys):
+    # an unknown suite, an unreadable file, a JSON array, an unknown key, an unknown format
+    configs = [{"suite": "nosuch"}, None, [1, 2], {"suite": "taubnut", "sed": 3},
+               {"suite": "taubnut", "format": "xml"}]
+    for i, content in enumerate(configs):
+        cfg = tmp_path / f"cfg{i}.json"
+        if content is not None:
+            cfg.write_text(json.dumps(content))
+        out = tmp_path / f"a{i}"
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
     monkeypatch.setitem(suites._RUNNERS, "taubnut", _raise(ValueError("bad input")))
     assert main(["--suite", "taubnut", "--out", str(tmp_path / "b"), "--quiet"]) == 2
-    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+    assert not (tmp_path / "b").exists()
 
 
 def _reject_constant(name):
