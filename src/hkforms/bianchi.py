@@ -6,18 +6,19 @@ The left-invariant coframe is realized in Euler angles (theta, phi, psi) as
     s2 =  sin(psi) dtheta - cos(psi) sin(theta) dphi
     s3 = -dpsi - cos(theta) dphi
 
-which satisfies ds1 = s2 ^ s3 and cyclic permutations exactly.  Coefficient
-functions are stored signed (the 2-monopole asymptotics carry negative f and
-c); only measures take absolute values.  The invariant 2-form ansatz
+which satisfies ds1 = s2 ^ s3 and cyclic permutations exactly.  Coefficients
+are stored signed (the 2-monopole asymptotics carry negative f and c); only
+measures take absolute values.  The invariant 2-form ansatz
 
     phi_i = F_i(rho) (ds_i - ratio_i drho ^ s_i),    ratio_1 = f a / (b c), ...
 
 is anti-self-dual for the orientation in which f*a*b*c drho^s1^s2^s3 is
 positive, and closed exactly when F_i' = -ratio_i F_i; every function of the
 ansatz takes that closedness solution F as an argument.  A profile is its
-radial domain (rho_min, rho_max), the four coefficient functions and an
-interior reference point; `classify_l2` decides at rho_min and at rho_max
-whether each phi_i is L^2 there.
+radial domain (rho_min, rho_max), one function rho -> (f, a, b, c) that
+computes the four coefficients together, and an interior reference point;
+`classify_l2` decides at rho_min and at rho_max whether each phi_i is L^2
+there.
 """
 
 from __future__ import annotations
@@ -43,24 +44,18 @@ from .numerics import (
 
 @dataclass(frozen=True)
 class BianchiProfile:
-    """Signed coefficient functions of a cohomogeneity-one metric on (rho_min, rho_max)."""
+    """Signed coefficients rho -> (f, a, b, c) of a metric on (rho_min, rho_max)."""
 
     name: str
     rho_min: float
     rho_max: float
-    f: Callable[[float], float]
-    a: Callable[[float], float]
-    b: Callable[[float], float]
-    c: Callable[[float], float]
+    coefficients: Callable[[float], tuple[float, float, float, float]]
     rho_ref: float
     biaxial: bool = False
 
     def __post_init__(self):
         if not self.rho_min < self.rho_ref < self.rho_max:
             raise ValueError("reference point must be interior")
-
-    def interior(self, rho: float) -> bool:
-        return self.rho_min < rho < self.rho_max
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +64,9 @@ class BianchiProfile:
 
 def ratio(axis: int, profile: BianchiProfile, rho: float) -> float:
     """Cyclic coefficient ratio: fa/(bc), fb/(ca), fc/(ab) for axes 1, 2, 3."""
-    if not profile.interior(rho):
+    if not profile.rho_min < rho < profile.rho_max:
         raise ValueError(f"rho = {rho} is not interior to {profile.name}")
-    f, a, b, c = profile.f(rho), profile.a(rho), profile.b(rho), profile.c(rho)
+    f, a, b, c = profile.coefficients(rho)
     if axis == 1:
         return f * a / (b * c)
     if axis == 2:
@@ -127,9 +122,13 @@ class ClosednessSolution:
         # integrate in t = log(rho - rho_min): ratios with power-law endpoint
         # behavior become mild exponentials, so hops near the endpoint stay cheap
         base = self.profile.rho_min
-        val = adaptive_simpson(
-            lambda t: ratio(self.axis, self.profile, base + math.exp(t)) * math.exp(t),
-            math.log(lo - base), math.log(hi - base), 1e-10, rel=1e-11)
+
+        def integrand(t):
+            e = math.exp(t)
+            return ratio(self.axis, self.profile, base + e) * e
+
+        val = adaptive_simpson(integrand, math.log(lo - base), math.log(hi - base),
+                               1e-10, rel=1e-11)
         total = self._anchors[nearest][0] + (val if rho > nearest else -val)
         bisect.insort(self._sorted, rho)
         self._anchors[rho] = (total, len(self._anchors))
@@ -175,7 +174,7 @@ def coframe_rows(theta: float, psi: float) -> np.ndarray:
 def metric_matrix(profile: BianchiProfile, coords: np.ndarray) -> np.ndarray:
     rho, theta, _, psi = coords
     rows = coframe_rows(theta, psi)
-    f, a, b, c = profile.f(rho), profile.a(rho), profile.b(rho), profile.c(rho)
+    f, a, b, c = profile.coefficients(rho)
     weights = (f * f, a * a, b * b, c * c)
     g = np.zeros((4, 4))
     for w, row in zip(weights, rows):
@@ -212,9 +211,8 @@ def orientation_sign(profile: BianchiProfile, coords: np.ndarray) -> float:
     The positive orientation is f*a*b*c drho^s1^s2^s3 > 0 and
     s1^s2^s3 = -sin(theta) dtheta^dphi^dpsi.
     """
-    rho, theta = coords[0], coords[1]
-    fabc = profile.f(rho) * profile.a(rho) * profile.b(rho) * profile.c(rho)
-    return -math.copysign(1.0, fabc) * math.copysign(1.0, math.sin(theta))
+    f, a, b, c = profile.coefficients(coords[0])
+    return -math.copysign(1.0, f * a * b * c) * math.copysign(1.0, math.sin(coords[1]))
 
 
 def anti_self_duality_residual(axis: int, profile: BianchiProfile,
@@ -262,18 +260,15 @@ def atiyah_hitchin_model_profile(band: tuple[float, float] = None,
     lo, hi = band if band is not None else (math.pi + 1.0, math.pi + 2.0)
     step = {"c2": smoothstep_c2, "c3": smoothstep_c3}[blend]
 
-    def w(rho):
-        return step((rho - lo) / (hi - lo))
+    def coefficients(rho):
+        w = step((rho - lo) / (hi - lo))
+        return (-1.0,
+                (1.0 - w) * (2.0 * (rho - math.pi)) + w * rho,
+                (1.0 - w) * math.pi + w * rho,
+                (1.0 - w) * -math.pi + w * -2.0)
 
-    def mix(near, far):
-        return lambda rho: (1.0 - w(rho)) * near(rho) + w(rho) * far(rho)
-
-    f = lambda rho: -1.0
-    a = mix(lambda r: 2.0 * (r - math.pi), lambda r: r)
-    b = mix(lambda r: math.pi, lambda r: r)
-    c = mix(lambda r: -math.pi, lambda r: -2.0)
     return BianchiProfile(f"atiyah-hitchin-model[{blend}]", math.pi, math.inf,
-                          f, a, b, c, rho_ref=lo)
+                          coefficients, rho_ref=lo)
 
 
 def eguchi_hanson_profile(a_param: float) -> BianchiProfile:
@@ -281,16 +276,13 @@ def eguchi_hanson_profile(a_param: float) -> BianchiProfile:
     if a_param <= 0:
         raise ValueError("a_param must be positive")
 
-    def check(r):
+    def coefficients(r):
         if r <= a_param:
             raise ValueError(f"r = {r} is outside the domain (a, inf)")
-        return 1.0 - (a_param / r) ** 4
+        s = math.sqrt(1.0 - (a_param / r) ** 4)
+        return 1.0 / s, r, r, r * s
 
-    f = lambda r: 1.0 / math.sqrt(check(r))
-    a = lambda r: r
-    b = lambda r: r
-    c = lambda r: r * math.sqrt(check(r))
-    return BianchiProfile("eguchi-hanson", a_param, math.inf, f, a, b, c,
+    return BianchiProfile("eguchi-hanson", a_param, math.inf, coefficients,
                           rho_ref=2.0 * a_param, biaxial=True)
 
 
@@ -306,16 +298,13 @@ def biaxial_taubnut_profile(m: float) -> BianchiProfile:
     if m <= 0:
         raise ValueError("mass must be positive")
 
-    def V(r):
+    def coefficients(r):
         if r <= 0:
             raise ValueError("r must be positive")
-        return 1.0 + m / r
+        s = math.sqrt(1.0 + m / r)   # sqrt(V)
+        return -s, r * s, r * s, m / s
 
-    f = lambda r: -math.sqrt(V(r))
-    a = lambda r: r * math.sqrt(V(r))
-    b = lambda r: r * math.sqrt(V(r))
-    c = lambda r: m / math.sqrt(V(r))
-    return BianchiProfile("biaxial-taubnut", 0.0, math.inf, f, a, b, c,
+    return BianchiProfile("biaxial-taubnut", 0.0, math.inf, coefficients,
                           rho_ref=m, biaxial=True)
 
 
@@ -323,16 +312,12 @@ def reparametrize(profile: BianchiProfile, h: Callable[[float], float],
                   h_prime: Callable[[float], float], t_min: float, t_max: float,
                   t_ref: float) -> BianchiProfile:
     """Pull a profile back along a monotone smooth change of radial variable."""
-    return BianchiProfile(
-        f"{profile.name}[reparam]",
-        t_min, t_max,
-        lambda t: profile.f(h(t)) * h_prime(t),
-        lambda t: profile.a(h(t)),
-        lambda t: profile.b(h(t)),
-        lambda t: profile.c(h(t)),
-        rho_ref=t_ref,
-        biaxial=profile.biaxial,
-    )
+    def coefficients(t):
+        f, a, b, c = profile.coefficients(h(t))
+        return f * h_prime(t), a, b, c
+
+    return BianchiProfile(f"{profile.name}[reparam]", t_min, t_max, coefficients,
+                          rho_ref=t_ref, biaxial=profile.biaxial)
 
 
 # ---------------------------------------------------------------------------

@@ -43,17 +43,16 @@ def derivation_matrix(A: np.ndarray, degree: int) -> np.ndarray:
     n = A.shape[0]
     src = basis_indices(n, degree)
     idx = {t: r for r, t in enumerate(src)}
+    nonzero = [[(m, x) for m, x in enumerate(column) if x != 0.0] for column in A.T.tolist()]
     M = np.zeros((len(src), len(src)))
     for col, B in enumerate(src):
         for pos, b in enumerate(B):
             rest = B[:pos] + B[pos + 1:]
-            for m in range(n):
-                if A[m, b] == 0.0:
-                    continue
+            for m, x in nonzero[b]:
                 s, merged = merge_sign((m,), rest)
                 if s != 0:
                     # the new factor sits at slot pos; hopping to the front costs (-1)^pos
-                    M[idx[merged], col] += s * (-1) ** pos * A[m, b]
+                    M[idx[merged], col] += s * (-1) ** pos * x
     return M
 
 

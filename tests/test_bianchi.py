@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hkforms import bianchi
 from hkforms import gibbons_hawking as gh
 from hkforms.bianchi import (
     BianchiProfile,
@@ -27,11 +28,22 @@ from hkforms.bianchi import (
     solve_closedness,
     wedge_density_cross_check,
 )
-from hkforms.numerics import exterior_derivative_at
+from hkforms.numerics import exterior_derivative_at, smoothstep_c2, smoothstep_c3
 
 AH = atiyah_hitchin_model_profile()
 EH = eguchi_hanson_profile(0.5)
 TN = biaxial_taubnut_profile(1.0)
+
+
+def h(t):
+    """The change of radial variable the bianchi suite pulls AH back along."""
+    u = t - math.pi
+    return math.pi + u + u * u / (1.0 + u)
+
+
+def h_prime(t):
+    u = t - math.pi
+    return 1.0 + (u * u + 2.0 * u) / (1.0 + u) ** 2
 
 
 def sample_coords(rng, rho_lo, rho_span=2.0):
@@ -62,40 +74,43 @@ def test_coframe_structure_equations():
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        BianchiProfile("bad", 0.0, 1.0, None, None, None, None, rho_ref=2.0)
+        BianchiProfile("bad", 0.0, 1.0, None, rho_ref=2.0)
     with pytest.raises(ValueError):
         eguchi_hanson_profile(-1.0)
     with pytest.raises(ValueError):
         biaxial_taubnut_profile(0.0)
-    with pytest.raises(ValueError):
-        EH.f(0.4)
+    for profile, rho in ((EH, 0.4), (EH, 0.5), (TN, 0.0), (TN, -1.0)):
+        with pytest.raises(ValueError):
+            profile.coefficients(rho)
     with pytest.raises(ValueError):
         ratio(1, EH, 0.3)
 
 
 # Leading coefficient behavior at both ends of each shipped profile, probed
-# 1e-4 inside a finite end and at rho = 1e4 toward infinity.
+# 1e-4 inside a finite end and at rho = 1e4 toward infinity.  The second
+# entry indexes the tuple (f, a, b, c).
 P = 1e-4
+F_, A_, B_, C_ = range(4)
 ENDPOINT_ROWS = [
-    (AH, "f", math.pi + P, -1.0), (AH, "a", math.pi + P, 2.0 * P),
-    (AH, "b", math.pi + P, math.pi), (AH, "c", math.pi + P, -math.pi),
-    (AH, "f", 1e4, -1.0), (AH, "a", 1e4, 1e4), (AH, "b", 1e4, 1e4), (AH, "c", 1e4, -2.0),
+    (AH, F_, math.pi + P, -1.0), (AH, A_, math.pi + P, 2.0 * P),
+    (AH, B_, math.pi + P, math.pi), (AH, C_, math.pi + P, -math.pi),
+    (AH, F_, 1e4, -1.0), (AH, A_, 1e4, 1e4), (AH, B_, 1e4, 1e4), (AH, C_, 1e4, -2.0),
     # Eguchi-Hanson bolt: f ~ sqrt(a/4) (r - a)^(-1/2), c ~ 2 sqrt(a) (r - a)^(1/2)
-    (EH, "a", 0.5 + P, 0.5), (EH, "b", 0.5 + P, 0.5),
-    (EH, "f", 0.5 + P, math.sqrt(0.5 / 4.0) * P ** -0.5),
-    (EH, "c", 0.5 + P, 2.0 * math.sqrt(0.5) * P ** 0.5),
-    (EH, "f", 1e4, 1.0), (EH, "a", 1e4, 1e4), (EH, "b", 1e4, 1e4), (EH, "c", 1e4, 1e4),
+    (EH, A_, 0.5 + P, 0.5), (EH, B_, 0.5 + P, 0.5),
+    (EH, F_, 0.5 + P, math.sqrt(0.5 / 4.0) * P ** -0.5),
+    (EH, C_, 0.5 + P, 2.0 * math.sqrt(0.5) * P ** 0.5),
+    (EH, F_, 1e4, 1.0), (EH, A_, 1e4, 1e4), (EH, B_, 1e4, 1e4), (EH, C_, 1e4, 1e4),
     # Taub-NUT (m = 1) at the nut: f ~ -sqrt(m) rho^(-1/2), a, b, c ~ sqrt(m) rho^(1/2)
-    (TN, "f", P, -P ** -0.5), (TN, "a", P, P ** 0.5), (TN, "b", P, P ** 0.5),
-    (TN, "c", P, P ** 0.5),
-    (TN, "f", 1e4, -1.0), (TN, "a", 1e4, 1e4), (TN, "b", 1e4, 1e4), (TN, "c", 1e4, 1.0),
+    (TN, F_, P, -P ** -0.5), (TN, A_, P, P ** 0.5), (TN, B_, P, P ** 0.5),
+    (TN, C_, P, P ** 0.5),
+    (TN, F_, 1e4, -1.0), (TN, A_, 1e4, 1e4), (TN, B_, 1e4, 1e4), (TN, C_, 1e4, 1.0),
 ]
 
 
 def test_endpoint_data_consistent():
-    for profile, name, rho, expected in ENDPOINT_ROWS:
-        value = getattr(profile, name)(rho)
-        assert value == pytest.approx(expected, rel=0.05), (profile.name, name, rho)
+    for profile, index, rho, expected in ENDPOINT_ROWS:
+        value = profile.coefficients(rho)[index]
+        assert value == pytest.approx(expected, rel=0.05), (profile.name, "fabc"[index], rho)
 
 
 # -- ratios against the displayed asymptotics --------------------------------
@@ -126,24 +141,145 @@ def test_eh_ratio1_near_bolt():
 def test_eh_profile_identities():
     # f^2 (1 - (a/r)^4) = 1 and C/r -> 1
     for r in (0.7, 1.5, 40.0):
-        assert EH.f(r) ** 2 * (1.0 - (0.5 / r) ** 4) == pytest.approx(1.0, rel=1e-14)
-    assert EH.c(1e5) / 1e5 == pytest.approx(1.0, rel=1e-12)
+        f = EH.coefficients(r)[0]
+        assert f ** 2 * (1.0 - (0.5 / r) ** 4) == pytest.approx(1.0, rel=1e-14)
+    assert EH.coefficients(1e5)[3] / 1e5 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_tn_profile_biaxial_and_ratio():
     for r in (0.2, 1.0, 7.0):
-        assert TN.a(r) == TN.b(r)
+        _, a, b, _ = TN.coefficients(r)
+        assert a == b
         V = 1.0 + 1.0 / r
         Vp = -1.0 / r ** 2
         assert ratio(3, TN, r) == pytest.approx(Vp / V, rel=1e-12)
+
+
+# -- coefficients(rho) against four-function oracles -------------------------
+#
+# Each oracle gives f, a, b, c of a profile as four separate functions, each
+# recomputing the shared blend weight, square root or change of variable.
+# `coefficients` computes that once per point and must return the same bits.
+
+def oracle_ah(band=None, blend="c2"):
+    lo, hi = band if band is not None else (math.pi + 1.0, math.pi + 2.0)
+    step = {"c2": smoothstep_c2, "c3": smoothstep_c3}[blend]
+
+    def w(rho):
+        return step((rho - lo) / (hi - lo))
+
+    def mix(near, far):
+        return lambda rho: (1.0 - w(rho)) * near(rho) + w(rho) * far(rho)
+
+    return (lambda rho: -1.0, mix(lambda r: 2.0 * (r - math.pi), lambda r: r),
+            mix(lambda r: math.pi, lambda r: r), mix(lambda r: -math.pi, lambda r: -2.0))
+
+
+def oracle_eh(a_param):
+    def check(r):
+        if r <= a_param:
+            raise ValueError(f"r = {r} is outside the domain (a, inf)")
+        return 1.0 - (a_param / r) ** 4
+
+    return (lambda r: 1.0 / math.sqrt(check(r)), lambda r: r, lambda r: r,
+            lambda r: r * math.sqrt(check(r)))
+
+
+def oracle_tn(m):
+    def V(r):
+        if r <= 0:
+            raise ValueError("r must be positive")
+        return 1.0 + m / r
+
+    return (lambda r: -math.sqrt(V(r)), lambda r: r * math.sqrt(V(r)),
+            lambda r: r * math.sqrt(V(r)), lambda r: m / math.sqrt(V(r)))
+
+
+def oracle_reparam(fabc, h, h_prime):
+    f, a, b, c = fabc
+    return (lambda t: f(h(t)) * h_prime(t), lambda t: a(h(t)), lambda t: b(h(t)),
+            lambda t: c(h(t)))
+
+
+def oracle_profile(profile, fabc):
+    """`profile` with its coefficients taken from four separate functions."""
+    return BianchiProfile(profile.name, profile.rho_min, profile.rho_max,
+                          lambda rho: tuple(g(rho) for g in fabc),
+                          profile.rho_ref, profile.biaxial)
+
+
+def band_points(lo, hi):
+    """About 200 points below, inside and above a blend band, both ends included."""
+    below = math.pi + np.geomspace(1e-9, lo - math.pi, 65, endpoint=False)
+    inside = np.linspace(lo, hi, 71)
+    above = hi + np.geomspace(1e-9, 1e4, 60)
+    ends = [np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf), lo + 1e-12, hi - 1e-12]
+    return np.concatenate([below, inside, above, ends])
+
+
+AH_OTHER = atiyah_hitchin_model_profile(band=(math.pi + 0.8, math.pi + 2.5), blend="c3")
+AH_REPARAM = reparametrize(AH, h, h_prime, math.pi, math.inf, math.pi + 0.8)
+
+ORACLE_CASES = {
+    "ah-c2": (AH, oracle_ah(), band_points(math.pi + 1.0, math.pi + 2.0)),
+    "ah-c3-other-band": (AH_OTHER, oracle_ah((math.pi + 0.8, math.pi + 2.5), "c3"),
+                         band_points(math.pi + 0.8, math.pi + 2.5)),
+    "ah-c3-default-band": (atiyah_hitchin_model_profile(blend="c3"), oracle_ah(blend="c3"),
+                           band_points(math.pi + 1.0, math.pi + 2.0)),
+    "ah-c2-other-band": (atiyah_hitchin_model_profile(band=(math.pi + 0.8, math.pi + 2.5)),
+                         oracle_ah((math.pi + 0.8, math.pi + 2.5)),
+                         band_points(math.pi + 0.8, math.pi + 2.5)),
+    "eh-bolt": (EH, oracle_eh(0.5), 0.5 + np.geomspace(1e-12, 1e4, 200)),
+    "tn-nut": (TN, oracle_tn(1.0), np.geomspace(1e-12, 1e4, 200)),
+    "reparam": (AH_REPARAM, oracle_reparam(oracle_ah(), h, h_prime),
+                math.pi + np.geomspace(1e-9, 1e4, 200)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_coefficients_match_four_function_oracle(case):
+    profile, fabc, points = ORACLE_CASES[case]
+    assert len(points) >= 200
+    # the suite passes both Python floats and numpy scalars
+    for rho in points.tolist() + list(points[::7]):
+        expected = tuple(g(rho) for g in fabc)
+        got = profile.coefficients(rho)
+        assert got == expected, (case, rho, got, expected)
+        assert [type(x) for x in got] == [type(x) for x in expected], (case, rho)
+
+
+def classify_recording_anchors(profile, monkeypatch):
+    """classify_l2 together with the anchor table of every closedness solution."""
+    solutions = []
+
+    def recording(axis, prof):
+        solutions.append(ClosednessSolution(axis, prof))
+        return solutions[-1]
+
+    monkeypatch.setattr(bianchi, "solve_closedness", recording)
+    verdicts = classify_l2(profile)
+    monkeypatch.undo()
+    return verdicts, [(sol._anchors, sol._sorted) for sol in solutions]
+
+
+@pytest.mark.parametrize("case", ["ah-c2", "ah-c3-other-band", "eh-bolt", "tn-nut", "reparam"])
+def test_classification_matches_four_function_oracle(case, monkeypatch):
+    # the bianchi suite's five classify_l2 calls, on shipped and oracle-built profiles
+    profile, fabc, _ = ORACLE_CASES[case]
+    verdicts, anchors = classify_recording_anchors(profile, monkeypatch)
+    oracle_verdicts, oracle_anchors = classify_recording_anchors(
+        oracle_profile(profile, fabc), monkeypatch)
+    assert len(anchors) == 3 and anchors == oracle_anchors
+    assert verdicts == oracle_verdicts
+    for axis in (1, 2, 3):
+        assert verdicts[axis].fitted_exponents == oracle_verdicts[axis].fitted_exponents
 
 
 # -- closedness solutions -----------------------------------------------------
 
 def test_constant_ratio_closedness():
     prof = BianchiProfile("constant-ratio", 0.0, math.inf,
-                          f=lambda r: 1.0, a=lambda r: 1.0,
-                          b=lambda r: math.sqrt(2.0), c=lambda r: math.sqrt(2.0) / 2.0,
+                          lambda r: (1.0, 1.0, math.sqrt(2.0), math.sqrt(2.0) / 2.0),
                           rho_ref=1.0)
     # fa/(bc) = 1/(sqrt2 * sqrt2/2) = 1 identically
     assert ratio(1, prof, 2.0) == pytest.approx(1.0)
@@ -302,6 +438,26 @@ def test_metric_positive_definite():
         assert np.linalg.eigvalsh(g).min() > 0
 
 
+@pytest.mark.parametrize("profile,rho_lo", [(AH, math.pi + 0.3), (EH, 0.7), (TN, 0.4)],
+                         ids=["ah", "eh", "tn"])
+def test_closedness_residual_sees_perturbed_solution(profile, rho_lo):
+    # F solved for the profile with c scaled by 1.01 is off the closedness ODE
+    # of the profile itself: the suite's bound 1e-6 must refuse it on every axis
+    def scaled_c(rho):
+        f, a, b, c = profile.coefficients(rho)
+        return f, a, b, 1.01 * c
+
+    perturbed = BianchiProfile(f"{profile.name}[c*1.01]", profile.rho_min, profile.rho_max,
+                               scaled_c, profile.rho_ref, profile.biaxial)
+    rng = np.random.default_rng(22)
+    for _ in range(2):
+        coords = sample_coords(rng, rho_lo)
+        for axis in (1, 2, 3):
+            exact = closedness_residual(axis, profile, coords, solve_closedness(axis, profile))
+            off = closedness_residual(axis, profile, coords, solve_closedness(axis, perturbed))
+            assert exact <= 1e-6 < off, (axis, exact, off)
+
+
 # -- classification ------------------------------------------------------------
 
 def test_classify_atiyah_hitchin():
@@ -349,14 +505,6 @@ def test_verdicts_interpolant_independent():
 
 
 def test_verdicts_reparametrization_invariant():
-    def h(t):
-        u = t - math.pi
-        return math.pi + u + u * u / (1.0 + u)
-
-    def h_prime(t):
-        u = t - math.pi
-        return 1.0 + (u * u + 2.0 * u) / (1.0 + u) ** 2
-
     reparam = reparametrize(AH, h, h_prime, math.pi, math.inf, math.pi + 0.8)
     v1 = {ax: (v.integrable, v.divergent_endpoints) for ax, v in classify_l2(AH).items()}
     v2 = {ax: (v.integrable, v.divergent_endpoints) for ax, v in classify_l2(reparam).items()}

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hkforms.exterior import FormVector, hodge_star, inner, wedge
+from hkforms.exterior import FormVector, basis_indices, hodge_star, inner, wedge
 from hkforms.exterior.forms import form_gram, merge_sign
 
 
 def random_form(rng, dim, degree):
-    from hkforms.exterior import basis_indices
     coeffs = {b: complex(rng.standard_normal(), rng.standard_normal())
               for b in basis_indices(dim, degree)}
     return FormVector(dim, coeffs)
@@ -118,3 +119,47 @@ def test_star_pairing_against_inner():
     expected = sum(a.coeffs.get(k, 0) * b.coeffs.get(k, 0)
                    for k in set(a.coeffs) | set(b.coeffs))
     assert top.coeffs.get((0, 1, 2, 3), 0) == pytest.approx(expected)
+
+
+# -- properties on random sparse forms at dims 4 and 8 ------------------------
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+DIMS = st.sampled_from((4, 8))
+COEFFS = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+def draw_form(data, dim, degree):
+    keys = data.draw(st.lists(st.sampled_from(basis_indices(dim, degree)),
+                              min_size=1, max_size=5, unique=True))
+    return FormVector(dim, {k: data.draw(COEFFS) for k in keys})
+
+
+def draw_degrees(data, dim, count):
+    """Degrees of `count` forms whose product is not zero for degree reasons."""
+    degrees = []
+    for _ in range(count):
+        degrees.append(data.draw(st.integers(0, dim - sum(degrees))))
+    return degrees
+
+
+@PROPERTY
+@given(DIMS, st.data())
+def test_wedge_graded_commutativity_property(dim, data):
+    p, q = draw_degrees(data, dim, 2)
+    a, b = draw_form(data, dim, p), draw_form(data, dim, q)
+    assert wedge(a, b).isclose((-1.0) ** (p * q) * wedge(b, a), 1e-12)
+
+
+@PROPERTY
+@given(DIMS, st.data())
+def test_wedge_associativity_property(dim, data):
+    a, b, c = (draw_form(data, dim, d) for d in draw_degrees(data, dim, 3))
+    assert wedge(wedge(a, b), c).isclose(wedge(a, wedge(b, c)), 1e-12)
+
+
+@PROPERTY
+@given(DIMS, st.data())
+def test_hodge_star_sign_property(dim, data):
+    p = data.draw(st.integers(0, dim))
+    a = draw_form(data, dim, p)
+    assert hodge_star(hodge_star(a)).isclose((-1.0) ** (p * (dim - p)) * a, 1e-12)

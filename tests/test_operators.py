@@ -24,6 +24,8 @@ from hkforms.exterior import (
     type_components,
     verify_so5,
 )
+from hkforms.exterior.forms import merge_sign
+from hkforms.exterior.operators import derivation_matrix
 
 Q4 = QuaternionicStructure(4)
 Q8 = QuaternionicStructure(8)
@@ -117,6 +119,40 @@ def test_adjointness_with_scaled_metric():
         lhs = inner(algs.lefschetz(1, a), b, metric=Qs.metric)
         rhs = inner(a, algs.lefschetz_adjoint(1, b), metric=Qs.metric)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def derivation_matrix_oracle(A, degree):
+    """Reference loop: reads every A[m, b] as a numpy scalar and skips zeros."""
+    n = A.shape[0]
+    src = basis_indices(n, degree)
+    idx = {t: r for r, t in enumerate(src)}
+    M = np.zeros((len(src), len(src)))
+    for col, B in enumerate(src):
+        for pos, b in enumerate(B):
+            rest = B[:pos] + B[pos + 1:]
+            for m in range(n):
+                if A[m, b] == 0.0:
+                    continue
+                s, merged = merge_sign((m,), rest)
+                if s != 0:
+                    M[idx[merged], col] += s * (-1) ** pos * A[m, b]
+    return M
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_derivation_matrix_matches_dense_loop(dim):
+    # same accumulation order, so equal bits: sparse random matrices with
+    # signed zeros, and the -I^T the sigma blocks are built from
+    rng = np.random.default_rng(40 + dim)
+    Q = Q4 if dim == 4 else Q8
+    matrices = [-Q.complex_structure(axis).T for axis in (1, 2, 3)]
+    for _ in range(4):
+        A = rng.standard_normal((dim, dim)) * (rng.random((dim, dim)) < 0.4)
+        matrices.append(np.where(rng.random((dim, dim)) < 0.2, -0.0, A))
+    for A in matrices:
+        for degree in range(dim + 1):
+            got, expected = derivation_matrix(A, degree), derivation_matrix_oracle(A, degree)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), degree
 
 
 def test_su2_bracket():
