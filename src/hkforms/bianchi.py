@@ -226,11 +226,11 @@ def anti_self_duality_residual(axis: int, profile: BianchiProfile,
 
 
 def wedge_density_cross_check(axis: int, profile: BianchiProfile, coords: np.ndarray,
-                              F: ClosednessSolution) -> tuple[float, float]:
-    """(-phi^phi coefficient, displayed density): equal for anti-self-dual phi.
+                              F: ClosednessSolution) -> float:
+    """Relative gap between -phi ^ phi and the displayed density 2 F^2 ratio.
 
     -phi ^ phi is read off against drho ^ s1 ^ s2 ^ s3 through the coordinate
-    volume; compared with 2 F^2 ratio.
+    volume; the two agree for anti-self-dual phi.
     """
     B = ansatz_form_matrix(axis, profile, coords, F)
     # coefficient of -phi^phi on dtheta-ordered coordinates
@@ -240,8 +240,8 @@ def wedge_density_cross_check(axis: int, profile: BianchiProfile, coords: np.nda
         s, _ = merge_sign((i, j), kl)
         coeff += -B[i, j] * B[kl[0], kl[1]] * s
     # drho^s1^s2^s3 = -sin(theta) in coordinates
-    theta = coords[1]
-    return coeff / (-math.sin(theta)), l2_density(axis, profile, coords[0], F)
+    density = l2_density(axis, profile, coords[0], F)
+    return abs(coeff / (-math.sin(coords[1])) - density) / abs(density)
 
 
 # ---------------------------------------------------------------------------

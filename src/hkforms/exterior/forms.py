@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -65,14 +65,6 @@ class FormVector:
     def zero(dim: int) -> "FormVector":
         return FormVector(dim, {})
 
-    @staticmethod
-    def scalar(dim: int, value: complex = 1.0) -> "FormVector":
-        return FormVector(dim, {(): value})
-
-    @staticmethod
-    def basis(dim: int, index: Iterable[int]) -> "FormVector":
-        return FormVector(dim, {tuple(index): 1.0})
-
     # -- structure ---------------------------------------------------------
 
     def degrees(self) -> set[int]:
@@ -122,9 +114,6 @@ class FormVector:
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
-
-    def isclose(self, other: "FormVector", tol: float = 1e-12) -> bool:
-        return (self - other).norm() <= tol
 
     def _check_dim(self, other: "FormVector"):
         if self.dim != other.dim:

@@ -14,6 +14,7 @@ Conventions, fixed once and verified by the commutator suite:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,12 @@ def derivation_matrix(A: np.ndarray, degree: int) -> np.ndarray:
         for pos, b in enumerate(B):
             rest = B[:pos] + B[pos + 1:]
             for m, x in nonzero[b]:
-                s, merged = merge_sign((m,), rest)
-                if s != 0:
-                    # the new factor sits at slot pos; hopping to the front costs (-1)^pos
-                    M[idx[merged], col] += s * (-1) ** pos * x
+                i = bisect_left(rest, m)
+                if i < len(rest) and rest[i] == m:
+                    continue
+                # m moves from the front to slot i at the cost (-1)^i, and the
+                # new factor hops from slot pos to the front at the cost (-1)^pos
+                M[idx[rest[:i] + (m,) + rest[i:]], col] += (-1) ** i * (-1) ** pos * x
     return M
 
 

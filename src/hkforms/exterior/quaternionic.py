@@ -81,10 +81,6 @@ class QuaternionicStructure:
         """Antisymmetric coefficient matrix of omega_i."""
         return self.complex_structure(axis).T @ self.metric
 
-    def holomorphic_symplectic(self) -> FormVector:
-        """omega^c = omega_2 + i omega_3, the holomorphic symplectic form for I."""
-        return self.omega(2) + 1j * self.omega(3)
-
     def _validate(self):
         tol = 1e-12
         g = self.metric

@@ -29,6 +29,10 @@ from .numerics import (
 
 _AXIS_TOL = 1e-13
 
+# cutoff estimate |d chi| <= K/|x| and Killing-field growth |X| <= c1 |x| + c0
+_CUTOFF_K, _CUTOFF_C1, _CUTOFF_C0 = 1.0, 1.0, 0.0
+_CUTOFF_SAMPLES = 64
+
 
 @dataclass(frozen=True)
 class GHData:
@@ -91,7 +95,10 @@ def alpha_components(p: GHPoint, d: GHData) -> np.ndarray:
 
 
 def metric_at(p: GHPoint, d: GHData) -> np.ndarray:
-    """GH metric V dx^2 + V^{-1}(dtau + alpha)^2 in coordinates (x, tau)."""
+    """GH metric V dx^2 + V^{-1}(dtau + alpha)^2 in coordinates (x, tau).
+
+    Its last row is theta = V^{-1}(dtau + alpha), the metric dual of d/dtau.
+    """
     V = potential(p, d)
     a = alpha_components(p, d)
     g = np.zeros((4, 4))
@@ -100,13 +107,6 @@ def metric_at(p: GHPoint, d: GHData) -> np.ndarray:
     g[3, :3] = a / V
     g[3, 3] = 1.0 / V
     return g
-
-
-def theta_form(p: GHPoint, d: GHData) -> np.ndarray:
-    """Components of theta = V^{-1}(dtau + alpha), the dual of d/dtau."""
-    V = potential(p, d)
-    a = alpha_components(p, d)
-    return np.array([a[0] / V, a[1] / V, a[2] / V, 1.0 / V])
 
 
 def _grad_V(p: GHPoint, d: GHData) -> np.ndarray:
@@ -216,18 +216,18 @@ def shell_volume(d: GHData, r: float) -> float:
     return d.tau_period * 4.0 * math.pi * (7.0 * r ** 3 / 3.0 + 1.5 * d.m * r ** 2)
 
 
-def cutoff_cross_term(d: GHData, r: float, K: float = 1.0, c1: float = 1.0,
-                      c0: float = 0.0, samples: int = 64,
-                      seed: int = 0) -> float:
+def cutoff_cross_term(d: GHData, r: float, seed: int = 0) -> float:
     """Numeric surrogate for the annulus cross-term in the cutoff argument.
 
-    sup over the shell of (K/|x|) (c1 |x| + c0) |dtheta|_g, times the square
-    root of the shell volume; tends to zero as r grows because |dtheta|
-    decays two powers faster than the linear growth of the cutoff estimate.
+    sup over _CUTOFF_SAMPLES random shell points of (K/|x|) (c1 |x| + c0)
+    |dtheta|_g, times the square root of the shell volume; tends to zero as r
+    grows because |dtheta| decays two powers faster than the linear growth of
+    the cutoff estimate.
     """
+    K, c1, c0 = _CUTOFF_K, _CUTOFF_C1, _CUTOFF_C0
     rng = np.random.default_rng(seed)
     sup = 0.0
-    for _ in range(samples):
+    for _ in range(_CUTOFF_SAMPLES):
         u = rng.standard_normal(3)
         u /= np.linalg.norm(u)
         s = r * (1.0 + rng.random())

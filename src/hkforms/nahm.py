@@ -29,13 +29,16 @@ together, so the residual is convention-independent).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import PAULI, composite_simpson, grid_derivative
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+# amplitude of the polynomial bump behind the default gauge path and the gauge tangent
+_BUMP_AMPLITUDE = 0.3
 
 
 @dataclass(frozen=True)
@@ -62,16 +65,9 @@ class ResidueTriple:
     def k(self) -> int:
         return self.rho[0].shape[0]
 
-    def spans_su2(self) -> bool:
-        """Irreducibility for k = 2: the triple spans trace-free anti-hermitians."""
-        flat = np.array([r.ravel() for r in self.rho])
-        return np.linalg.matrix_rank(flat, tol=1e-10) == 3
 
-
-def standard_residues(k: int = 2) -> ResidueTriple:
+def standard_residues() -> ResidueTriple:
     """rho_i = (i/2) Pauli_i, the irreducible su(2) residues for k = 2."""
-    if k != 2:
-        raise ValueError("only the k = 2 representation is built in")
     return ResidueTriple(tuple(0.5j * s for s in PAULI))
 
 
@@ -178,13 +174,9 @@ def gauge_transform(state: NahmState, g: np.ndarray,
     return NahmState(state.s, (B0,) + rest, state.residues)
 
 
-def bump_gauge_path(state: NahmState, direction: np.ndarray,
-                    amplitude: float = 0.3) -> tuple[np.ndarray, np.ndarray]:
-    """Smooth unitary path equal to the identity at both grid ends.
-
-    Returns (g, g') with the derivative analytic, g = exp(phi(s) xi) for an
-    anti-hermitian direction xi and a polynomial bump phi.
-    """
+def _gauge_bump(state: NahmState, direction: np.ndarray,
+                amplitude: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xi, phi, phi') for anti-hermitian xi and phi = amplitude (t(1-t))^3, t in [0, 1]."""
     xi = np.asarray(direction, dtype=complex)
     if np.abs(xi + xi.conj().T).max() > 1e-12:
         raise ValueError("gauge direction must be anti-hermitian")
@@ -192,6 +184,17 @@ def bump_gauge_path(state: NahmState, direction: np.ndarray,
     t = (s - s[0]) / (s[-1] - s[0])
     phi = amplitude * (t * (1.0 - t)) ** 3
     phi_prime = amplitude * 3.0 * (t * (1.0 - t)) ** 2 * (1.0 - 2.0 * t) / (s[-1] - s[0])
+    return xi, phi, phi_prime
+
+
+def bump_gauge_path(state: NahmState, direction: np.ndarray,
+                    amplitude: float = _BUMP_AMPLITUDE) -> tuple[np.ndarray, np.ndarray]:
+    """Smooth unitary path equal to the identity at both grid ends.
+
+    Returns (g, g') with the derivative analytic, g = exp(phi(s) xi) for an
+    anti-hermitian direction xi and a polynomial bump phi.
+    """
+    xi, phi, phi_prime = _gauge_bump(state, direction, amplitude)
     evals, evecs = np.linalg.eig(xi)
     g = (evecs * np.exp(np.outer(phi, evals))[:, None, :]) @ np.linalg.inv(evecs)
     g_prime = phi_prime[:, None, None] * (g @ xi)
@@ -238,14 +241,16 @@ def translation_tangent(state: NahmState, x: np.ndarray) -> TangentState:
     return TangentState(state.s, tuple(comps))
 
 
-def gauge_tangent(state: NahmState, xi: np.ndarray,
-                  xi_prime: np.ndarray | None = None) -> TangentState:
-    """Gauge-orbit direction (xi' + [B_0, xi], [B_1, xi], [B_2, xi], [B_3, xi])."""
-    xi = np.asarray(xi, dtype=complex)
-    if xi_prime is None:
-        xi_prime = grid_derivative(xi, state.h, 6)
-    A0 = xi_prime + _comm(state.B[0], xi)
-    rest = tuple(_comm(state.B[i], xi) for i in (1, 2, 3))
+def gauge_tangent(state: NahmState, direction: np.ndarray) -> TangentState:
+    """Gauge-orbit direction (X' + [B_0, X], [B_1, X], [B_2, X], [B_3, X]).
+
+    X = phi(s) xi is the generator of the default `bump_gauge_path` along the
+    same direction: the tangent at the identity of the paths exp(lambda X).
+    """
+    xi, phi, phi_prime = _gauge_bump(state, direction, _BUMP_AMPLITUDE)
+    X = phi[:, None, None] * xi
+    A0 = phi_prime[:, None, None] * xi + _comm(state.B[0], X)
+    rest = tuple(_comm(state.B[i], X) for i in (1, 2, 3))
     return TangentState(state.s, (A0,) + rest)
 
 
@@ -293,14 +298,12 @@ def euler_exponents(rho: tuple) -> np.ndarray:
     return np.sort_complex(np.linalg.eigvals(_euler_operator(rho)))
 
 
-def ivp_tangent(state: NahmState, scalars: np.ndarray,
-                directions: tuple | None = None,
-                seed: int = 0) -> TangentState:
+def ivp_tangent(state: NahmState, scalars: np.ndarray, seed: int = 0) -> TangentState:
     """Linearized solution from the left end of a one-pole state, in closed form.
 
-    Initial data A_i(eps) = scalars_i * i * Id + eps * eta_i with anti-hermitian
-    eta_i, which is the admissible near-pole shape (scalar plus a vanishing
-    correction).  The gauge slice is A_0 = 0 and the state must be the exact
+    Initial data A_i(eps) = scalars_i * i * Id + eps * eta_i with random
+    anti-hermitian eta_i drawn from `seed`, which is the admissible near-pole
+    shape (scalar plus a vanishing correction).  The gauge slice is A_0 = 0 and the state must be the exact
     one-pole background, around which the flow is the Euler system
     s A' = M A (see `euler_exponents`).  Its solution
     A(s) = V diag((s/eps)^lambda) V^-1 A(eps), with M = V diag(lambda) V^-1,
@@ -314,13 +317,11 @@ def ivp_tangent(state: NahmState, scalars: np.ndarray,
     if np.abs(state.B[0]).max() > 0:
         raise ValueError("IVP integration assumes the B_0 = 0 one-pole gauge")
     k = state.k
-    if directions is None:
-        rng = np.random.default_rng(seed)
-        directions = []
-        for _ in range(3):
-            M = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-            directions.append(0.5 * (M - M.conj().T))
-        directions = tuple(directions)
+    rng = np.random.default_rng(seed)
+    directions = []
+    for _ in range(3):
+        M = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        directions.append(0.5 * (M - M.conj().T))
     eps = state.eps
     start = np.concatenate([(1j * scalars[i] * np.eye(k) + eps * directions[i]).ravel()
                             for i in range(3)])

@@ -104,47 +104,21 @@ class FlatCotangentSpace:
         """Antisymmetric coefficient matrix of omega_axis (flat metric), read-only."""
         return self._omegas[axis - 1]
 
-    def canonical_pairing(self, X: np.ndarray, Y: np.ndarray) -> complex:
-        """sum_j dz_j ^ dw_j evaluated on two real tangents."""
-        zX, wX = self.to_complex(X)
-        zY, wY = self.to_complex(Y)
-        return complex(np.sum(zX * wY - zY * wX))
-
-
-def cotangent_moment(Y_base: Callable[[np.ndarray], np.ndarray],
-                     z: np.ndarray, w: np.ndarray) -> complex:
-    """Canonical cotangent-lift moment: the tautological form on the lift.
-
-    For a holomorphic-affine base field this reproduces the displayed complex
-    moment maps of both models.
-    """
-    return complex(np.sum(np.asarray(w) * np.asarray(Y_base(np.asarray(z)))))
-
 
 @dataclass(frozen=True)
 class GroupActionSpec:
-    """One-parameter isometry group with its hyperkahler moment maps."""
+    """One-parameter isometry group of T*C^2 with its hyperkahler moment maps."""
 
     model: str
     level_shift: float = 0.0
-    n: int = 2
     space: FlatCotangentSpace = field(init=False)
 
     def __post_init__(self):
         if self.model not in ("taubnut_R", "calabi_circle"):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.model == "taubnut_R" and self.n != 2:
-            raise ValueError("the translation-rotation model lives on T*C^2")
-        object.__setattr__(self, "space", FlatCotangentSpace(self.n))
+        object.__setattr__(self, "space", FlatCotangentSpace(2))
 
-    # -- the action -----------------------------------------------------------
-
-    def act(self, t: float, z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z, w = np.array(z, dtype=complex), np.array(w, dtype=complex)
-        if self.model == "taubnut_R":
-            return (np.array([np.exp(1j * t) * z[0], z[1] + t]),
-                    np.array([np.exp(-1j * t) * w[0], w[1]]))
-        return np.exp(1j * t) * z, np.exp(-1j * t) * w
+    # -- the infinitesimal action ---------------------------------------------
 
     def generator(self, z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.model == "taubnut_R":
@@ -189,7 +163,7 @@ class QuotientChart:
 
     * taubnut_R: u = (Re z_1, Im z_1, Re w_1, Im w_1); the R-orbit slice is
       Re z_2 = 0 and the moment equations give z_2, w_2 in closed form.
-    * calabi_circle (n = 2): u = (Re zeta, Im zeta, Re eta, Im eta) with
+    * calabi_circle: u = (Re zeta, Im zeta, Re eta, Im eta) with
       z = mu (1, zeta), w = eta (-zeta, 1); the phase gauge makes z . conj(v0)
       real-positive for the fiducial vector v0 = (1, 0).
 
@@ -206,8 +180,6 @@ class QuotientChart:
     fd_step = 1e-4   # finite-difference step of every chart derivative
 
     def __init__(self, spec: GroupActionSpec):
-        if spec.n != 2:
-            raise ValueError("charts are implemented for the 4-dimensional quotients (n = 2)")
         self.spec = spec
         self._frames: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -279,11 +251,6 @@ class QuotientChart:
     def chart_tangents(self, u: np.ndarray) -> np.ndarray:
         """Horizontal lifts of the chart-coordinate directions (as columns)."""
         return self._frame(u)[2]
-
-    def metric(self, u: np.ndarray) -> np.ndarray:
-        """Gram matrix of the quotient metric on chart-coordinate directions."""
-        T = self.chart_tangents(u)
-        return T.T @ T
 
     def kahler_form(self, axis: int, u: np.ndarray) -> np.ndarray:
         """Pushed-down omega_axis as an antisymmetric chart matrix."""
@@ -443,27 +410,20 @@ def calabi_orbit_data(chart: QuotientChart, t: float) -> dict:
     """Biaxial metric data along the ray z = (sqrt(1+t^2), 0), w = (0, t).
 
     Returns the squared coefficients of the quotient metric against
-    (d/dt, E_1, E_2, E_3): the radial factor and the three orbit coefficients.
+    (d/dt, E_1, E_2, E_3): the radial factor f_sq and the three orbit
+    coefficients A_sq, B_sq, C_sq, with the largest off-diagonal entries
+    among the orbit directions (cross_max) and against d/dt (radial_cross).
     """
-    if chart.spec.model != "calabi_circle" or chart.spec.n != 2:
-        raise ValueError("orbit extraction is implemented for the n=2 circle model")
+    if chart.spec.model != "calabi_circle" or chart.spec.level_shift != 0.5:
+        raise ValueError("the ray lies on the level |z|^2 - |w|^2 = 1 of the circle model")
     space = chart.spec.space
-
     root = math.sqrt(1.0 + t * t)
-    p = space.to_real(np.array([root, 0.0]), np.array([0.0, t]))
-    P = chart.projector(p)
-    fields = []
-    for E in su2_generators():
-        z, w = space.to_complex(p)
-        fields.append(space.to_real(E @ z, np.conj(E) @ w))
-    gamma_dot = space.to_real(np.array([t / root, 0.0]), np.array([0.0, 1.0]))
-    out = {"t": t}
-    X = [P @ v for v in fields]
-    out["A_sq"] = float(X[0] @ X[0])
-    out["B_sq"] = float(X[1] @ X[1])
-    out["C_sq"] = float(X[2] @ X[2])
-    gd = P @ gamma_dot
-    out["f_sq"] = float(gd @ gd)
-    out["cross_max"] = max(abs(float(X[i] @ X[j])) for i in range(3) for j in range(3) if i != j)
-    out["radial_cross"] = max(abs(float(gd @ X[i])) for i in range(3))
-    return out
+    z, w = np.array([root, 0.0]), np.array([0.0, t])
+    P = chart.projector(space.to_real(z, w))
+    X = [P @ space.to_real(E @ z, np.conj(E) @ w) for E in su2_generators()]
+    gd = P @ space.to_real(np.array([t / root, 0.0]), np.array([0.0, 1.0]))
+    return {"A_sq": float(X[0] @ X[0]), "B_sq": float(X[1] @ X[1]),
+            "C_sq": float(X[2] @ X[2]), "f_sq": float(gd @ gd),
+            "cross_max": max(abs(float(X[i] @ X[j]))
+                             for i in range(3) for j in range(3) if i != j),
+            "radial_cross": max(abs(float(gd @ X[i])) for i in range(3))}

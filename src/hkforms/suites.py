@@ -30,7 +30,8 @@ from .exterior import (
     type_components,
     verify_so5,
 )
-from .quotient import GroupActionSpec, QuotientChart, growth_check
+from .numerics import partial_derivative
+from .quotient import GroupActionSpec, QuotientChart, calabi_orbit_data, growth_check
 from .report import ReportRecord, bounded, exact, flag
 
 SUITE_NAMES = ("algebra", "taubnut", "bianchi", "quotient", "nahm")
@@ -260,6 +261,7 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
 
     worst_closed = 0.0
     worst_asd = 0.0
+    worst_wedge = 0.0
     for profile, lo in ((ah, math.pi + 0.3), (eh, 0.7), (tn, 0.4)):
         coords = np.array([lo + 2.0 * rng.random(), 0.4 + 2.2 * rng.random(),
                            6.0 * rng.random(), 6.0 * rng.random()])
@@ -267,6 +269,7 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
             F = bx.solve_closedness(axis, profile)
             worst_closed = max(worst_closed, bx.closedness_residual(axis, profile, coords, F))
             worst_asd = max(worst_asd, bx.anti_self_duality_residual(axis, profile, coords, F))
+            worst_wedge = max(worst_wedge, bx.wedge_density_cross_check(axis, profile, coords, F))
     records.append(bounded("bianchi", "ansatz-closed", "finite-difference-d-phi",
                            worst_closed, 1e-6 * ts))
     records.append(bounded("bianchi", "ansatz-anti-self-dual", "star-plus-identity",
@@ -288,6 +291,8 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     dev = max(abs(c - constants[0]) for c in constants) / abs(constants[0])
     records.append(bounded("bianchi", "cross-module-proportionality",
                            "invariant-form-matches-gibbons-hawking", dev, 1e-6 * ts))
+    records.append(bounded("bianchi", "density-wedge-route", "minus-phi-wedge-phi-vs-density",
+                           worst_wedge, 1e-10 * ts))
 
     verdict_records = []
     for name, vmap in (("two-monopole", ah_v), ("eguchi-hanson", eh_v),
@@ -315,6 +320,21 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
 # ---------------------------------------------------------------------------
 # quotient
 # ---------------------------------------------------------------------------
+
+def _eguchi_hanson_deviation(chart: QuotientChart, profile: bx.BianchiProfile,
+                             t: float) -> float:
+    """Relative deviation at t of the Calabi orbit data along the ray from a profile.
+
+    The orbit coefficient A(t) is the profile's radius r.  The fiber coefficient
+    C^2 is compared with c(r)^2, and the radial factor with 2 f(r) dr/dt: the
+    factor 2 converts the profile's display to the coframe ds_1 = s_2 ^ s_3.
+    """
+    radius = lambda v: math.sqrt(calabi_orbit_data(chart, float(v[0]))["A_sq"])
+    d = calabi_orbit_data(chart, t)
+    f, _, _, c = profile.coefficients(math.sqrt(d["A_sq"]))
+    radial = 2.0 * f * partial_derivative(radius, np.array([t]), 0)
+    return max(abs(d["C_sq"] - c * c) / (c * c), abs(math.sqrt(d["f_sq"]) - radial) / radial)
+
 
 def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     rng = np.random.default_rng(config.seed + 3)
@@ -387,6 +407,20 @@ def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
             worst_tri = max(worst_tri, float(np.abs(L).max()))
     records.append(bounded("quotient", "taubnut-triholomorphic-circle",
                            "all-forms-invariant", worst_tri, 1e-5 * ts))
+
+    chart = QuotientChart(GroupActionSpec("calabi_circle", level_shift=0.5))
+    worst_orbit = 0.0
+    for t in (0.0, 0.4, 1.1):
+        d = calabi_orbit_data(chart, t)
+        worst_orbit = max(worst_orbit, abs(d["A_sq"] - d["B_sq"]), d["cross_max"],
+                          d["radial_cross"])
+    records.append(bounded("quotient", "calabi-orbit-biaxial", "su2-orbit-metric-biaxial",
+                           worst_orbit, 1e-10 * ts))
+    # the bolt radius A(0) = 1/2 fixes the Eguchi-Hanson parameter
+    eh = bx.eguchi_hanson_profile(math.sqrt(calabi_orbit_data(chart, 0.0)["A_sq"]))
+    worst_eh = max(_eguchi_hanson_deviation(chart, eh, t) for t in (0.25, 0.5, 0.9, 1.4, 2.0))
+    records.append(bounded("quotient", "calabi-is-eguchi-hanson", "orbit-metric-matches-profile",
+                           worst_eh, 1e-8 * ts))
     return records, details
 
 
@@ -467,6 +501,15 @@ def run_nahm(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
                         h_errs[0] > h_errs[1] > h_errs[2]))
     records.append(flag("nahm", "grid-halving-order", "observed-order-at-least-2",
                         bool(np.all(h_orders >= 2.0))))
+
+    for name, tangent, bound in (
+            ("translation", nahm.translation_tangent(state, np.array([0.7, -0.3, 1.1])), 1e-10),
+            ("gauge", nahm.gauge_tangent(state, xi), 1e-10),
+            ("pole-shift", nahm.pole_shift_tangent(state), 1e-6),
+            ("ivp", nahm.ivp_tangent(state, np.array([0.4, -0.2, 0.6]), seed=config.seed + 2),
+             1e-9)):
+        records.append(bounded("nahm", f"linearized-{name}", "linearized-nahm-equation",
+                               nahm.linearized_residual(tangent, state), bound * ts))
 
     details = {
         "epsilon": big.eps,

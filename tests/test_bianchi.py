@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hkforms import bianchi
+from hkforms import bianchi, suites
 from hkforms import gibbons_hawking as gh
 from hkforms.bianchi import (
     BianchiProfile,
@@ -427,8 +427,31 @@ def test_wedge_density_cross_check():
         coords = sample_coords(rng, rho_lo)
         for axis in (1, 2, 3):
             F = solve_closedness(axis, profile)
-            wedge_val, display_val = wedge_density_cross_check(axis, profile, coords, F)
-            assert wedge_val == pytest.approx(display_val, rel=1e-10)
+            assert wedge_density_cross_check(axis, profile, coords, F) <= 1e-10
+
+
+def test_wedge_route_record_sees_a_negated_coframe_row(monkeypatch):
+    # with the s_3 row negated, -phi ^ phi read against drho ^ s1 ^ s2 ^ s3 is
+    # minus the displayed density on every axis: a relative gap of 2
+    coframe = bianchi.coframe_rows
+
+    def negated_s3(theta, psi):
+        rows = coframe(theta, psi)
+        rows[3] = -rows[3]
+        return rows
+
+    monkeypatch.setattr(bianchi, "coframe_rows", negated_s3)
+    rng = np.random.default_rng(18)
+    for profile, rho_lo in ((AH, math.pi + 0.3), (EH, 0.7), (TN, 0.4)):
+        coords = sample_coords(rng, rho_lo)
+        for axis in (1, 2, 3):
+            F = solve_closedness(axis, profile)
+            assert wedge_density_cross_check(axis, profile, coords, F) == \
+                pytest.approx(2.0, rel=1e-12)
+    records, _ = suites.run_bianchi(suites.SuiteConfig(seed=7))
+    record = next(r for r in records if r.check == "density-wedge-route")
+    assert not record.passed
+    assert record.measured == pytest.approx(2.0, rel=1e-12)
 
 
 def test_metric_positive_definite():

@@ -130,7 +130,7 @@ def test_bianchi_suite_schema():
         "two-monopole-verdicts", "two-monopole-endpoint-exponent", "eguchi-hanson-verdicts",
         "biaxial-taubnut-verdicts", "interpolant-independence",
         "reparametrization-independence", "ansatz-closed", "ansatz-anti-self-dual",
-        "cross-module-proportionality"]
+        "cross-module-proportionality", "density-wedge-route"]
     assert all(r.passed for r in records)
     assert set(details) == {"verdicts", "density_profile", "proportionality_constant"}
     profiles = {"two-monopole": bx.atiyah_hitchin_model_profile(),
@@ -154,6 +154,8 @@ def test_bianchi_suite_verdict_schema():
 def test_quotient_suite_schema():
     records, details = run_suite("quotient", SuiteConfig(seed=7))
     assert all(r.passed for r in records)
+    assert [r.check for r in records[-3:]] == [
+        "taubnut-triholomorphic-circle", "calabi-orbit-biaxial", "calabi-is-eguchi-hanson"]
     for tag in ("taubnut", "calabi"):
         entry = details[tag]
         assert set(entry) == {"model", "grid", "max_residuals", "growth"}
@@ -164,6 +166,9 @@ def test_quotient_suite_schema():
 def test_nahm_suite_schema():
     records, details = run_suite("nahm", SuiteConfig(seed=7))
     assert all(r.passed for r in records)
+    assert [r.check for r in records[-5:]] == [
+        "grid-halving-order", "linearized-translation", "linearized-gauge",
+        "linearized-pole-shift", "linearized-ivp"]
     rec = details["record"]
     for key in ("epsilon", "h", "nahm_residual", "lhs", "rhs", "boundary", "rel_err"):
         assert key in rec

@@ -16,14 +16,14 @@ def random_form(rng, dim, degree):
 
 
 def test_wedge_basis_case():
-    e0 = FormVector.basis(4, (0,))
-    e1 = FormVector.basis(4, (1,))
+    e0 = FormVector(4, {(0,): 1.0})
+    e1 = FormVector(4, {(1,): 1.0})
     assert wedge(e0, e1).coeffs == {(0, 1): 1.0 + 0j}
 
 
 def test_wedge_antisymmetry_on_sum():
     a = FormVector(4, {(0,): 1.0, (1,): 1.0})
-    e0 = FormVector.basis(4, (0,))
+    e0 = FormVector(4, {(0,): 1.0})
     assert wedge(a, e0).coeffs == {(0, 1): -1.0 + 0j}
 
 
@@ -34,20 +34,20 @@ def test_wedge_graded_commutativity():
         b = random_form(rng, 6, q)
         lhs = wedge(a, b)
         rhs = (-1.0) ** (p * q) * wedge(b, a)
-        assert lhs.isclose(rhs, 1e-12)
+        assert (lhs - rhs).norm() <= 1e-12
 
 
 def test_wedge_associative_bilinear():
     rng = np.random.default_rng(4)
     a, b, c = (random_form(rng, 5, d) for d in (1, 1, 2))
-    assert wedge(wedge(a, b), c).isclose(wedge(a, wedge(b, c)), 1e-12)
+    assert (wedge(wedge(a, b), c) - wedge(a, wedge(b, c))).norm() <= 1e-12
     s = 2.5 - 1.0j
-    assert wedge(s * a + b, c).isclose(s * wedge(a, c) + wedge(b, c), 1e-12)
+    assert (wedge(s * a + b, c) - (s * wedge(a, c) + wedge(b, c))).norm() <= 1e-12
 
 
 def test_wedge_dimension_mismatch():
     with pytest.raises(ValueError):
-        wedge(FormVector.basis(4, (0,)), FormVector.basis(8, (0,)))
+        wedge(FormVector(4, {(0,): 1.0}), FormVector(8, {(0,): 1.0}))
 
 
 def test_multi_index_validation():
@@ -64,14 +64,14 @@ def test_merge_sign_examples():
 
 
 def test_hodge_star_basis():
-    assert hodge_star(FormVector.basis(4, (0, 1))).coeffs == {(2, 3): 1.0 + 0j}
-    assert hodge_star(FormVector.scalar(4)).coeffs == {(0, 1, 2, 3): 1.0 + 0j}
+    assert hodge_star(FormVector(4, {(0, 1): 1.0})).coeffs == {(2, 3): 1.0 + 0j}
+    assert hodge_star(FormVector(4, {(): 1.0})).coeffs == {(0, 1, 2, 3): 1.0 + 0j}
 
 
 def test_hodge_star_involution_on_two_forms():
     rng = np.random.default_rng(5)
     a = random_form(rng, 4, 2)
-    assert hodge_star(hodge_star(a)).isclose(a, 1e-12)
+    assert (hodge_star(hodge_star(a)) - a).norm() <= 1e-12
 
 
 def test_hodge_star_sign_rule():
@@ -80,7 +80,7 @@ def test_hodge_star_sign_rule():
     for n, p in [(4, 1), (4, 3), (6, 2), (8, 3)]:
         a = random_form(rng, n, p)
         twice = hodge_star(hodge_star(a))
-        assert twice.isclose((-1.0) ** (p * (n - p)) * a, 1e-12)
+        assert (twice - (-1.0) ** (p * (n - p)) * a).norm() <= 1e-12
 
 
 def test_hodge_star_mixed_degree_rejected():
@@ -90,8 +90,8 @@ def test_hodge_star_mixed_degree_rejected():
 
 
 def test_hodge_orientation_flip():
-    a = FormVector.basis(4, (0, 1))
-    assert hodge_star(a, orientation=-1).isclose(-1.0 * hodge_star(a), 1e-15)
+    a = FormVector(4, {(0, 1): 1.0})
+    assert (hodge_star(a, orientation=-1) + hodge_star(a)).norm() <= 1e-15
 
 
 def test_inner_product_orthonormal():
@@ -104,7 +104,7 @@ def test_inner_product_orthonormal():
 def test_inner_product_scaled_metric():
     # with g = c^2 Id the 1-form Gram is c^{-2} Id
     g = 4.0 * np.eye(4)
-    a = FormVector.basis(4, (0,))
+    a = FormVector(4, {(0,): 1.0})
     assert inner(a, a, metric=g) == pytest.approx(0.25)
     assert form_gram(g, 2)[0, 0] == pytest.approx(1.0 / 16.0)
 
@@ -147,14 +147,14 @@ def draw_degrees(data, dim, count):
 def test_wedge_graded_commutativity_property(dim, data):
     p, q = draw_degrees(data, dim, 2)
     a, b = draw_form(data, dim, p), draw_form(data, dim, q)
-    assert wedge(a, b).isclose((-1.0) ** (p * q) * wedge(b, a), 1e-12)
+    assert (wedge(a, b) - (-1.0) ** (p * q) * wedge(b, a)).norm() <= 1e-12
 
 
 @PROPERTY
 @given(DIMS, st.data())
 def test_wedge_associativity_property(dim, data):
     a, b, c = (draw_form(data, dim, d) for d in draw_degrees(data, dim, 3))
-    assert wedge(wedge(a, b), c).isclose(wedge(a, wedge(b, c)), 1e-12)
+    assert (wedge(wedge(a, b), c) - wedge(a, wedge(b, c))).norm() <= 1e-12
 
 
 @PROPERTY
@@ -162,4 +162,4 @@ def test_wedge_associativity_property(dim, data):
 def test_hodge_star_sign_property(dim, data):
     p = data.draw(st.integers(0, dim))
     a = draw_form(data, dim, p)
-    assert hodge_star(hodge_star(a)).isclose((-1.0) ** (p * (dim - p)) * a, 1e-12)
+    assert (hodge_star(hodge_star(a)) - (-1.0) ** (p * (dim - p)) * a).norm() <= 1e-12

@@ -22,7 +22,6 @@ from hkforms.gibbons_hawking import (
     shell_integral,
     shell_volume,
     tail_decay,
-    theta_form,
     two_form_norm_sq,
 )
 
@@ -81,15 +80,16 @@ def test_metric_positive_definite_and_determinant():
 
 
 def test_theta_pairs_with_tau_direction():
+    # theta = V^{-1}(dtau + alpha), the metric dual of d/dtau, is the metric's last row
     for p in random_points(22, 10):
-        t = theta_form(p, D1)
+        t = metric_at(p, D1)[3]
         assert t[3] == pytest.approx(1.0 / potential(p, D1))
 
 
 def test_theta_norm_is_inverse_potential():
     for p in random_points(23, 20):
-        t = theta_form(p, D1)
         g = metric_at(p, D1)
+        t = g[3]
         val = t @ np.linalg.inv(g) @ t
         assert val == pytest.approx(1.0 / potential(p, D1), rel=1e-12)
 
@@ -103,8 +103,8 @@ def test_theta_global_across_patches():
         x1, x2, _ = p.x
         rho_sq = x1 * x1 + x2 * x2
         dphi = np.array([-x2 / rho_sq, x1 / rho_sq, 0.0, 0.0])
-        tn = theta_form(p, north)
-        ts = theta_form(p, south)
+        tn = metric_at(p, north)[3]
+        ts = metric_at(p, south)[3]
         converted = tn + tn[3] * 2.0 * north.m * dphi
         assert np.abs(converted - ts).max() <= 1e-12
 

@@ -70,13 +70,6 @@ def _rk4_tangent(state, scalars, seed):
     return result
 
 
-def bump_path_pair(state, direction):
-    t = (state.s - state.s[0]) / (state.s[-1] - state.s[0])
-    bump = (t * (1.0 - t)) ** 3
-    bump_prime = 3.0 * (t * (1.0 - t)) ** 2 * (1.0 - 2.0 * t) / (state.s[-1] - state.s[0])
-    return bump[:, None, None] * direction, bump_prime[:, None, None] * direction
-
-
 # -- residues -------------------------------------------------------------------
 
 def test_standard_residues_bracket():
@@ -90,7 +83,8 @@ def test_standard_residues_traceless_irreducible():
     res = standard_residues()
     for r in res.rho:
         assert abs(np.trace(r)) == 0
-    assert res.spans_su2()
+    # irreducible for k = 2: the triple spans the trace-free anti-hermitian matrices
+    assert np.linalg.matrix_rank(np.array([r.ravel() for r in res.rho]), tol=1e-10) == 3
 
 
 def test_bad_residues_rejected():
@@ -199,9 +193,23 @@ def test_translation_tangent_linearized():
 
 def test_gauge_tangent_linearized():
     state = one_pole_state(0.05, 1.0, 4001)
-    path, path_prime = bump_path_pair(state, XI)
-    tangent = gauge_tangent(state, path, path_prime)
-    assert linearized_residual(tangent, state) <= 1e-7
+    assert linearized_residual(gauge_tangent(state, XI), state) <= 1e-7
+
+
+def test_gauge_tangent_is_the_gauge_path_derivative():
+    # bump_gauge_path(state, -lam xi) moves the state along gauge_tangent(state, xi)
+    # to first order in lam
+    state = one_pole_state(0.1, 1.0, 1001)
+    tangent = gauge_tangent(state, XI)
+    gaps = []
+    for lam in (1e-3, 5e-4):
+        moved = gauge_transform(state, *bump_gauge_path(state, -lam * XI))
+        gaps.append(max(np.abs((a - b) / lam - t).max()
+                        for a, b, t in zip(moved.B, state.B, tangent.A)))
+    assert gaps[0] <= 1e-2
+    assert gaps[1] == pytest.approx(gaps[0] / 2.0, rel=1e-2)
+    with pytest.raises(ValueError):
+        gauge_tangent(state, np.eye(2))
 
 
 def test_bump_gauge_path_matches_per_node_exponential():
@@ -228,6 +236,18 @@ def test_finite_difference_gauge_family_tangent():
     fd = TangentState(state.s, tuple((a - b) / lam for a, b in zip(moved.B, state.B)))
     res = linearized_residual(fd, state)
     assert res <= 10.0 * lam
+
+
+def test_linearized_record_sees_a_scaled_tangent():
+    # the nahm/linearized-ivp inputs at seed 7: A_1 scaled by 1.01 is off the
+    # linearized flow by 2.8e-2, against the record's bound 1e-9
+    state = one_pole_state(0.1, 1.0, 2000)
+    tangent = ivp_tangent(state, np.array([0.4, -0.2, 0.6]), seed=9)
+    assert linearized_residual(tangent, state) <= 1e-10
+    A = list(tangent.A)
+    A[1] = 1.01 * A[1]
+    assert linearized_residual(TangentState(state.s, tuple(A)), state) == \
+        pytest.approx(2.8e-2, rel=0.05)
 
 
 def test_pole_shift_tangent_linearized():
@@ -353,8 +373,7 @@ def test_contraction_pole_shift_closed_forms():
 
 def test_contraction_gauge_tangent():
     state = one_pole_state(1e-3, 1.0, 20001)
-    path, path_prime = bump_path_pair(state, XI)
-    tangent = gauge_tangent(state, path, path_prime)
+    tangent = gauge_tangent(state, XI)
     psi, psi_prime = bumped_psi(state, ETA)
     report = contraction_identity(state, tangent, psi, psi_prime)
     assert report.scale > 1e-4         # nonzero integrands

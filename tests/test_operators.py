@@ -59,12 +59,12 @@ def test_omega_coefficients():
 def test_omegas_self_dual():
     for axis in (1, 2, 3):
         w = Q4.omega(axis)
-        assert hodge_star(w).isclose(w, 1e-14)
+        assert (hodge_star(w) - w).norm() <= 1e-14
 
 
 def test_lefschetz_on_scalars():
-    one = FormVector.scalar(4)
-    assert ALG4.lefschetz(1, one).isclose(Q4.omega(1), 1e-15)
+    one = FormVector(4, {(): 1.0})
+    assert (ALG4.lefschetz(1, one) - Q4.omega(1)).norm() <= 1e-15
 
 
 def test_lefschetz_operators_commute():
@@ -72,12 +72,12 @@ def test_lefschetz_operators_commute():
     a = random_form(rng, 4, 1)
     lhs = ALG4.lefschetz(1, ALG4.lefschetz(2, a))
     rhs = ALG4.lefschetz(2, ALG4.lefschetz(1, a))
-    assert lhs.isclose(rhs, 1e-12)
+    assert (lhs - rhs).norm() <= 1e-12
 
 
 def test_lefschetz_of_basis_one_form():
     # omega_1 ^ e0 = (e01 + e23) ^ e0 = e023: a single canonical coefficient
-    out = ALG4.lefschetz(1, FormVector.basis(4, (0,)))
+    out = ALG4.lefschetz(1, FormVector(4, {(0,): 1.0}))
     assert out.coeffs == {(0, 2, 3): 1.0 + 0j}
 
 
@@ -161,15 +161,15 @@ def test_su2_bracket():
     for (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         lhs = ALG4.su2_action(i, ALG4.su2_action(j, a)) \
             - ALG4.su2_action(j, ALG4.su2_action(i, a))
-        assert lhs.isclose(2.0 * ALG4.su2_action(k, a), 1e-10)
+        assert (lhs - 2.0 * ALG4.su2_action(k, a)).norm() <= 1e-10
 
 
 def test_su2_eigenvalue_on_holomorphic_symplectic():
     # omega^c = omega_2 + i omega_3 is the (2,0)-form for I; the quaternion
     # action normalization gives sigma_1 eigenvalue i(q - p) = -2i on it.
-    wc = Q4.holomorphic_symplectic()
+    wc = Q4.omega(2) + 1j * Q4.omega(3)
     out = ALG4.su2_action(1, wc)
-    assert out.isclose(-2.0j * wc, 1e-12)
+    assert (out + 2.0j * wc).norm() <= 1e-12
 
 
 def test_su2_annihilates_one_one_forms():
@@ -177,7 +177,7 @@ def test_su2_annihilates_one_one_forms():
 
 
 def test_type_components_holomorphic_symplectic():
-    comps = type_components(Q4.holomorphic_symplectic(), 1, Q4)
+    comps = type_components(Q4.omega(2) + 1j * Q4.omega(3), 1, Q4)
     assert len(comps) == 1
     p, q, comp = comps[0]
     assert (p, q) == (2, 0)
@@ -215,7 +215,7 @@ def test_type_components_complete():
     total = FormVector.zero(4)
     for _, _, c in comps:
         total = total + c
-    assert total.isclose(a, 1e-12)
+    assert (total - a).norm() <= 1e-12
 
 
 def random_frame_structure(seed):
@@ -241,7 +241,7 @@ class FaultyOmega2(QuaternionicStructure):
 
 
 def bent(dim):
-    return FaultyOmega2(dim, fault=lambda w: w + FormVector.basis(dim, (0, 1)) * 0.1)
+    return FaultyOmega2(dim, fault=lambda w: w + FormVector(dim, {(0, 1): 1.0}) * 0.1)
 
 
 def flipped(dim):
@@ -385,8 +385,8 @@ def test_middle_kernel_oracle_k1():
 
 def test_operator_matrix_wrapper():
     # the degree blocks themselves: L_1 sends 1 to omega_1, and sigma_1 omega_1 = 0
-    one = FormVector.scalar(4).to_vector(0)
+    one = FormVector(4, {(): 1.0}).to_vector(0)
     L1_one = FormVector.from_vector(4, 2, ALG4.L_matrix(1, 0) @ one)
-    assert L1_one.isclose(Q4.omega(1), 1e-14)
+    assert (L1_one - Q4.omega(1)).norm() <= 1e-14
     omega1 = Q4.omega(1).to_vector(2)
     assert np.abs(ALG4.sigma_matrix(1, 2) @ omega1).max() <= 1e-14

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hkforms import quotient, suites
 from hkforms.bianchi import eguchi_hanson_profile, ratio
 from hkforms.numerics import partial_derivative
 from hkforms.quotient import (
@@ -14,7 +15,6 @@ from hkforms.quotient import (
     _FRAME_MEMO_SIZE,
     ambient_linear_part,
     calabi_orbit_data,
-    cotangent_moment,
     growth_check,
     su2_generators,
 )
@@ -23,6 +23,35 @@ TN = GroupActionSpec("taubnut_R")
 CAL = GroupActionSpec("calabi_circle", level_shift=0.5)
 CHART_TN = QuotientChart(TN)
 CHART_CAL = QuotientChart(CAL)
+
+
+# -- reference formulas, written out apart from the package ------------------
+
+def _canonical_pairing(space, X, Y):
+    """sum_j dz_j ^ dw_j evaluated on two real tangents."""
+    zX, wX = space.to_complex(X)
+    zY, wY = space.to_complex(Y)
+    return complex(np.sum(zX * wY - zY * wX))
+
+
+def _cotangent_moment(Y_base, z, w):
+    """Canonical cotangent-lift moment: the tautological form on the lift."""
+    return complex(np.sum(np.asarray(w) * np.asarray(Y_base(np.asarray(z)))))
+
+
+def _act(spec, t, z, w):
+    """The finite group action whose generator is spec.generator."""
+    z, w = np.array(z, dtype=complex), np.array(w, dtype=complex)
+    if spec.model == "taubnut_R":
+        return (np.array([np.exp(1j * t) * z[0], z[1] + t]),
+                np.array([np.exp(-1j * t) * w[0], w[1]]))
+    return np.exp(1j * t) * z, np.exp(-1j * t) * w
+
+
+def _metric(chart, u):
+    """Gram matrix of the quotient metric on chart-coordinate directions."""
+    T = chart.chart_tangents(u)
+    return T.T @ T
 
 
 # -- flat structure ------------------------------------------------------------
@@ -43,7 +72,7 @@ def test_omega_c_is_canonical_pairing():
     rng = np.random.default_rng(2)
     for _ in range(20):
         X, Y = rng.standard_normal(8), rng.standard_normal(8)
-        assert X @ Wc @ Y == pytest.approx(sp.canonical_pairing(X, Y), abs=1e-12)
+        assert X @ Wc @ Y == pytest.approx(_canonical_pairing(sp, X, Y), abs=1e-12)
 
 
 def test_omegas_constant_and_closed_by_construction():
@@ -82,9 +111,13 @@ def test_moment_equivariance():
             w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             t = float(rng.standard_normal())
             before = spec.moment_maps(z, w)
-            after = spec.moment_maps(*spec.act(t, z, w))
+            after = spec.moment_maps(*_act(spec, t, z, w))
             assert abs(before[0] - after[0]) <= 1e-12
             assert abs(before[1] - after[1]) <= 1e-12
+        # the reference action is the flow of the package's generator
+        flow = partial_derivative(lambda tt: spec.space.to_real(*_act(spec, tt[0], z, w)),
+                                  np.zeros(1), 0)
+        assert np.abs(flow - spec.generator_real(spec.space.to_real(z, w))).max() <= 1e-9
 
 
 def _moment_gradient_defect(spec, p):
@@ -119,33 +152,16 @@ def test_cotangent_moment_reproduces_models():
     for _ in range(10):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        tn_val = cotangent_moment(lambda zz: np.array([1j * zz[0], 1.0]), z, w)
+        tn_val = _cotangent_moment(lambda zz: np.array([1j * zz[0], 1.0]), z, w)
         assert tn_val == pytest.approx(TN.moment_maps(z, w)[1], abs=1e-12)
-        cal_val = cotangent_moment(lambda zz: 1j * zz, z, w)
+        cal_val = _cotangent_moment(lambda zz: 1j * zz, z, w)
         assert cal_val == pytest.approx(CAL.moment_maps(z, w)[1], abs=1e-12)
-    assert cotangent_moment(lambda zz: np.zeros(2), z, w) == 0
+    assert _cotangent_moment(lambda zz: np.zeros(2), z, w) == 0
 
 
 def test_unknown_model_rejected():
     with pytest.raises(ValueError):
         GroupActionSpec("torus")
-
-
-def test_calabi_n3_regression():
-    # the diagonal-circle model scales to n = 3 at the moment-map level
-    spec = GroupActionSpec("calabi_circle", level_shift=0.5, n=3)
-    rng = np.random.default_rng(30)
-    for _ in range(10):
-        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        t = float(rng.standard_normal())
-        before = spec.moment_maps(z, w)
-        after = spec.moment_maps(*spec.act(t, z, w))
-        assert abs(before[1] - after[1]) <= 1e-12
-        assert _moment_gradient_defect(spec, spec.space.to_real(z, w)) <= 1e-9
-    # charts stay a 4-dimensional construction
-    with pytest.raises(ValueError):
-        QuotientChart(spec)
 
 
 # -- level sets and horizontal geometry -------------------------------------------
@@ -201,14 +217,14 @@ def test_chart_map_well_conditioned():
 # -- quotient metric and forms ------------------------------------------------------
 
 def test_taubnut_metric_identity_at_origin():
-    assert np.abs(CHART_TN.metric(np.zeros(4)) - np.eye(4)).max() <= 1e-12
+    assert np.abs(_metric(CHART_TN, np.zeros(4)) - np.eye(4)).max() <= 1e-12
 
 
 def test_metric_positive_definite():
     rng = np.random.default_rng(10)
     for chart in (CHART_TN, CHART_CAL):
         for _ in range(100):
-            g = chart.metric(rng.standard_normal(4))
+            g = _metric(chart, rng.standard_normal(4))
             assert np.linalg.eigvalsh(g).min() > 0
 
 
@@ -237,7 +253,7 @@ def test_complex_structures_reconstructed_from_forms():
     for chart in (CHART_TN, CHART_CAL):
         for _ in range(5):
             u = 0.6 * rng.standard_normal(4)
-            g = chart.metric(u)
+            g = _metric(chart, u)
             ginv = np.linalg.inv(g)
             Is = [-ginv @ chart.kahler_form(axis, u) for axis in (1, 2, 3)]
             eye = np.eye(4)
@@ -447,6 +463,13 @@ def test_su2_generator_normalization():
     assert np.abs(comm + E[2]).max() <= 1e-15
 
 
+def test_calabi_orbit_data_refuses_charts_off_its_ray():
+    # the ray z = (sqrt(1+t^2), 0), w = (0, t) lies on the level shift 1/2 only
+    for spec in (GroupActionSpec("calabi_circle", level_shift=0.75), TN):
+        with pytest.raises(ValueError):
+            calabi_orbit_data(QuotientChart(spec), 0.4)
+
+
 def test_calabi_orbit_biaxial_and_diagonal():
     for t in (0.0, 0.4, 1.1):
         d = calabi_orbit_data(CHART_CAL, t)
@@ -503,3 +526,30 @@ def test_calabi_ratio3_matches_quotient_coefficients():
         quotient_ratio = (math.sqrt(d["f_sq"]) / dr_dt) * math.sqrt(d["C_sq"]) / d["A_sq"]
         assert quotient_ratio == pytest.approx(2.0 * ratio(3, eguchi_hanson_profile(0.5), r),
                                                rel=1e-4)
+
+
+def _quotient_record(check):
+    records, _ = suites.run_quotient(suites.SuiteConfig(seed=7))
+    return next(r for r in records if r.check == check)
+
+
+def test_calabi_orbit_record_sees_unequal_orbit_coefficients(monkeypatch):
+    # scaling E_2 by 1.01 makes B^2 = 1.0201 A^2: the orbit is no longer biaxial
+    assert _quotient_record("calabi-orbit-biaxial").passed
+    E = su2_generators()
+    monkeypatch.setattr(quotient, "su2_generators", lambda: [E[0], 1.01 * E[1], E[2]])
+    record = _quotient_record("calabi-orbit-biaxial")
+    assert not record.passed
+    assert record.measured >= 1e-3
+
+
+def test_calabi_eguchi_hanson_deviation_sees_a_wrong_bolt():
+    # the bolt fixes a = 1/2; against a = 0.55, C^2 is off by 0.044 at t = 0.9,
+    # which is 0.086 relative
+    right = suites._eguchi_hanson_deviation(CHART_CAL, eguchi_hanson_profile(0.5), 0.9)
+    wrong = suites._eguchi_hanson_deviation(CHART_CAL, eguchi_hanson_profile(0.55), 0.9)
+    assert right <= 1e-10
+    assert wrong == pytest.approx(0.086, abs=1e-3)
+    # nearer the bolt, the orbit radius lies inside the wrong profile's domain end
+    with pytest.raises(ValueError):
+        suites._eguchi_hanson_deviation(CHART_CAL, eguchi_hanson_profile(0.55), 0.25)
