@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -19,9 +20,19 @@ import numpy as np
 MultiIndex = tuple  # strictly increasing tuple of ints
 
 
+@lru_cache(maxsize=None)
+def _basis(dim: int, degree: int) -> tuple[MultiIndex, ...]:
+    return tuple(itertools.combinations(range(dim), degree))
+
+
+@lru_cache(maxsize=None)
+def _basis_position(dim: int, degree: int) -> dict[MultiIndex, int]:
+    return {b: i for i, b in enumerate(_basis(dim, degree))}
+
+
 def basis_indices(dim: int, degree: int) -> list[MultiIndex]:
     """Canonical (lexicographic) basis multi-indices of Lambda^degree(R^dim)."""
-    return list(itertools.combinations(range(dim), degree))
+    return list(_basis(dim, degree))
 
 
 def merge_sign(a: MultiIndex, b: MultiIndex) -> tuple[int, MultiIndex]:
@@ -65,6 +76,19 @@ class FormVector:
     def zero(dim: int) -> "FormVector":
         return FormVector(dim, {})
 
+    @classmethod
+    def _trusted(cls, dim: int, items) -> "FormVector":
+        """A form from (key, coefficient) pairs whose keys are already valid.
+
+        Zero coefficients are dropped and the rest made complex, as in the
+        public constructor, but the keys are not checked again: the library
+        calls this only with keys taken from a basis table or another form.
+        """
+        form = object.__new__(cls)
+        object.__setattr__(form, "dim", dim)
+        object.__setattr__(form, "coeffs", {k: complex(c) for k, c in items if c != 0})
+        return form
+
     # -- structure ---------------------------------------------------------
 
     def degrees(self) -> set[int]:
@@ -79,9 +103,8 @@ class FormVector:
 
     def to_vector(self, degree: int) -> np.ndarray:
         """Dense coefficient vector in the canonical basis of Lambda^degree."""
-        basis = basis_indices(self.dim, degree)
-        idx = {b: i for i, b in enumerate(basis)}
-        v = np.zeros(len(basis), dtype=complex)
+        idx = _basis_position(self.dim, degree)
+        v = np.zeros(len(idx), dtype=complex)
         for k, c in self.coeffs.items():
             if len(k) == degree:
                 v[idx[k]] = c
@@ -89,8 +112,7 @@ class FormVector:
 
     @staticmethod
     def from_vector(dim: int, degree: int, v: np.ndarray) -> "FormVector":
-        basis = basis_indices(dim, degree)
-        return FormVector(dim, {b: v[i] for i, b in enumerate(basis) if v[i] != 0})
+        return FormVector._trusted(dim, zip(_basis(dim, degree), v.tolist(), strict=True))
 
     # -- algebra -----------------------------------------------------------
 
@@ -99,13 +121,13 @@ class FormVector:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0.0) + c
-        return FormVector(self.dim, out)
+        return FormVector._trusted(self.dim, out.items())
 
     def __sub__(self, other: "FormVector") -> "FormVector":
         return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "FormVector":
-        return FormVector(self.dim, {k: scalar * c for k, c in self.coeffs.items()})
+        return FormVector._trusted(self.dim, ((k, scalar * c) for k, c in self.coeffs.items()))
 
     __rmul__ = __mul__
 
@@ -129,7 +151,7 @@ def wedge(a: FormVector, b: FormVector) -> FormVector:
             s, merged = merge_sign(ka, kb)
             if s != 0:
                 out[merged] = out.get(merged, 0.0) + s * ca * cb
-    return FormVector(a.dim, out)
+    return FormVector._trusted(a.dim, out.items())
 
 
 def _compound_gram(gram1: np.ndarray, degree: int) -> np.ndarray:
@@ -161,6 +183,16 @@ def inner(a: FormVector, b: FormVector, metric: np.ndarray | None = None) -> com
     return complex(total)
 
 
+@lru_cache(maxsize=None)
+def _hodge_table(dim: int, degree: int) -> tuple[tuple[MultiIndex, int], ...]:
+    """(complement, sign of basis ^ complement) for each basis index, in basis order."""
+    table = []
+    for b in _basis(dim, degree):
+        comp = tuple(sorted(set(range(dim)) - set(b)))
+        table.append((comp, merge_sign(b, comp)[0]))
+    return tuple(table)
+
+
 def hodge_star(a: FormVector, metric: np.ndarray | None = None,
                orientation: int = 1) -> FormVector:
     """Hodge dual of a pure-degree form: alpha ^ *beta = <alpha, beta> vol."""
@@ -171,12 +203,8 @@ def hodge_star(a: FormVector, metric: np.ndarray | None = None,
     gp = form_gram(g, p) if metric is not None else None
     va = a.to_vector(p)
     weighted = va if gp is None else gp @ va
-    src = basis_indices(n, p)
     out: dict = {}
-    for i, bi in enumerate(src):
-        if weighted[i] == 0:
-            continue
-        comp = tuple(sorted(set(range(n)) - set(bi)))
-        s, _ = merge_sign(bi, comp)
-        out[comp] = out.get(comp, 0.0) + s * vol_scale * weighted[i]
-    return FormVector(n, out)
+    for (comp, s), w in zip(_hodge_table(n, p), weighted):
+        if w != 0:
+            out[comp] = out.get(comp, 0.0) + s * vol_scale * w
+    return FormVector._trusted(n, out.items())

@@ -20,17 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..numerics import nullspace, subspace_distance
-from .forms import FormVector, basis_indices, form_gram, hodge_star, merge_sign
+from .forms import FormVector, _basis, _basis_position, form_gram, hodge_star, merge_sign
 from .quaternionic import QuaternionicStructure
 
 
 def wedge_operator_matrix(two_form: FormVector, degree: int) -> np.ndarray:
     """Matrix of (two_form ^ .) from degree p to p + 2."""
     n = two_form.dim
-    src = basis_indices(n, degree)
-    tgt = basis_indices(n, degree + 2)
-    tgt_idx = {t: r for r, t in enumerate(tgt)}
-    M = np.zeros((len(tgt), len(src)))
+    src = _basis(n, degree)
+    tgt_idx = _basis_position(n, degree + 2)
+    M = np.zeros((len(tgt_idx), len(src)))
     for col, B in enumerate(src):
         for key, c in two_form.coeffs.items():
             s, merged = merge_sign(key, B)
@@ -42,8 +41,8 @@ def wedge_operator_matrix(two_form: FormVector, degree: int) -> np.ndarray:
 def derivation_matrix(A: np.ndarray, degree: int) -> np.ndarray:
     """Derivation extension to Lambda^degree of a matrix acting on coefficients."""
     n = A.shape[0]
-    src = basis_indices(n, degree)
-    idx = {t: r for r, t in enumerate(src)}
+    src = _basis(n, degree)
+    idx = _basis_position(n, degree)
     nonzero = [[(m, x) for m, x in enumerate(column) if x != 0.0] for column in A.T.tolist()]
     M = np.zeros((len(src), len(src)))
     for col, B in enumerate(src):
@@ -64,28 +63,32 @@ class LefschetzAlgebra:
 
     Matrices are built lazily and cached; k <= 2 keeps everything dense and
     exact in double precision (integer entries for the default structures).
+    The algebra keeps the Kahler forms and the structure's read-only arrays,
+    never the structure itself, so `structure.algebra` makes no cycle.
     """
 
     def __init__(self, structure: QuaternionicStructure):
-        self.structure = structure
         self.dim = structure.dim
+        self._omegas = tuple(structure.omega(axis) for axis in (1, 2, 3))
+        self._complex_structures = tuple(structure.complex_structure(axis) for axis in (1, 2, 3))
+        self._metric = structure.metric
         self._L: dict = {}
         self._Lam: dict = {}
         self._sigma: dict = {}
         self._grams: dict = {}
-        self._flat_metric = np.abs(structure.metric - np.eye(self.dim)).max() < 1e-15
+        self._flat_metric = np.abs(self._metric - np.eye(self.dim)).max() < 1e-15
 
     # -- matrix access -------------------------------------------------------
 
     def L_matrix(self, axis: int, degree: int) -> np.ndarray:
         key = (axis, degree)
         if key not in self._L:
-            self._L[key] = wedge_operator_matrix(self.structure.omega(axis), degree)
+            self._L[key] = wedge_operator_matrix(self._omegas[axis - 1], degree)
         return self._L[key]
 
     def gram(self, degree: int) -> np.ndarray:
         if degree not in self._grams:
-            self._grams[degree] = form_gram(self.structure.metric, degree)
+            self._grams[degree] = form_gram(self._metric, degree)
         return self._grams[degree]
 
     def Lambda_matrix(self, axis: int, degree: int) -> np.ndarray:
@@ -104,7 +107,7 @@ class LefschetzAlgebra:
     def sigma_matrix(self, axis: int, degree: int) -> np.ndarray:
         key = (axis, degree)
         if key not in self._sigma:
-            I = self.structure.complex_structure(axis)
+            I = self._complex_structures[axis - 1]
             self._sigma[key] = derivation_matrix(-I.T, degree)
         return self._sigma[key]
 
@@ -167,7 +170,7 @@ def verify_so5(structure: QuaternionicStructure) -> dict:
     [L_i, Lambda_i] = (p - 2k) Id.  "so5" names the complexification of the
     real algebra so(4,1) that these operators generate.
     """
-    alg = LefschetzAlgebra(structure)
+    alg = structure.algebra
     n = structure.dim
     L, Lam = _generators(alg)
     degrees = range(2, n - 1)
@@ -182,7 +185,7 @@ def verify_so5(structure: QuaternionicStructure) -> dict:
         minus_sigma = [-alg.sigma_matrix(c, p) for p in degrees]
         identities[f"[L{a},Lam{b}]+sigma{c}"] = residuals(L[a - 1], Lam[b - 1], minus_sigma)
         identities[f"[Lam{a},L{b}]+sigma{c}"] = residuals(Lam[a - 1], L[b - 1], minus_sigma)
-    grading = [(p - 2 * structure.k) * np.eye(len(basis_indices(n, p))) for p in degrees]
+    grading = [(p - 2 * structure.k) * np.eye(len(_basis(n, p))) for p in degrees]
     for i in (1, 2, 3):
         report["grading"][f"[L{i},Lam{i}]-(p-2k)"] = residuals(L[i - 1], Lam[i - 1], grading)
     report["max_residual"] = max(max(r) for part in report.values() for r in part.values())
@@ -212,7 +215,7 @@ def lie_closure_dimension(structure: QuaternionicStructure) -> LieClosure:
     Ranks and least-squares coefficients are taken per degree shift.  so(4,1)
     has Killing form tr(ad_i ad_j) of signature (4 positive, 6 negative).
     """
-    L, Lam = _generators(LefschetzAlgebra(structure))
+    L, Lam = _generators(structure.algebra)
     ops = L + Lam + [_bracket(Lam[b - 1], L[a - 1]) for a, b, _ in _CYCLIC] \
         + [_bracket(L[0], Lam[0])]
     groups = {s: [i for i, op in enumerate(ops) if op[0] == s] for s in (-2, 0, 2)}
@@ -248,11 +251,11 @@ def type_components(a: FormVector, axis: int,
     interpolation on the exact spectrum {i(q - p) : p + q = degree}.  A
     component is dropped, and an eigen-residual refused, at 1e-10 relative.
     """
-    alg = LefschetzAlgebra(structure)
     d = a.degree()
-    sigma = alg.sigma_matrix(axis, d)
+    sigma = structure.algebra.sigma_matrix(axis, d)
     v = a.to_vector(d)
     eigs = [1j * m for m in range(-d, d + 1, 2)]
+    tol = 1e-10 * max(a.norm(), 1.0)
     out = []
     for lam in eigs:
         proj = v.astype(complex)
@@ -261,10 +264,10 @@ def type_components(a: FormVector, axis: int,
                 continue
             proj = (sigma @ proj - mu * proj) / (lam - mu)
         comp = FormVector.from_vector(a.dim, d, proj)
-        if comp.norm() <= 1e-10 * max(a.norm(), 1.0):
+        if comp.norm() <= tol:
             continue
         residual = np.abs(sigma @ proj - lam * proj).max()
-        if residual > 1e-10 * max(a.norm(), 1.0):
+        if residual > tol:
             raise ArithmeticError(f"eigenspace projection residual {residual:.3e}")
         m = int(lam.imag)
         p, q = (d - m) // 2, (d + m) // 2
@@ -279,7 +282,7 @@ def middle_kernel(structure: QuaternionicStructure) -> list[FormVector]:
     For k = 1 this is the 3-dimensional space of anti-self-dual 2-forms; the
     elements are self-dual for k = 2.
     """
-    alg = LefschetzAlgebra(structure)
+    alg = structure.algebra
     p = 2 * structure.k
     stacked = np.vstack([alg.L_matrix(i, p) for i in (1, 2, 3)]
                         + [alg.Lambda_matrix(i, p) for i in (1, 2, 3)])
@@ -295,9 +298,9 @@ def middle_kernel_oracle_dimension(structure: QuaternionicStructure) -> int:
     of stacking, so rank decisions are made on different matrices than the
     ones middle_kernel uses.
     """
-    alg = LefschetzAlgebra(structure)
+    alg = structure.algebra
     p = 2 * structure.k
-    size = len(basis_indices(structure.dim, p))
+    size = len(_basis(structure.dim, p))
     basis = np.eye(size)
     for op in [alg.L_matrix(i, p) for i in (1, 2, 3)] \
             + [alg.Lambda_matrix(i, p) for i in (1, 2, 3)]:

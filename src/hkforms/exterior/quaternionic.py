@@ -9,11 +9,16 @@ With the flat metric this makes the three Kahler forms
     omega_3 = e03 + e12 (+ ...),
 
 all self-dual for the standard orientation, and fixes every sign downstream.
+
+A structure keeps read-only copies of its matrices and owns one
+LefschetzAlgebra (`algebra`), built on first use and shared by every
+exterior check on that structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +57,11 @@ class QuaternionicStructure:
             object.__setattr__(self, "I", _block_repeat(_I4, k))
             object.__setattr__(self, "J", _block_repeat(_J4, k))
             object.__setattr__(self, "K", _block_repeat(_K4, k))
+        for name in ("metric", "I", "J", "K"):
+            # a private read-only copy, so that `algebra` cannot go stale
+            M = np.array(getattr(self, name), dtype=float)
+            M.flags.writeable = False
+            object.__setattr__(self, name, M)
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         self._validate()
@@ -59,6 +69,12 @@ class QuaternionicStructure:
     @property
     def k(self) -> int:
         return self.dim // 4
+
+    @cached_property
+    def algebra(self):
+        """The LefschetzAlgebra of this structure, built once on first use."""
+        from .operators import LefschetzAlgebra
+        return LefschetzAlgebra(self)
 
     def complex_structure(self, axis: int) -> np.ndarray:
         """The matrix I, J or K for axis 1, 2 or 3."""

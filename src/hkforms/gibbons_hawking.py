@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,11 +66,12 @@ class GHPoint:
         if x.shape != (3,):
             raise ValueError("x must be a 3-vector")
         object.__setattr__(self, "x", x)
-        if np.linalg.norm(x) <= 0:
+        if self.r <= 0:
             raise ValueError("the NUT at the origin is excluded")
 
-    @property
+    @cached_property
     def r(self) -> float:
+        # read by every per-point formula; a point's x is not written after init
         return float(np.linalg.norm(self.x))
 
 
@@ -119,8 +121,8 @@ def dtheta(p: GHPoint, d: GHData) -> np.ndarray:
     dtheta = -V^{-2} dV ^ (dtau + alpha) + V^{-1} * dV.
     """
     V = potential(p, d)
-    a = alpha_components(p, d)
-    gv = _grad_V(p, d)
+    a = alpha_components(p, d).tolist()
+    gv = _grad_V(p, d).tolist()
     B = np.zeros((4, 4))
     for i in range(3):
         B[i, 3] = -gv[i] / V ** 2

@@ -37,6 +37,15 @@ _ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 _FRAME_MEMO_SIZE = 256
 
 
+# moment residual a solve_level_set representative must meet
+_LEVEL_SET_TOL = 1e-12
+
+
+def _pack(z1: complex, z2: complex, w1: complex, w2: complex) -> np.ndarray:
+    """FlatCotangentSpace(2).to_real((z1, z2), (w1, w2)), without the slicing."""
+    return np.array([z1.real, z1.imag, z2.real, z2.imag, w1.real, w1.imag, w2.real, w2.imag])
+
+
 def _chart_point(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (4,):
@@ -193,7 +202,7 @@ class QuotientChart:
             w1 = u[2] + 1j * u[3]
             w2 = -1j * z1 * w1
             z2 = 1j * (0.5 * (abs(z1) ** 2 - abs(w1) ** 2) - spec.level_shift)
-            return spec.space.to_real(np.array([z1, z2]), np.array([w1, w2]))
+            return _pack(z1, z2, w1, w2)
         zeta = u[0] + 1j * u[1]
         eta = u[2] + 1j * u[3]
         level = 2.0 * spec.level_shift  # mu_1 = 0 <=> |z|^2 - |w|^2 = 2 shift
@@ -204,10 +213,11 @@ class QuotientChart:
         mu = math.sqrt(mu_sq)
         z = mu * np.array([1.0, zeta])
         w = eta * np.array([-zeta, 1.0])
-        return spec.space.to_real(z, w)
+        return _pack(*z, *w)
 
-    def solve_level_set(self, u: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """Representative with a Newton polish; residual must meet tol."""
+    def solve_level_set(self, u: np.ndarray) -> np.ndarray:
+        """Representative with a Newton polish; residual must meet _LEVEL_SET_TOL."""
+        tol = _LEVEL_SET_TOL
         p = self.representative(u)
         res = self.spec.moment_residual(p)
         if res > tol:

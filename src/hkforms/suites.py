@@ -17,7 +17,6 @@ from . import gibbons_hawking as gh
 from . import nahm
 from .exterior import (
     FormVector,
-    LefschetzAlgebra,
     QuaternionicStructure,
     asd_two_form_basis,
     basis_indices,
@@ -64,12 +63,16 @@ def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     details: dict = {}
 
     Q4, Q8 = QuaternionicStructure(4), QuaternionicStructure(8)
+    # The Lie closures run first, while each structure's algebra holds only
+    # its L and Lambda blocks: their brackets are the suite's memory peak, and
+    # the sigma blocks that the later checks add would otherwise be alive then.
+    closures = {k: lie_closure_dimension(Q) for k, Q in ((1, Q4), (2, Q8))}
     for k, Q in ((1, Q4), (2, Q8)):
         records.append(bounded("algebra", f"so5-commutators-k{k}",
                                "lefschetz-adjoint-su2-commutators",
                                verify_so5(Q)["max_residual"], 1e-12 * ts))
 
-    alg = LefschetzAlgebra(Q4)
+    alg = Q4.algebra
     worst = 0.0
     for _ in range(100):
         p = int(rng.integers(0, 3))
@@ -102,7 +105,7 @@ def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
                            "primitive-su2-invariant", worst_ann, 1e-10 * ts))
     records.append(flag("algebra", "middle-kernel-type-k1", "type-1-1-all-axes", type_ok))
 
-    alg8 = LefschetzAlgebra(Q8)
+    alg8 = Q8.algebra
     kernel2 = middle_kernel(Q8)
     oracle_dim = middle_kernel_oracle_dimension(Q8)
     records.append(exact("algebra", "middle-kernel-dim-k2", "joint-kernel-dimension",
@@ -120,8 +123,7 @@ def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     records.append(flag("algebra", "middle-kernel-type-k2", "type-2-2-all-axes", type_ok2))
 
     details["lie_closure"] = {}
-    for k, Q in ((1, Q4), (2, Q8)):
-        c = lie_closure_dimension(Q)
+    for k, c in closures.items():
         positive, negative = c.killing_signature
         records += [
             exact("algebra", f"lie-closure-dim-k{k}", "bracket-closure-rank", c.dimension, 10),
@@ -138,7 +140,10 @@ def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
 # taubnut
 # ---------------------------------------------------------------------------
 
-def run_taubnut(config: SuiteConfig, m: float = 1.0) -> tuple[list[ReportRecord], dict]:
+_TAUBNUT_MASS = 1.0
+
+def run_taubnut(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
+    m = _TAUBNUT_MASS
     rng = np.random.default_rng(config.seed + 1)
     ts = config.tol_scale
     records: list[ReportRecord] = []

@@ -1,16 +1,22 @@
-"""Every public function, class and method in src/ has a caller in src/.
+"""Every public function, class and method in src/ has a caller in src/,
+and every default parameter of one is set by some call.
 
 A public name that only tests call is API that no suite, the CLI or the
 benchmark runs: move it into the tests that use it, or report what it checks.
 A reference is a Name or an Attribute node with the same identifier anywhere
 in src/ outside the definition itself, so the check is coarse: a method
 called `norm` counts as used wherever any `.norm` is read.
+
+A default that no call in src/ or tests/ passes is a knob nobody turns: make
+it a module constant.  Calls are matched by the called identifier, as above;
+a call passes a parameter by keyword, by position, or through *args/**kwargs.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hkforms"
+TESTS = Path(__file__).resolve().parent
 
 # qualified name -> why it stays without a caller in src/
 ALLOWED = {
@@ -71,3 +77,69 @@ def test_guard_sees_a_test_only_function_and_method():
              "    def write(self):\n        return self.read()\n\nBox()\n",
     }
     assert unreferenced(sources) == ["a.lonely", "b.Box.write"]
+
+
+def _defaults(definition: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None]]:
+    """(name, position among the call's arguments or None if keyword-only) of each default."""
+    args = definition.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first]
+    out += [(arg.arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unset_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """`module.function parameter` for each default of a public function in
+    `sources` that no call in `callers` (texts) passes."""
+    calls: dict[str, list[ast.Call]] = {}
+    for text in callers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+    out = []
+    for module, text in sources.items():
+        for qualified, definition in _public_definitions(module, ast.parse(text)):
+            if not isinstance(definition, ast.FunctionDef):
+                continue
+            # a method called as obj.method(...) does not pass self positionally
+            bound = qualified.count(".") > module.count(".") + 1 and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in definition.decorator_list)
+            for name, position in _defaults(definition, bound):
+                if not any(_passes(call, name, position) for call in calls.get(definition.name, [])):
+                    out.append(f"{qualified} {name}")
+    return out
+
+
+def test_every_default_parameter_is_set_by_some_call():
+    sources = _src_sources()
+    callers = list(sources.values()) + [path.read_text() for path in sorted(TESTS.glob("*.py"))]
+    assert unset_defaults(sources, callers) == []
+
+
+def test_guard_sees_an_unset_default():
+    sources = {
+        "a": "def solve(u, tol=1e-12, *, steps=3):\n    return u\n",
+        "b": "class Chart:\n    def lift(self, u, h=1e-4, order=2):\n        return u\n\n"
+             "    @staticmethod\n    def pack(z, w=0.0):\n        return z\n",
+    }
+    callers = list(sources.values()) + [
+        "solve(1.0, steps=4)\nChart().lift(1.0, 1e-3)\nChart.pack(1.0)\n",
+        "def forward(*args):\n    return solve(*args)\n",
+    ]
+    assert unset_defaults(sources, callers) == ["b.Chart.lift order", "b.Chart.pack w"]
+    # without the *args call, tol is unset too
+    assert unset_defaults(sources, callers[:-1]) == [
+        "a.solve tol", "b.Chart.lift order", "b.Chart.pack w"]

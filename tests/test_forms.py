@@ -1,5 +1,7 @@
 """Exterior algebra basics: wedge bookkeeping, inner products, Hodge duality."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,3 +165,80 @@ def test_hodge_star_sign_property(dim, data):
     p = data.draw(st.integers(0, dim))
     a = draw_form(data, dim, p)
     assert (hodge_star(hodge_star(a)) - (-1.0) ** (p * (dim - p)) * a).norm() <= 1e-12
+
+
+# -- the cached basis and Hodge tables against the loops they replaced --------
+
+def to_vector_oracle(a, degree):
+    basis = basis_indices(a.dim, degree)
+    idx = {b: i for i, b in enumerate(basis)}
+    v = np.zeros(len(basis), dtype=complex)
+    for k, c in a.coeffs.items():
+        if len(k) == degree:
+            v[idx[k]] = c
+    return v
+
+
+def from_vector_oracle(dim, degree, v):
+    basis = basis_indices(dim, degree)
+    return FormVector(dim, {b: v[i] for i, b in enumerate(basis) if v[i] != 0})
+
+
+def hodge_star_oracle(a, metric=None, orientation=1):
+    p = a.degree()
+    n = a.dim
+    g = np.eye(n) if metric is None else np.asarray(metric, dtype=float)
+    vol_scale = orientation * math.sqrt(np.linalg.det(g))
+    gp = form_gram(g, p) if metric is not None else None
+    va = to_vector_oracle(a, p)
+    weighted = va if gp is None else gp @ va
+    out: dict = {}
+    for i, bi in enumerate(basis_indices(n, p)):
+        if weighted[i] == 0:
+            continue
+        comp = tuple(sorted(set(range(n)) - set(bi)))
+        s, _ = merge_sign(bi, comp)
+        out[comp] = out.get(comp, 0.0) + s * vol_scale * weighted[i]
+    return FormVector(n, out)
+
+
+def draw_metric(data, dim):
+    """None (the flat branch) or a random symmetric positive-definite metric."""
+    if not data.draw(st.booleans()):
+        return None
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    P = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
+    return P.T @ P
+
+
+def same(a, b):
+    """Equal coefficients in the same key order."""
+    return a.dim == b.dim and list(a.coeffs.items()) == list(b.coeffs.items())
+
+
+@PROPERTY
+@given(DIMS, st.data())
+def test_vector_round_trip_matches_the_dense_loops(dim, data):
+    p, q = draw_degrees(data, dim, 2)
+    a = draw_form(data, dim, p) + draw_form(data, dim, q)
+    for degree in range(dim + 1):
+        v = a.to_vector(degree)
+        assert np.array_equal(v, to_vector_oracle(a, degree))
+        assert same(FormVector.from_vector(dim, degree, v), from_vector_oracle(dim, degree, v))
+        dense = v + data.draw(COEFFS)      # no zeros left, as a matrix product gives
+        assert same(FormVector.from_vector(dim, degree, dense),
+                    from_vector_oracle(dim, degree, dense))
+
+
+@PROPERTY
+@given(DIMS, st.data())
+def test_hodge_star_matches_the_complement_loop(dim, data):
+    a = draw_form(data, dim, data.draw(st.integers(0, dim)))
+    metric = draw_metric(data, dim)
+    orientation = data.draw(st.sampled_from((1, -1)))
+    assert same(hodge_star(a, metric, orientation), hodge_star_oracle(a, metric, orientation))
+
+
+def test_from_vector_refuses_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        FormVector.from_vector(4, 2, np.ones(5))

@@ -222,3 +222,26 @@ def test_shell_volume_matches_metric_quadrature():
 def test_alpha_regular_on_patch_axis():
     north = GHData(m=1.0, patch="north")
     assert np.abs(alpha_components(GHPoint(np.array([0.0, 0.0, 3.0])), north)).max() == 0.0
+
+
+def _dtheta_oracle(p, d):
+    """dtheta's loop on numpy scalars, as it ran before reading Python floats."""
+    V = potential(p, d)
+    a = alpha_components(p, d)
+    gv = -d.m * p.x / p.r ** 3
+    B = np.zeros((4, 4))
+    for i in range(3):
+        B[i, 3] = -gv[i] / V ** 2
+    eps = {(0, 1): 1.0, (0, 2): -1.0, (1, 2): 1.0}
+    for (i, j), k in (((0, 1), 2), ((0, 2), 1), ((1, 2), 0)):
+        B[i, j] = -(gv[i] * a[j] - gv[j] * a[i]) / V ** 2 + eps[(i, j)] * gv[k] / V
+    return B - B.T
+
+
+def test_dtheta_is_bit_identical_to_the_numpy_scalar_loop():
+    rng = np.random.default_rng(23)
+    for d in (D1, GHData(m=0.7, patch="south")):
+        for _ in range(50):
+            p = GHPoint(rng.standard_normal(3) * 3.0, float(rng.random()))
+            assert p.r == float(np.linalg.norm(p.x))
+            assert np.array_equal(dtheta(p, d), _dtheta_oracle(p, d))

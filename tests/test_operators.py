@@ -1,5 +1,7 @@
 """Lefschetz triple, su(2) action, commutator identities and middle kernels."""
 
+import gc
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +26,7 @@ from hkforms.exterior import (
     type_components,
     verify_so5,
 )
+from hkforms.exterior import operators
 from hkforms.exterior.forms import merge_sign
 from hkforms.exterior.operators import derivation_matrix
 
@@ -390,3 +393,93 @@ def test_operator_matrix_wrapper():
     assert (L1_one - Q4.omega(1)).norm() <= 1e-14
     omega1 = Q4.omega(1).to_vector(2)
     assert np.abs(ALG4.sigma_matrix(1, 2) @ omega1).max() <= 1e-14
+
+
+# -- one algebra per structure ------------------------------------------------
+
+def test_structure_arrays_are_read_only_copies():
+    g = 2.0 * np.eye(4)
+    Q = QuaternionicStructure(4, metric=g)
+    g[0, 0] = 3.0                       # the caller's array is not the structure's
+    assert Q.metric[0, 0] == 2.0
+    for M in (Q.metric, Q.I, Q.J, Q.K):
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+
+
+def counting(monkeypatch, name):
+    """Count the calls of operators.<name> made from now on."""
+    calls = []
+    original = getattr(operators, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(operators, name, counted)
+    return calls
+
+
+def test_type_components_builds_sigma_once_per_axis(monkeypatch):
+    Q = QuaternionicStructure(8)
+    kernel = middle_kernel(Q)
+    assert len(kernel) == 14
+    builds = counting(monkeypatch, "derivation_matrix")
+    for eta in kernel:
+        for axis in (1, 2, 3):
+            assert [(p, q) for p, q, _ in type_components(eta, axis, Q)] == [(2, 2)]
+    assert len(builds) <= 3
+
+
+def test_lie_closure_reuses_the_blocks_of_verify_so5(monkeypatch):
+    Q = QuaternionicStructure(8)
+    verify_so5(Q)
+    builds = counting(monkeypatch, "wedge_operator_matrix")
+    assert_so41(lie_closure_dimension(Q))
+    assert middle_kernel_oracle_dimension(Q) == len(middle_kernel(Q)) == 14
+    assert builds == []
+
+
+def test_structure_with_a_used_algebra_is_freed_without_gc():
+    gc.disable()
+    try:
+        Q = QuaternionicStructure(4)
+        verify_so5(Q)
+        type_components(Q.omega(2), 1, Q)
+        assert vars(Q)["algebra"] is Q.algebra
+        ref = weakref.ref(Q)
+        del Q
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def sp2_sp1_element(seed):
+    """A random g in Sp(2).Sp(1) on R^8: left multiplication by a unit quaternion
+    q after the Cayley transform of a random X in sp(2), the antisymmetric
+    matrices that commute with I, J and K."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((8, 8))
+    X = X - X.T
+    for M in (Q8.I, Q8.J):
+        X = 0.5 * (X - M @ X @ M)       # the part that commutes with M
+    A = np.linalg.solve(np.eye(8) - X, np.eye(8) + X)
+    q = rng.standard_normal(4)
+    q /= np.linalg.norm(q)
+    Lq = q[0] * np.eye(8) + q[1] * Q8.I + q[2] * Q8.J + q[3] * Q8.K
+    return Lq @ A
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_sp2_sp1_conjugations_keep_so41(seed):
+    g = sp2_sp1_element(seed)
+    assert np.abs(g.T @ g - np.eye(8)).max() <= 1e-12
+    I, J, K = (g @ M @ g.T for M in (Q8.I, Q8.J, Q8.K))
+    # g normalizes span{I, J, K}: the new triple is a rotation of the old one
+    R = np.array([[np.sum(N * M) / 8 for M in (Q8.I, Q8.J, Q8.K)] for N in (I, J, K)])
+    assert np.abs(R @ R.T - np.eye(3)).max() <= 1e-12
+    assert np.abs(I - sum(R[0, j] * M for j, M in enumerate((Q8.I, Q8.J, Q8.K)))).max() <= 1e-12
+    Q = QuaternionicStructure(8, I=I, J=J, K=K)
+    assert verify_so5(Q)["max_residual"] <= 1e-12
+    assert_so41(lie_closure_dimension(Q))

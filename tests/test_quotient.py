@@ -553,3 +553,26 @@ def test_calabi_eguchi_hanson_deviation_sees_a_wrong_bolt():
     # nearer the bolt, the orbit radius lies inside the wrong profile's domain end
     with pytest.raises(ValueError):
         suites._eguchi_hanson_deviation(CHART_CAL, eguchi_hanson_profile(0.55), 0.25)
+
+
+def _representative_oracle(chart, u):
+    """The representative built through to_real, as the chart did before packing directly."""
+    spec = chart.spec
+    if spec.model == "taubnut_R":
+        z1 = u[0] + 1j * u[1]
+        w1 = u[2] + 1j * u[3]
+        w2 = -1j * z1 * w1
+        z2 = 1j * (0.5 * (abs(z1) ** 2 - abs(w1) ** 2) - spec.level_shift)
+        return spec.space.to_real(np.array([z1, z2]), np.array([w1, w2]))
+    zeta = u[0] + 1j * u[1]
+    eta = u[2] + 1j * u[3]
+    mu = math.sqrt(abs(eta) ** 2 + 2.0 * spec.level_shift / (1.0 + abs(zeta) ** 2))
+    return spec.space.to_real(mu * np.array([1.0, zeta]), eta * np.array([-zeta, 1.0]))
+
+
+def test_representative_packing_is_bit_identical_to_to_real():
+    rng = np.random.default_rng(17)
+    for chart in (CHART_TN, CHART_CAL, QuotientChart(GroupActionSpec("taubnut_R", 0.3))):
+        for _ in range(50):
+            u = rng.uniform(-1.0, 1.0, 4)
+            assert np.array_equal(chart.representative(u), _representative_oracle(chart, u))
