@@ -36,7 +36,6 @@ _ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 # frames a QuotientChart keeps before its memo is cleared
 _FRAME_MEMO_SIZE = 256
 
-
 # moment residual a solve_level_set representative must meet
 _LEVEL_SET_TOL = 1e-12
 
@@ -217,18 +216,17 @@ class QuotientChart:
 
     def solve_level_set(self, u: np.ndarray) -> np.ndarray:
         """Representative with a Newton polish; residual must meet _LEVEL_SET_TOL."""
-        tol = _LEVEL_SET_TOL
         p = self.representative(u)
         res = self.spec.moment_residual(p)
-        if res > tol:
+        if res > _LEVEL_SET_TOL:
             # one Gauss-Newton step on the three moment equations
             rows = self.spec.moment_gradient_rows(p)
             mu1, muc = self.spec.moment_maps(*self.spec.space.to_complex(p))
             rhs = np.array([mu1, muc.real, muc.imag])
             p = p - rows.T @ np.linalg.solve(rows @ rows.T, rhs)
             res = self.spec.moment_residual(p)
-        if res > tol:
-            raise ArithmeticError(f"level-set residual {res:.3e} above {tol:.1e}")
+        if res > _LEVEL_SET_TOL:
+            raise ArithmeticError(f"level-set residual {res:.3e} above {_LEVEL_SET_TOL:.1e}")
         return p
 
     # -- horizontal geometry ------------------------------------------------------
