@@ -5,7 +5,8 @@ machine-readable reports.  Fixed seed and configuration give byte-identical
 output files across runs; the process exit status is 0 exactly when every
 check passed.  A suite that raises a numerical fault (see
 `suites.SUITE_FAULTS`) becomes one failed record, the other suites still run
-and the report is still written; bad configuration exits with status 2.
+and the report is still written; bad configuration, refused before any suite
+runs, and an unwritable report exit with status 2 and an `error:` line.
 """
 
 from __future__ import annotations
@@ -40,22 +41,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {"suite", "seed", "tol_scale", "out", "format"}
+_CONFIG_TYPES = {"suite": str, "seed": int, "tol_scale": (int, float), "out": str, "format": str}
 
 
 def load_config(args: argparse.Namespace) -> tuple[str, SuiteConfig, Path | None, str]:
-    """Merge the config file under the flags; a bad file raises ValueError."""
+    """Merge the config file under the flags; a bad file or value raises ValueError."""
     file_cfg: dict = {}
     if args.config is not None:
         try:
             file_cfg = json.loads(Path(args.config).read_text())
         except OSError as exc:
             raise ValueError(f"cannot read config {args.config}: {exc.strerror}") from exc
-        if not isinstance(file_cfg, dict) or not file_cfg.keys() <= _CONFIG_KEYS:
+        if not isinstance(file_cfg, dict) or not file_cfg.keys() <= _CONFIG_TYPES.keys():
             raise ValueError(f"config {args.config} must be a JSON object with keys "
-                             f"among {sorted(_CONFIG_KEYS)}")
+                             f"among {sorted(_CONFIG_TYPES)}")
+        for key, value in file_cfg.items():   # JSON true and false load as bool, an int
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
+                raise ValueError(f"config {args.config}: {key} has the wrong JSON type: {value!r}")
     suite = args.suite if args.suite is not None else file_cfg.get("suite", "all")
-    seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 7))
+    seed = args.seed if args.seed is not None else file_cfg.get("seed", 7)
     tol_scale = args.tol_scale if args.tol_scale is not None \
         else float(file_cfg.get("tol_scale", 1.0))
     out = args.out if args.out is not None else (
@@ -63,6 +67,8 @@ def load_config(args: argparse.Namespace) -> tuple[str, SuiteConfig, Path | None
     fmt = args.fmt if args.fmt is not None else file_cfg.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ValueError(f"format must be json or csv, not {fmt!r}")
+    if out is not None and out.exists() and not out.is_dir():
+        raise ValueError(f"output path {out} exists and is not a directory")
     return suite, SuiteConfig(seed=seed, tol_scale=tol_scale), out, fmt
 
 
@@ -102,7 +108,11 @@ def main(argv: list[str] | None = None) -> int:
     payload = report_payload(records, suite=suite, seed=config.seed,
                              tol_scale=config.tol_scale, details=details)
     if out is not None:
-        _write_outputs(out, fmt, payload, records, details)
+        try:
+            _write_outputs(out, fmt, payload, records, details)
+        except OSError as exc:
+            print(f"error: cannot write reports to {out}: {exc}", file=sys.stderr)
+            return 2
     print(f"{suite}: {len(records)} checks, "
           f"{sum(1 for r in records if not r.passed)} failed")
     return 0 if passed else 1

@@ -154,19 +154,15 @@ def wedge(a: FormVector, b: FormVector) -> FormVector:
     return FormVector._trusted(a.dim, out.items())
 
 
-def _compound_gram(gram1: np.ndarray, degree: int) -> np.ndarray:
-    """Gram matrix on Lambda^degree induced by a 1-form Gram matrix."""
-    basis = basis_indices(gram1.shape[0], degree)
+def form_gram(metric: np.ndarray, degree: int) -> np.ndarray:
+    """Induced inner-product matrix on degree-p forms: the minors det(g^-1[I, J])."""
+    gram1 = np.linalg.inv(metric)
+    basis = _basis(gram1.shape[0], degree)
     G = np.empty((len(basis), len(basis)))
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
             G[i, j] = np.linalg.det(gram1[np.ix_(bi, bj)]) if degree else 1.0
     return G
-
-
-def form_gram(metric: np.ndarray, degree: int) -> np.ndarray:
-    """Induced inner-product matrix on degree-p forms for a metric on vectors."""
-    return _compound_gram(np.linalg.inv(metric), degree)
 
 
 def inner(a: FormVector, b: FormVector, metric: np.ndarray | None = None) -> complex:

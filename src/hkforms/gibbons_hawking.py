@@ -37,21 +37,21 @@ _CUTOFF_SAMPLES = 64
 
 @dataclass(frozen=True)
 class GHData:
-    """Gibbons-Hawking data: mass, tau-period and the active gauge patch."""
+    """Gibbons-Hawking data: mass and the active gauge patch."""
 
     m: float
-    tau_period: float | None = None
     patch: str = "north"
 
     def __post_init__(self):
         if self.m <= 0:
             raise ValueError("mass must be positive")
-        if self.tau_period is None:
-            object.__setattr__(self, "tau_period", 4.0 * math.pi * self.m)
-        if self.tau_period <= 0:
-            raise ValueError("tau period must be positive")
         if self.patch not in ("north", "south"):
             raise ValueError("patch must be 'north' or 'south'")
+
+    @property
+    def tau_period(self) -> float:
+        """4 pi m, the period that makes the metric smooth at the NUT."""
+        return 4.0 * math.pi * self.m
 
 
 @dataclass(frozen=True)
@@ -171,18 +171,9 @@ def _radial_density(r: float, d: GHData) -> float:
     return 8.0 * math.pi * d.m ** 2 * r / (r + d.m) ** 3
 
 
-def l2_norm(d: GHData, r_min: float = 0.0, r_max: float = math.inf) -> float:
-    """L^2 norm of dtheta by adaptive radial quadrature times the tau-period.
-
-    Converges to the closed form 4 pi m tau_period as r_min -> 0, r_max -> inf.
-    """
-    f = lambda r: _radial_density(r, d)
-    lo = max(r_min, 0.0)
-    if math.isinf(r_max):
-        # substitute r = lo + m u / (1 - u): smooth integrand on (0, 1)
-        radial = integrate_to_infinity(f, lo, scale=d.m, tol=1e-9)
-    else:
-        radial = adaptive_simpson(f, lo or 1e-14 * d.m, r_max, 1e-9)
+def l2_norm(d: GHData) -> float:
+    """L^2 norm of dtheta: quadrature over r = m u / (1 - u) in (0, inf), times tau_period."""
+    radial = integrate_to_infinity(lambda r: _radial_density(r, d), 0.0, scale=d.m, tol=1e-9)
     return d.tau_period * radial
 
 

@@ -33,11 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import PAULI, composite_simpson, grid_derivative
+from .numerics import SU2_BASIS, composite_simpson, grid_derivative
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
-# amplitude of the polynomial bump behind the default gauge path and the gauge tangent
+# amplitude of the polynomial bump behind the gauge path and the gauge tangent
 _BUMP_AMPLITUDE = 0.3
 
 
@@ -64,11 +64,6 @@ class ResidueTriple:
     @property
     def k(self) -> int:
         return self.rho[0].shape[0]
-
-
-def standard_residues() -> ResidueTriple:
-    """rho_i = (i/2) Pauli_i, the irreducible su(2) residues for k = 2."""
-    return ResidueTriple(tuple(0.5j * s for s in PAULI))
 
 
 def _anti_hermitian_ok(M: np.ndarray, tol: float) -> bool:
@@ -127,10 +122,10 @@ class TangentState:
 
 
 def one_pole_state(s_min: float, s_max: float, nodes: int) -> NahmState:
-    """The exact solution B_i = rho_i / s, B_0 = 0 on [s_min, s_max], standard residues."""
+    """The exact solution B_i = rho_i / s, B_0 = 0 on [s_min, s_max], rho = SU2_BASIS."""
     if s_min <= 0:
         raise ValueError("the pole at s = 0 must be excluded")
-    res = standard_residues()
+    res = ResidueTriple(SU2_BASIS)
     s = np.linspace(s_min, s_max, nodes)
     inv = 1.0 / s
     B0 = np.zeros((nodes, res.k, res.k), dtype=complex)
@@ -154,9 +149,8 @@ def nahm_residual(state: NahmState) -> float:
     return worst
 
 
-def gauge_transform(state: NahmState, g: np.ndarray,
-                    g_prime: np.ndarray | None = None) -> NahmState:
-    """Act by a unitary path: B_0 -> g B_0 g* - g' g*, B_i -> g B_i g*."""
+def gauge_transform(state: NahmState, g: np.ndarray, g_prime: np.ndarray) -> NahmState:
+    """Act by a unitary path and its analytic g': B_0 -> g B_0 g* - g' g*, B_i -> g B_i g*."""
     g = np.asarray(g, dtype=complex)
     if g.shape != state.B[0].shape:
         raise ValueError("gauge path must match the grid")
@@ -164,37 +158,34 @@ def gauge_transform(state: NahmState, g: np.ndarray,
     eye = np.eye(state.k)
     if np.abs(g @ gh - eye).max() > 1e-10:
         raise ValueError("gauge path must be unitary")
-    if g_prime is None:
-        g_prime = grid_derivative(g, state.h, 6)
     B0 = g @ state.B[0] @ gh - g_prime @ gh
-    # drift the anti-hermitian part: g' g* is exactly anti-hermitian for
-    # unitary paths, so symmetrize only to absorb FD roundoff
+    # keep the anti-hermitian part: g' g* is exactly anti-hermitian for
+    # unitary paths, so symmetrize only to absorb roundoff
     B0 = 0.5 * (B0 - np.conj(np.swapaxes(B0, -1, -2)))
     rest = tuple(g @ state.B[i] @ gh for i in (1, 2, 3))
     return NahmState(state.s, (B0,) + rest, state.residues)
 
 
-def _gauge_bump(state: NahmState, direction: np.ndarray,
-                amplitude: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(xi, phi, phi') for anti-hermitian xi and phi = amplitude (t(1-t))^3, t in [0, 1]."""
+def _gauge_bump(state: NahmState,
+                direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xi, phi, phi') for anti-hermitian xi and phi = _BUMP_AMPLITUDE (t(1-t))^3, t in [0, 1]."""
     xi = np.asarray(direction, dtype=complex)
     if np.abs(xi + xi.conj().T).max() > 1e-12:
         raise ValueError("gauge direction must be anti-hermitian")
     s = state.s
     t = (s - s[0]) / (s[-1] - s[0])
-    phi = amplitude * (t * (1.0 - t)) ** 3
-    phi_prime = amplitude * 3.0 * (t * (1.0 - t)) ** 2 * (1.0 - 2.0 * t) / (s[-1] - s[0])
+    phi = _BUMP_AMPLITUDE * (t * (1.0 - t)) ** 3
+    phi_prime = _BUMP_AMPLITUDE * 3.0 * (t * (1.0 - t)) ** 2 * (1.0 - 2.0 * t) / (s[-1] - s[0])
     return xi, phi, phi_prime
 
 
-def bump_gauge_path(state: NahmState, direction: np.ndarray,
-                    amplitude: float = _BUMP_AMPLITUDE) -> tuple[np.ndarray, np.ndarray]:
+def bump_gauge_path(state: NahmState, direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smooth unitary path equal to the identity at both grid ends.
 
     Returns (g, g') with the derivative analytic, g = exp(phi(s) xi) for an
     anti-hermitian direction xi and a polynomial bump phi.
     """
-    xi, phi, phi_prime = _gauge_bump(state, direction, amplitude)
+    xi, phi, phi_prime = _gauge_bump(state, direction)
     evals, evecs = np.linalg.eig(xi)
     g = (evecs * np.exp(np.outer(phi, evals))[:, None, :]) @ np.linalg.inv(evecs)
     g_prime = phi_prime[:, None, None] * (g @ xi)
@@ -244,10 +235,10 @@ def translation_tangent(state: NahmState, x: np.ndarray) -> TangentState:
 def gauge_tangent(state: NahmState, direction: np.ndarray) -> TangentState:
     """Gauge-orbit direction (X' + [B_0, X], [B_1, X], [B_2, X], [B_3, X]).
 
-    X = phi(s) xi is the generator of the default `bump_gauge_path` along the
-    same direction: the tangent at the identity of the paths exp(lambda X).
+    X = phi(s) xi is the generator of `bump_gauge_path` along the same
+    direction: the tangent at the identity of the paths exp(lambda X).
     """
-    xi, phi, phi_prime = _gauge_bump(state, direction, _BUMP_AMPLITUDE)
+    xi, phi, phi_prime = _gauge_bump(state, direction)
     X = phi[:, None, None] * xi
     A0 = phi_prime[:, None, None] * xi + _comm(state.B[0], X)
     rest = tuple(_comm(state.B[i], X) for i in (1, 2, 3))
@@ -367,24 +358,22 @@ def constant_psi(state: NahmState) -> np.ndarray:
     return np.broadcast_to(-res.rho[0], state.B[0].shape).copy()
 
 
-def bumped_psi(state: NahmState, direction: np.ndarray,
-               amplitude: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-    """psi = -rho_1 + bump(s) * eta with the endpoint values pinned at -rho_1."""
+def bumped_psi(state: NahmState, direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(psi, psi') for psi = -rho_1 + sin^2(pi t) eta / 2, t in [0, 1], pinned at the ends."""
     eta = np.asarray(direction, dtype=complex)
     s = state.s
     t = (s - s[0]) / (s[-1] - s[0])
-    bump = amplitude * np.sin(math.pi * t) ** 2
-    bump_prime = amplitude * math.pi * np.sin(2.0 * math.pi * t) / (s[-1] - s[0])
+    bump = 0.5 * np.sin(math.pi * t) ** 2
+    bump_prime = 0.5 * math.pi * np.sin(2.0 * math.pi * t) / (s[-1] - s[0])
     psi = constant_psi(state) + bump[:, None, None] * eta
     psi_prime = bump_prime[:, None, None] * eta
     return psi, psi_prime
 
 
-def rotation_field(state: NahmState, psi: np.ndarray,
-                   psi_prime: np.ndarray | None = None) -> TangentState:
+def rotation_field(state: NahmState, psi: np.ndarray, psi_prime: np.ndarray) -> TangentState:
     """X = (psi' + [B_0,psi], [B_1,psi], B_3 + [B_2,psi], -B_2 + [B_3,psi]).
 
-    psi must equal -rho_1 at both grid ends so the residues stay fixed.
+    psi must equal -rho_1 at both grid ends so the residues stay fixed; psi' is analytic.
     """
     res = state.residues
     if res is None:
@@ -393,8 +382,6 @@ def rotation_field(state: NahmState, psi: np.ndarray,
     for end in (0, -1):
         if np.abs(psi[end] + res.rho[0]).max() > 1e-10:
             raise ValueError("psi must equal -rho_1 at the grid ends")
-    if psi_prime is None:
-        psi_prime = grid_derivative(psi, state.h, 6)
     X0 = psi_prime + _comm(state.B[0], psi)
     X1 = _comm(state.B[1], psi)
     X2 = state.B[3] + _comm(state.B[2], psi)
@@ -416,8 +403,7 @@ class ContractionReport:
 
 
 def contraction_identity(state: NahmState, tangent: TangentState,
-                         psi: np.ndarray,
-                         psi_prime: np.ndarray | None = None) -> ContractionReport:
+                         psi: np.ndarray, psi_prime: np.ndarray) -> ContractionReport:
     """Verify omega(X, A) + rhs + boundary = 0 for the rotation field X.
 
     rhs is -integral of tr(A_2 B_2 + A_3 B_3); boundary is tr(A_1 psi)

@@ -5,7 +5,7 @@ high-order finite-difference stencils (Fornberg weights), Richardson-extrapolate
 partial derivatives, the exterior derivative of a form field given by its
 coefficient arrays, adaptive Simpson quadrature with endpoint substitutions for
 improper integrals, SVD nullspaces and subspace distances, pointwise Hodge
-duality for 2-forms on 4-dimensional coordinate patches, and the Pauli matrices.
+duality for 2-forms on 4-dimensional coordinate patches, and the su(2) basis.
 """
 
 from __future__ import annotations
@@ -16,13 +16,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# (i/2) PAULI_k are the su(2) residues of the Nahm pole and the orbit generators
-# of the Calabi quotient
-PAULI = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
+# E_k = (i/2) Pauli_k with [E_1, E_2] = -E_3 cyclic, read-only: the su(2)
+# residues of the Nahm pole and the orbit generators of the Calabi quotient
+_SU2 = 0.5j * np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]],
+                        [[1.0, 0.0], [0.0, -1.0]]], dtype=complex)
+_SU2.flags.writeable = False
+SU2_BASIS = tuple(_SU2)
+
+# step of every Richardson-extrapolated finite difference
+FD_STEP = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -58,18 +60,18 @@ def fd_weights(x0: float, xs: Sequence[float], m: int) -> np.ndarray:
     return c[:, m]
 
 
-def grid_derivative(values: np.ndarray, h: float, order: int = 6) -> np.ndarray:
+def grid_derivative(values: np.ndarray, h: float) -> np.ndarray:
     """First derivative along axis 0 of uniformly gridded values.
 
-    Uses centered stencils of accuracy `order` in the interior and skewed
-    stencils of the same width near the edges, so the error is O(h^order)
-    uniformly.  Works on arrays of matrices (derivative taken entrywise).
+    Uses centered order-6 stencils in the interior and skewed stencils of the
+    same width near the edges, so the error is O(h^6) uniformly.  Works on
+    arrays of matrices (derivative taken entrywise).
     """
     npts = values.shape[0]
-    width = order + 1
+    width = 7
     if npts < width:
         raise ValueError(f"grid too coarse: need at least {width} nodes")
-    half = order // 2
+    half = 3
     out = np.zeros_like(values)
     # interior: centered stencil applied by shifted slices
     w = fd_weights(0.0, np.arange(-half, half + 1) * h, 1)
@@ -87,8 +89,8 @@ def grid_derivative(values: np.ndarray, h: float, order: int = 6) -> np.ndarray:
 
 
 def partial_derivative(f: Callable[[np.ndarray], float | np.ndarray], x: np.ndarray,
-                       axis: int, h: float = 1e-4) -> float | np.ndarray:
-    """Richardson-extrapolated central difference (4 D(h/2) - D(h)) / 3.
+                       axis: int) -> float | np.ndarray:
+    """Richardson-extrapolated central difference (4 D(h/2) - D(h)) / 3, h = FD_STEP.
 
     `f` may return a scalar or an array; arrays are differenced entrywise.
     """
@@ -98,13 +100,13 @@ def partial_derivative(f: Callable[[np.ndarray], float | np.ndarray], x: np.ndar
     def central(step):
         return (f(x + step * e) - f(x - step * e)) / (2.0 * step)
 
-    d1 = central(h)
-    d2 = central(h / 2.0)
+    d1 = central(FD_STEP)
+    d2 = central(FD_STEP / 2.0)
     return (4.0 * d2 - d1) / 3.0
 
 
-def exterior_derivative_at(components: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                           h: float = 1e-4) -> dict:
+def exterior_derivative_at(components: Callable[[np.ndarray], np.ndarray],
+                           x: np.ndarray) -> dict:
     """Finite-difference exterior derivative of a form field on R^(x.size).
 
     `components` maps a point to the form's coefficient array: a vector for a
@@ -119,7 +121,7 @@ def exterior_derivative_at(components: Callable[[np.ndarray], np.ndarray], x: np
         for mu in range(x.size):
             if mu in key:
                 continue
-            dmu = partial_derivative(lambda p, k=key: components(p)[k], x, mu, h)
+            dmu = partial_derivative(lambda p, k=key: components(p)[k], x, mu)
             pos = sum(1 for idx in key if idx < mu)
             merged = tuple(sorted(key + (mu,)))
             out[merged] = out.get(merged, 0.0) + (-1.0) ** pos * dmu
@@ -166,9 +168,8 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
 def integrate_to_infinity(f: Callable[[float], float], a: float, scale: float = 1.0,
                           tol: float = 1e-10) -> float:
     """Integrate f over (a, inf) via the rational substitution x = a + s*u/(1-u)."""
+    # adaptive_simpson samples g on [0, 1 - 1e-14] only, so 1 - u never vanishes
     def g(u):
-        if u >= 1.0:
-            return 0.0
         x = a + scale * u / (1.0 - u)
         return f(x) * scale / (1.0 - u) ** 2
 
@@ -245,19 +246,17 @@ def hodge_star_2form(beta: np.ndarray, g: np.ndarray, orientation: float = 1.0) 
     return 0.5 * vol * np.einsum("mnab,ab->mn", _EPS4, beta_up)
 
 
-def _clip_unit(t: np.ndarray | float) -> np.ndarray | float:
-    if isinstance(t, float):
-        return 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    return np.clip(t, 0.0, 1.0)
+def _clip_unit(t: float) -> float:
+    return 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
 
 
-def smoothstep_c2(t: np.ndarray | float) -> np.ndarray | float:
+def smoothstep_c2(t: float) -> float:
     """Quintic smoothstep: 0 to 1 on [0,1] with vanishing first two derivatives."""
     t = _clip_unit(t)
     return t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-def smoothstep_c3(t: np.ndarray | float) -> np.ndarray | float:
+def smoothstep_c3(t: float) -> float:
     """Septic smoothstep: 0 to 1 on [0,1], C^3 at the ends."""
     t = _clip_unit(t)
     return t ** 4 * (35.0 - 84.0 * t + 70.0 * t * t - 20.0 * t ** 3)

@@ -1,7 +1,8 @@
 """Finite-dimensional hyperkahler quotients of the flat space T*C^n.
 
 Real coordinates are packed as [x_1, y_1, ..., x_n, y_n, u_1, v_1, ..., u_n, v_n]
-for z_j = x_j + i y_j and w_j = u_j + i v_j.  The complex structure I is
+for z_j = x_j + i y_j and w_j = u_j + i v_j: the float view of the complex
+vector (z, w).  The complex structure I is
 multiplication by i, J sends dz-directions to conjugate dw-directions, and
 omega^c = omega_2 + i omega_3 equals the canonical pairing sum dz_j ^ dw_j.
 
@@ -29,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import PAULI, exterior_derivative_at, orthonormal_projector, partial_derivative
+from .numerics import SU2_BASIS, exterior_derivative_at, orthonormal_projector, partial_derivative
 
 _ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -38,11 +39,6 @@ _FRAME_MEMO_SIZE = 256
 
 # moment residual a solve_level_set representative must meet
 _LEVEL_SET_TOL = 1e-12
-
-
-def _pack(z1: complex, z2: complex, w1: complex, w2: complex) -> np.ndarray:
-    """FlatCotangentSpace(2).to_real((z1, z2), (w1, w2)), without the slicing."""
-    return np.array([z1.real, z1.imag, z2.real, z2.imag, w1.real, w1.imag, w2.real, w2.imag])
 
 
 def _chart_point(u: np.ndarray) -> np.ndarray:
@@ -65,17 +61,12 @@ class FlatCotangentSpace:
     # -- packing -------------------------------------------------------------
 
     def to_real(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        out = np.empty(self.real_dim)
-        out[0:2 * self.n:2] = np.real(z)
-        out[1:2 * self.n:2] = np.imag(z)
-        out[2 * self.n::2] = np.real(w)
-        out[2 * self.n + 1::2] = np.imag(w)
-        return out
+        return np.concatenate((z, w), dtype=complex).view(float)
 
     def to_complex(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = p[0:2 * self.n:2] + 1j * p[1:2 * self.n:2]
-        w = p[2 * self.n::2] + 1j * p[2 * self.n + 1::2]
-        return z, w
+        """(z, w) as views of p; callers only read them."""
+        c = np.ascontiguousarray(p, dtype=float).view(complex)
+        return c[:self.n], c[self.n:]
 
     # -- structure matrices ----------------------------------------------------
 
@@ -182,10 +173,8 @@ class QuotientChart:
     (u, u +- h e_k, u +- h/2 e_k).  `chart_tangents`, `pushdown_field` and
     `kahler_form` read from it.  The memo lives as long as the chart, is
     cleared once it holds _FRAME_MEMO_SIZE frames, and its arrays are
-    read-only.
+    read-only.  Every chart derivative uses the step numerics.FD_STEP.
     """
-
-    fd_step = 1e-4   # finite-difference step of every chart derivative
 
     def __init__(self, spec: GroupActionSpec):
         self.spec = spec
@@ -201,7 +190,7 @@ class QuotientChart:
             w1 = u[2] + 1j * u[3]
             w2 = -1j * z1 * w1
             z2 = 1j * (0.5 * (abs(z1) ** 2 - abs(w1) ** 2) - spec.level_shift)
-            return _pack(z1, z2, w1, w2)
+            return spec.space.to_real(np.array([z1, z2]), np.array([w1, w2]))
         zeta = u[0] + 1j * u[1]
         eta = u[2] + 1j * u[3]
         level = 2.0 * spec.level_shift  # mu_1 = 0 <=> |z|^2 - |w|^2 = 2 shift
@@ -212,7 +201,7 @@ class QuotientChart:
         mu = math.sqrt(mu_sq)
         z = mu * np.array([1.0, zeta])
         w = eta * np.array([-zeta, 1.0])
-        return _pack(*z, *w)
+        return spec.space.to_real(z, w)
 
     def solve_level_set(self, u: np.ndarray) -> np.ndarray:
         """Representative with a Newton polish; residual must meet _LEVEL_SET_TOL."""
@@ -246,7 +235,7 @@ class QuotientChart:
             return frame
         p = self.representative(u)
         P = self.projector(p)
-        T = np.column_stack([P @ partial_derivative(self.representative, u, k, self.fd_step)
+        T = np.column_stack([P @ partial_derivative(self.representative, u, k)
                              for k in range(4)])
         frame = (p, P, T)
         for arr in frame:
@@ -268,7 +257,7 @@ class QuotientChart:
     def closedness_residual(self, axis: int, u: np.ndarray) -> float:
         """Finite-difference d(omega_axis) on the chart."""
         out = exterior_derivative_at(lambda v: self.kahler_form(axis, v),
-                                     np.asarray(u, float), self.fd_step)
+                                     np.asarray(u, float))
         scale = max(np.abs(self.kahler_form(axis, u)).max(), 1e-300)
         return max(abs(v) for v in out.values()) / scale
 
@@ -299,14 +288,13 @@ class QuotientChart:
     def lie_derivative(self, ambient_field, axis: int, u: np.ndarray) -> np.ndarray:
         """(L_X omega_axis) on the chart by finite differences."""
         u = np.asarray(u, dtype=float)
-        h = self.fd_step
         omega_fn = lambda v: self.kahler_form(axis, v)
         X_fn = lambda v: self.pushdown_field(ambient_field, v)
         X = X_fn(u)
         B = omega_fn(u)
         out = np.zeros((4, 4))
-        dB = np.array([partial_derivative(omega_fn, u, g, h) for g in range(4)])
-        dX = np.array([partial_derivative(X_fn, u, g, h) for g in range(4)])
+        dB = np.array([partial_derivative(omega_fn, u, g) for g in range(4)])
+        dX = np.array([partial_derivative(X_fn, u, g) for g in range(4)])
         for a in range(4):
             for b in range(4):
                 out[a, b] = (X @ dB[:, a, b]
@@ -332,7 +320,7 @@ class QuotientChart:
             X = self.pushdown_field(self.rotation_ambient, v)
             return X @ self.kahler_form(2, v)     # beta_a = omega_2(X, e_a)
 
-        dbeta = exterior_derivative_at(beta_fn, np.asarray(u, float), self.fd_step)
+        dbeta = exterior_derivative_at(beta_fn, np.asarray(u, float))
         target = self.kahler_form(3, u)
         scale = max(np.abs(target).max(), 1e-300)
         worst = 0.0
@@ -404,21 +392,12 @@ def growth_check(chart: QuotientChart,
 # su(2)-orbit extraction for the Calabi model
 # ---------------------------------------------------------------------------
 
-def su2_generators() -> list[np.ndarray]:
-    """Basis E_k = (i/2) Pauli_k with [E_1, E_2] = -E_3 cyclic.
-
-    This is the basis dual to a coframe with ds_1 = s_2 ^ s_3, so orbit
-    metric coefficients extracted against it compare directly with the
-    cohomogeneity-one profiles.
-    """
-    return [0.5j * s for s in PAULI]
-
-
 def calabi_orbit_data(chart: QuotientChart, t: float) -> dict:
     """Biaxial metric data along the ray z = (sqrt(1+t^2), 0), w = (0, t).
 
     Returns the squared coefficients of the quotient metric against
-    (d/dt, E_1, E_2, E_3): the radial factor f_sq and the three orbit
+    (d/dt, E_1, E_2, E_3), E = SU2_BASIS dual to a coframe with ds_1 = s_2 ^ s_3
+    as in the cohomogeneity-one profiles: the radial factor f_sq and the three orbit
     coefficients A_sq, B_sq, C_sq, with the largest off-diagonal entries
     among the orbit directions (cross_max) and against d/dt (radial_cross).
     """
@@ -428,7 +407,7 @@ def calabi_orbit_data(chart: QuotientChart, t: float) -> dict:
     root = math.sqrt(1.0 + t * t)
     z, w = np.array([root, 0.0]), np.array([0.0, t])
     P = chart.projector(space.to_real(z, w))
-    X = [P @ space.to_real(E @ z, np.conj(E) @ w) for E in su2_generators()]
+    X = [P @ space.to_real(E @ z, np.conj(E) @ w) for E in SU2_BASIS]
     gd = P @ space.to_real(np.array([t / root, 0.0]), np.array([0.0, 1.0]))
     return {"A_sq": float(X[0] @ X[0]), "B_sq": float(X[1] @ X[1]),
             "C_sq": float(X[2] @ X[2]), "f_sq": float(gd @ gd),

@@ -42,6 +42,8 @@ class SuiteConfig:
     tol_scale: float = 1.0
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {self.seed!r}")
         if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
             raise ValueError("tolerance scale must be finite and positive")
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,11 @@ def test_taubnut_suite_schema():
 def test_suite_config_validation():
     with pytest.raises(ValueError):
         SuiteConfig(tol_scale=0.0)
+    # a seed must be a non-negative int; the message names it
+    for seed in (-1, -3, True, 1.5, "7"):
+        with pytest.raises(ValueError, match=re.escape(f"not {seed!r}")):
+            SuiteConfig(seed=seed)
+    assert SuiteConfig(seed=0).seed == 0
 
 
 @pytest.mark.parametrize("flag", [["--tol-scale", "nan"], ["--tol-scale", "inf"],
@@ -248,6 +254,56 @@ def test_cli_value_errors_still_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(suites._RUNNERS, "taubnut", _raise(ValueError("bad input")))
     assert main(["--suite", "taubnut", "--out", str(tmp_path / "b"), "--quiet"]) == 2
     assert not (tmp_path / "b").exists()
+    assert capsys.readouterr().err == "error: bad input\n"
+    # a negative seed, whatever the suite adds to it before drawing
+    for suite, seed in (("algebra", "-1"), ("quotient", "-3")):
+        out = tmp_path / f"neg{seed}"
+        assert main(["--suite", suite, "--seed", seed, "--out", str(out), "--quiet"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == \
+            f"error: seed must be a non-negative integer, not {seed}\n"
+
+
+def _no_suite_may_run(monkeypatch):
+    for name in suites.SUITE_NAMES:
+        monkeypatch.setitem(suites._RUNNERS, name, _raise(AssertionError("a suite ran")))
+
+
+@pytest.mark.parametrize("key, value", [("seed", 1.5), ("seed", True), ("seed", "7"),
+                                        ("tol_scale", "1"), ("tol_scale", False),
+                                        ("out", 5), ("suite", 5), ("format", ["csv"])])
+def test_cli_refuses_a_config_value_of_the_wrong_json_type(tmp_path, monkeypatch, capsys,
+                                                           key, value):
+    _no_suite_may_run(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "report"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == \
+        f"error: config {cfg}: {key} has the wrong JSON type: {value!r}\n"
+
+
+def test_cli_refuses_an_out_that_is_a_file_before_any_suite_runs(tmp_path, monkeypatch,
+                                                                  capsys):
+    _no_suite_may_run(monkeypatch)
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    assert main(["--suite", "all", "--out", str(out), "--quiet"]) == 2
+    assert out.read_text() == "keep"
+    assert capsys.readouterr().err == \
+        f"error: output path {out} exists and is not a directory\n"
+
+
+def test_cli_write_error_exits_2(tmp_path, monkeypatch, capsys):
+    # the directory cannot be made under a file: an OSError after the suites ran
+    monkeypatch.setitem(suites._RUNNERS, "taubnut", _passing("taubnut"))
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "report"
+    assert main(["--suite", "taubnut", "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write reports to {out}: ")
+    assert "Traceback" not in err
 
 
 def _reject_constant(name):

@@ -10,7 +10,6 @@ from hkforms.gibbons_hawking import (
     GHPoint,
     alpha_components,
     anti_self_duality_residual,
-    closed_form_l2_norm,
     cutoff_cross_term,
     ddtheta_residual,
     dtheta,
@@ -42,10 +41,14 @@ def test_data_validation():
     with pytest.raises(ValueError):
         GHData(m=-1.0)
     with pytest.raises(ValueError):
-        GHData(m=1.0, tau_period=0.0)
-    with pytest.raises(ValueError):
         GHData(m=1.0, patch="east")
-    assert D1.tau_period == pytest.approx(4.0 * math.pi)
+    # the period is derived from the mass, never set
+    with pytest.raises(TypeError):
+        GHData(m=1.0, tau_period=0.0)
+    with pytest.raises(AttributeError):
+        D1.tau_period = 1.0
+    assert D1.tau_period == 4.0 * math.pi
+    assert GHData(m=0.5).tau_period == 2.0 * math.pi
 
 
 def test_point_validation():
@@ -165,26 +168,10 @@ def test_l2_norm_oracle_quadrature():
     assert l2_norm(D1) == pytest.approx(D1.tau_period * oracle, rel=1e-9)
 
 
-def test_l2_norm_one_sided_truncations_oracle():
-    # r_min > 0 up to infinity, and from the NUT out to a finite radius
-    from scipy.integrate import quad
-    radial = lambda r: 8.0 * math.pi * r / (r + 1.0) ** 3
-    for r_min, r_max in ((0.5, math.inf), (0.0, 50.0)):
-        oracle, _ = quad(radial, r_min, r_max)
-        assert l2_norm(D1, r_min=r_min, r_max=r_max) == pytest.approx(
-            D1.tau_period * oracle, rel=1e-9)
-
-
 def test_l2_norm_scaling_in_mass():
     for m in (0.5, 1.0, 2.0):
         d = GHData(m=m)
         assert l2_norm(d) / (m * d.tau_period) == pytest.approx(4.0 * math.pi, rel=1e-8)
-
-
-def test_l2_norm_truncations_monotone():
-    vals = [l2_norm(D1, r_min=eps, r_max=R)
-            for eps, R in ((1.0, 10.0), (0.1, 100.0), (0.01, 1000.0))]
-    assert vals[0] < vals[1] < vals[2] < closed_form_l2_norm(D1)
 
 
 def test_tail_decay_slope():

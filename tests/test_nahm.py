@@ -21,11 +21,11 @@ from hkforms.nahm import (
     one_pole_state,
     pole_shift_tangent,
     rotation_field,
-    standard_residues,
     symplectic_form,
     translation_action,
     translation_tangent,
 )
+from hkforms.numerics import SU2_BASIS
 
 XI = 1j * np.array([[0.3, 0.2 + 0.1j], [0.2 - 0.1j, -0.3]])
 ETA = 1j * np.array([[0.1, 0.4 - 0.2j], [0.4 + 0.2j, -0.1]])
@@ -73,14 +73,16 @@ def _rk4_tangent(state, scalars, seed):
 # -- residues -------------------------------------------------------------------
 
 def test_standard_residues_bracket():
-    res = standard_residues()
+    res = one_pole_state(0.1, 1.0, 11).residues
+    assert res.rho == SU2_BASIS
+    assert not any(E.flags.writeable for E in SU2_BASIS)
     for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         comm = res.rho[j] @ res.rho[k] - res.rho[k] @ res.rho[j]
         assert np.abs(comm + res.rho[i]).max() == 0
 
 
 def test_standard_residues_traceless_irreducible():
-    res = standard_residues()
+    res = one_pole_state(0.1, 1.0, 11).residues
     for r in res.rho:
         assert abs(np.trace(r)) == 0
     # irreducible for k = 2: the triple spans the trace-free anti-hermitian matrices
@@ -167,7 +169,7 @@ def test_nonunitary_gauge_rejected():
     state = one_pole_state(0.1, 1.0, 501)
     g = np.broadcast_to(2.0 * np.eye(2, dtype=complex), state.B[0].shape).copy()
     with pytest.raises(ValueError):
-        gauge_transform(state, g)
+        gauge_transform(state, g, np.zeros_like(g))
 
 
 def test_translation_preserves_residual_exactly():
@@ -216,10 +218,11 @@ def test_bump_gauge_path_matches_per_node_exponential():
     state = one_pole_state(0.1, 1.0, 2001)
     rng = np.random.default_rng(5)
     M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    for xi, amplitude in ((XI, 0.3), (0.5 * (M - M.conj().T), 0.7)):
-        g, g_prime = bump_gauge_path(state, xi, amplitude=amplitude)
+    # amplitude 0.7 along the second direction, as a scaled direction
+    for xi in (XI, 0.5 * (M - M.conj().T) * (0.7 / 0.3)):
+        g, g_prime = bump_gauge_path(state, xi)
         t = (state.s - state.s[0]) / (state.s[-1] - state.s[0])
-        phi = amplitude * (t * (1.0 - t)) ** 3
+        phi = 0.3 * (t * (1.0 - t)) ** 3
         evals, evecs = np.linalg.eig(xi)
         loop = np.array([evecs @ np.diag(np.exp(p * evals)) @ np.linalg.inv(evecs)
                          for p in phi])
@@ -231,8 +234,8 @@ def test_finite_difference_gauge_family_tangent():
     # (B(lambda) - B(0)) / lambda from the gauge orbit: residual O(lambda)
     state = one_pole_state(0.1, 1.0, 1001)
     lam = 1e-3
-    g, _ = bump_gauge_path(state, XI, amplitude=lam)
-    moved = gauge_transform(state, g)
+    # the bump path has amplitude 0.3; scale the direction to amplitude lam
+    moved = gauge_transform(state, *bump_gauge_path(state, (lam / 0.3) * XI))
     fd = TangentState(state.s, tuple((a - b) / lam for a, b in zip(moved.B, state.B)))
     res = linearized_residual(fd, state)
     assert res <= 10.0 * lam
@@ -283,16 +286,16 @@ def test_ivp_tangent_closed_form_matches_rk4(nodes, bound):
 
 
 def test_euler_exponents_are_integers():
-    lam = euler_exponents(standard_residues().rho)
+    lam = euler_exponents(SU2_BASIS)
     assert np.abs(lam - np.array(EULER_EXPONENTS)).max() <= 1e-12
-    record, exponents = suites._euler_record(standard_residues().rho, 1.0)
+    record, exponents = suites._euler_record(SU2_BASIS, 1.0)
     assert record.passed and record.measured <= 1e-12
     assert exponents == [float(x.real) for x in lam]
 
 
 def test_euler_exponents_record_fails_for_negated_residues():
     # -rho breaks [rho_j, rho_k] = -rho_i, so ResidueTriple would reject it
-    negated = tuple(-r for r in standard_residues().rho)
+    negated = tuple(-r for r in SU2_BASIS)
     lam = euler_exponents(negated)
     assert np.abs(lam + np.array(EULER_EXPONENTS[::-1])).max() <= 1e-12
     record, _ = suites._euler_record(negated, 1.0)
@@ -333,7 +336,8 @@ def test_symplectic_constant_case_closed_form():
 def test_rotation_field_constant_psi_vanishes_on_one_pole():
     # the one-pole solution is rotation-invariant: X = 0 identically
     state = one_pole_state(0.1, 1.0, 801)
-    X = rotation_field(state, constant_psi(state))
+    psi = constant_psi(state)
+    X = rotation_field(state, psi, np.zeros_like(psi))
     assert max(np.abs(a).max() for a in X.A) <= 1e-12
 
 
@@ -348,7 +352,7 @@ def test_rotation_field_requires_endpoint_values():
     state = one_pole_state(0.1, 1.0, 801)
     bad = np.zeros_like(state.B[0])
     with pytest.raises(ValueError):
-        rotation_field(state, bad)
+        rotation_field(state, bad, np.zeros_like(bad))
 
 
 def test_contraction_translation_tangent_exact():
@@ -364,7 +368,8 @@ def test_contraction_translation_tangent_exact():
 def test_contraction_pole_shift_closed_forms():
     # rhs = int 1/s^3 on [0.1, 1] = 49.5 and the boundary term cancels it
     state = one_pole_state(0.1, 1.0, 2001)
-    report = contraction_identity(state, pole_shift_tangent(state), constant_psi(state))
+    psi = constant_psi(state)
+    report = contraction_identity(state, pole_shift_tangent(state), psi, np.zeros_like(psi))
     assert report.rhs == pytest.approx(49.5, rel=1e-9)
     assert report.boundary == pytest.approx(-49.5, rel=1e-9)
     assert abs(report.lhs) <= 1e-10
@@ -396,7 +401,8 @@ def test_contraction_identity_across_psi_choices():
     etas = [ETA, 1j * np.array([[0.5, 0.0], [0.0, -0.5]]),
             1j * np.array([[0.0, 1.0j], [-1.0j, 0.0]])]
     for k, eta in enumerate(etas):
-        psi, psi_prime = bumped_psi(state, eta, amplitude=0.2 + 0.3 * k)
+        # amplitude 0.2 + 0.3 k on the bump of amplitude 0.5
+        psi, psi_prime = bumped_psi(state, eta * ((0.2 + 0.3 * k) / 0.5))
         report = contraction_identity(state, tangent, psi, psi_prime)
         assert report.rel_err <= 1e-6
 

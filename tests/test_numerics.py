@@ -44,7 +44,7 @@ def test_grid_derivative_polynomial_exact():
     x = np.linspace(0.0, 2.0, 41)
     vals = x ** 6 - 3.0 * x ** 4 + x
     expected = 6.0 * x ** 5 - 12.0 * x ** 3 + 1.0
-    out = grid_derivative(vals, x[1] - x[0], order=6)
+    out = grid_derivative(vals, x[1] - x[0])
     assert np.abs(out - expected).max() <= 1e-10
 
 
@@ -58,7 +58,7 @@ def test_grid_derivative_matrix_valued():
 
 def test_grid_derivative_rejects_coarse_grids():
     with pytest.raises(ValueError):
-        grid_derivative(np.zeros(5), 0.1, order=6)
+        grid_derivative(np.zeros(5), 0.1)
 
 
 def test_partial_derivative_richardson():
@@ -86,7 +86,7 @@ def test_exterior_derivative_known_two_form():
     assert out[(0, 1)] == pytest.approx(-1.0, abs=1e-10)
 
 
-def _dict_exterior_derivative(components, x, dim, h=1e-4):
+def _dict_exterior_derivative(components, x, dim):
     # reference: the exterior derivative of a field given as {index tuple: coefficient}
     base = components(np.asarray(x, dtype=float))
     out = {}
@@ -95,7 +95,7 @@ def _dict_exterior_derivative(components, x, dim, h=1e-4):
             if mu in key:
                 continue
             dmu = partial_derivative(lambda p, k=key: components(p)[k],
-                                     np.asarray(x, float), mu, h)
+                                     np.asarray(x, float), mu)
             pos = sum(1 for idx in key if idx < mu)
             merged = tuple(sorted(key + (mu,)))
             out[merged] = out.get(merged, 0.0) + (-1.0) ** pos * dmu
@@ -269,4 +269,3 @@ def test_smoothsteps():
         assert f(-1.0) == 0.0
         assert f(2.0) == 1.0
         assert 0.0 < f(0.5) < 1.0
-    assert np.allclose(smoothstep_c2(np.array([0.0, 1.0])), [0.0, 1.0])

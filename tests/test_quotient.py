@@ -7,7 +7,7 @@ import pytest
 
 from hkforms import quotient, suites
 from hkforms.bianchi import eguchi_hanson_profile, ratio
-from hkforms.numerics import partial_derivative
+from hkforms.numerics import FD_STEP, SU2_BASIS, partial_derivative
 from hkforms.quotient import (
     FlatCotangentSpace,
     GroupActionSpec,
@@ -16,7 +16,6 @@ from hkforms.quotient import (
     ambient_linear_part,
     calabi_orbit_data,
     growth_check,
-    su2_generators,
 )
 
 TN = GroupActionSpec("taubnut_R")
@@ -305,7 +304,7 @@ def test_frame_memo_matches_fresh_chart():
         chart = QuotientChart(spec)
         u = 0.7 * rng.standard_normal(4)
         chart.closedness_residual(1, u)
-        for v in _stencil(u, chart.fd_step):
+        for v in _stencil(u, FD_STEP):
             assert v.tobytes() in chart._frames
             fresh = QuotientChart(spec)
             for cached, built in zip(chart._frame(v), fresh._frame(v)):
@@ -374,8 +373,7 @@ def test_frame_tangents_match_inline_stencil():
         chart = QuotientChart(spec)
         u = 0.7 * rng.standard_normal(4)
         _, P, T = chart._frame(u)
-        inline = np.column_stack([P @ _inline_richardson(chart.representative, u, k,
-                                                         chart.fd_step)
+        inline = np.column_stack([P @ _inline_richardson(chart.representative, u, k, FD_STEP)
                                   for k in range(4)])
         assert np.array_equal(T, inline)
 
@@ -385,7 +383,7 @@ def test_lie_derivative_matches_inline_stencil():
     for spec in (TN, CAL):
         chart = QuotientChart(spec)
         u = 0.7 * rng.standard_normal(4)
-        h = chart.fd_step
+        h = FD_STEP
         for axis in (1, 2, 3):
             omega_fn = lambda v: chart.kahler_form(axis, v)
             X_fn = lambda v: chart.pushdown_field(chart.rotation_ambient, v)
@@ -458,7 +456,7 @@ def test_growth_zero_field():
 # -- the Calabi quotient is the Eguchi-Hanson metric ------------------------------------
 
 def test_su2_generator_normalization():
-    E = su2_generators()
+    E = SU2_BASIS
     comm = E[0] @ E[1] - E[1] @ E[0]
     assert np.abs(comm + E[2]).max() <= 1e-15
 
@@ -536,8 +534,8 @@ def _quotient_record(check):
 def test_calabi_orbit_record_sees_unequal_orbit_coefficients(monkeypatch):
     # scaling E_2 by 1.01 makes B^2 = 1.0201 A^2: the orbit is no longer biaxial
     assert _quotient_record("calabi-orbit-biaxial").passed
-    E = su2_generators()
-    monkeypatch.setattr(quotient, "su2_generators", lambda: [E[0], 1.01 * E[1], E[2]])
+    E = SU2_BASIS
+    monkeypatch.setattr(quotient, "SU2_BASIS", (E[0], 1.01 * E[1], E[2]))
     record = _quotient_record("calabi-orbit-biaxial")
     assert not record.passed
     assert record.measured >= 1e-3
@@ -555,19 +553,30 @@ def test_calabi_eguchi_hanson_deviation_sees_a_wrong_bolt():
         suites._eguchi_hanson_deviation(CHART_CAL, eguchi_hanson_profile(0.55), 0.25)
 
 
+def _sliced_to_real(z, w):
+    """The packed layout [x_1, y_1, ..., x_n, y_n, u_1, v_1, ..., u_n, v_n], slice by slice."""
+    n = len(z)
+    out = np.empty(4 * n)
+    out[0:2 * n:2] = np.real(z)
+    out[1:2 * n:2] = np.imag(z)
+    out[2 * n::2] = np.real(w)
+    out[2 * n + 1::2] = np.imag(w)
+    return out
+
+
 def _representative_oracle(chart, u):
-    """The representative built through to_real, as the chart did before packing directly."""
+    """The representative written out and packed slice by slice, apart from to_real."""
     spec = chart.spec
     if spec.model == "taubnut_R":
         z1 = u[0] + 1j * u[1]
         w1 = u[2] + 1j * u[3]
         w2 = -1j * z1 * w1
         z2 = 1j * (0.5 * (abs(z1) ** 2 - abs(w1) ** 2) - spec.level_shift)
-        return spec.space.to_real(np.array([z1, z2]), np.array([w1, w2]))
+        return _sliced_to_real(np.array([z1, z2]), np.array([w1, w2]))
     zeta = u[0] + 1j * u[1]
     eta = u[2] + 1j * u[3]
     mu = math.sqrt(abs(eta) ** 2 + 2.0 * spec.level_shift / (1.0 + abs(zeta) ** 2))
-    return spec.space.to_real(mu * np.array([1.0, zeta]), eta * np.array([-zeta, 1.0]))
+    return _sliced_to_real(mu * np.array([1.0, zeta]), eta * np.array([-zeta, 1.0]))
 
 
 def test_representative_packing_is_bit_identical_to_to_real():
@@ -576,3 +585,56 @@ def test_representative_packing_is_bit_identical_to_to_real():
         for _ in range(50):
             u = rng.uniform(-1.0, 1.0, 4)
             assert np.array_equal(chart.representative(u), _representative_oracle(chart, u))
+
+
+def test_packing_is_the_float_view_of_the_complex_vector():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3):
+        space = FlatCotangentSpace(n)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        p = space.to_real(z, w)
+        assert np.array_equal(p, _sliced_to_real(z, w))
+        zz, ww = space.to_complex(p)
+        assert np.array_equal(zz, z) and np.array_equal(ww, w)
+        # views: they alias p
+        assert np.shares_memory(zz, p) and np.shares_memory(ww, p)
+
+
+# -- a representative off the level set ----------------------------------------------------
+
+def _shift_representatives(monkeypatch, delta):
+    """Build every representative on the level shift + delta(u), not the chart's own."""
+    representative = QuotientChart.representative
+
+    def shifted(chart, u):
+        spec = chart.spec
+        moved = GroupActionSpec(spec.model, spec.level_shift + delta(np.asarray(u, float)))
+        return representative(QuotientChart(moved), u)
+
+    monkeypatch.setattr(QuotientChart, "representative", shifted)
+
+
+def test_a_shifted_level_set_fails_the_quotient_suite(monkeypatch):
+    # a constant shift leaves a moment residual of 1e-3, which one Gauss-Newton
+    # step cannot bring under 1e-12: the level-set solve raises
+    _shift_representatives(monkeypatch, lambda u: 1e-3)
+    records, details = suites.run_suite("quotient", suites.SuiteConfig(seed=7))
+    assert [(r.check, r.passed) for r in records] == [("suite-error", False)]
+    assert details["error"].startswith("ArithmeticError: level-set residual")
+
+
+def test_a_point_dependent_level_shift_fails_the_closedness_records(monkeypatch):
+    # a shift varying across the chart leaves the level set: the pushed-down
+    # forms are no longer closed.  The rotation relations and beta exactness
+    # are blind to this fault and stay near 1e-11.
+    _shift_representatives(monkeypatch, lambda u: 1e-3 * u[0])
+    rng = np.random.default_rng(22)
+    for spec in (TN, CAL):
+        chart = QuotientChart(spec)
+        points = [0.7 * rng.standard_normal(4) for _ in range(2)]
+        closed = max(chart.closedness_residual(axis, u) for u in points for axis in (1, 2, 3))
+        assert closed > 1e-5    # the bound of *-forms-closed
+        relations = max(max(chart.omegas_relation_residuals(u).values()) for u in points)
+        beta = max(chart.beta_exactness_residual(u) for u in points)
+        assert max(relations, beta) <= 1e-9
