@@ -1,4 +1,4 @@
-"""Lefschetz triple, su(2) action and brute-force middle-kernel computations.
+"""Lefschetz triple, su(2) action, so(4,1) closure and the middle kernel.
 
 Conventions, fixed once and verified by the commutator suite:
 
@@ -10,10 +10,24 @@ Conventions, fixed once and verified by the commutator suite:
   [L_1, Lambda_2] = [Lambda_1, L_2] = -sigma_3 (plus cyclic) exactly.  On
   (p, q)-forms for the matching complex structure, sigma_i acts with
   eigenvalue i(q - p), so omega_2 + i omega_3 is of type (2, 0).
+
+Every BLAS and LAPACK call here stays below OpenBLAS's multithreading
+thresholds (at k <= 2 no matrix has more than 70 columns), so each runs on
+the calling thread and no BLAS worker is woken to spin idle afterwards:
+
+* a real block applied to a complex vector is two real matrix-vector
+  products, not one complex product (a 70 x 70 zgemv is threaded);
+* the norms of the 12,870-entry flattened brackets are numpy sums, not BLAS
+  dots (a ddot over 10,000 entries is threaded);
+* the middle kernel intersects the six operator kernels one operator at a
+  time, each SVD with at most 28 rows, instead of taking the SVD with vectors
+  of the 168 x 70 stack; its oracle counts the vanishing singular values of
+  the 70 x 70 Gram sum without vectors.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -56,6 +70,15 @@ def derivation_matrix(A: np.ndarray, degree: int) -> np.ndarray:
                 # new factor hops from slot pos to the front at the cost (-1)^pos
                 M[idx[rest[:i] + (m,) + rest[i:]], col] += (-1) ** i * (-1) ** pos * x
     return M
+
+
+def _real_matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ v for a real matrix and a complex vector, as two real products.
+
+    numpy would promote M to complex and call zgemv, which OpenBLAS threads
+    from 4,096 entries; dgemv stays on the calling thread up to 9,216.
+    """
+    return M @ v.real + 1j * (M @ v.imag)
 
 
 class LefschetzAlgebra:
@@ -118,7 +141,7 @@ class LefschetzAlgebra:
         out = FormVector.zero(self.dim)
         for p in a.degrees():
             if 0 <= p + shift <= self.dim:
-                v = matrix(axis, p) @ a.to_vector(p)
+                v = _real_matvec(matrix(axis, p), a.to_vector(p))
                 out = out + FormVector.from_vector(self.dim, p + shift, v)
         return out
 
@@ -206,6 +229,12 @@ def _flat(blocks: dict) -> np.ndarray:
     return np.concatenate([blocks[p].ravel() for p in sorted(blocks)])
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm by numpy's own sum: np.linalg.norm is a BLAS dot, threaded
+    past 10,000 entries, and a flattened k = 2 bracket has 12,870."""
+    return math.sqrt(float(np.square(x).sum()))
+
+
 def lie_closure_dimension(structure: QuaternionicStructure) -> LieClosure:
     """The Lie algebra generated by {L_i, Lambda_i}, by its structure constants.
 
@@ -231,7 +260,7 @@ def lie_closure_dimension(structure: QuaternionicStructure) -> LieClosure:
             if shift in bases:
                 constants[i, j, groups[shift]] = pinvs[shift] @ v
                 miss = v - bases[shift] @ constants[i, j, groups[shift]]
-            residual = max(residual, np.linalg.norm(miss) / max(np.linalg.norm(v), 1.0))
+            residual = max(residual, _norm(miss) / max(_norm(v), 1.0))
     eigs = np.linalg.eigvalsh(np.einsum("ijk,lkj->il", constants, constants))
     cut = _CLOSURE_RTOL * np.abs(eigs).max()
     return LieClosure(sum(int((sv > _CLOSURE_RTOL * sv[0]).sum()) for sv in singular),
@@ -262,11 +291,11 @@ def type_components(a: FormVector, axis: int,
         for mu in eigs:
             if mu == lam:
                 continue
-            proj = (sigma @ proj - mu * proj) / (lam - mu)
+            proj = (_real_matvec(sigma, proj) - mu * proj) / (lam - mu)
         comp = FormVector.from_vector(a.dim, d, proj)
         if comp.norm() <= tol:
             continue
-        residual = np.abs(sigma @ proj - lam * proj).max()
+        residual = np.abs(_real_matvec(sigma, proj) - lam * proj).max()
         if residual > tol:
             raise ArithmeticError(f"eigenspace projection residual {residual:.3e}")
         m = int(lam.imag)
@@ -275,41 +304,50 @@ def type_components(a: FormVector, axis: int,
     return out
 
 
+def _middle_operators(structure: QuaternionicStructure) -> list[np.ndarray]:
+    """L_1, L_2, L_3, Lambda_1, Lambda_2, Lambda_3 on degree 2k."""
+    alg = structure.algebra
+    p = 2 * structure.k
+    return [alg.L_matrix(i, p) for i in (1, 2, 3)] + [alg.Lambda_matrix(i, p) for i in (1, 2, 3)]
+
+
 def middle_kernel(structure: QuaternionicStructure) -> list[FormVector]:
     """Orthonormal basis of the joint kernel of all L_i, Lambda_i in degree 2k.
 
-    Computed as the nullspace of the six operators stacked into one matrix.
-    For k = 1 this is the 3-dimensional space of anti-self-dual 2-forms; the
-    elements are self-dual for k = 2.
+    The six kernels are intersected one operator at a time: each step keeps
+    the nullspace of the next operator restricted to the kernel found so far.
+    Every SVD then has at most C(4k, 2k + 2) rows (28 at k = 2), and the
+    product of orthonormal nullspace bases stays orthonormal.  For k = 1 this
+    is the 3-dimensional space of anti-self-dual 2-forms; the elements are
+    self-dual for k = 2.
     """
-    alg = structure.algebra
     p = 2 * structure.k
-    stacked = np.vstack([alg.L_matrix(i, p) for i in (1, 2, 3)]
-                        + [alg.Lambda_matrix(i, p) for i in (1, 2, 3)])
-    basis = nullspace(stacked)
+    basis = np.eye(len(_basis(structure.dim, p)))
+    for op in _middle_operators(structure):
+        basis = basis @ nullspace(op @ basis)
     return [FormVector.from_vector(structure.dim, p, basis[:, j])
             for j in range(basis.shape[1])]
+
+
+def _middle_gram_spectrum(structure: QuaternionicStructure) -> np.ndarray:
+    """Singular values, descending, of the Gram sum of the six operators on degree 2k.
+
+    Its kernel is the joint kernel, so the gap between the kept and the
+    vanishing values is the decision margin of the kernel dimension.
+    """
+    gram = sum(op.T @ op for op in _middle_operators(structure))
+    return np.linalg.svd(gram, compute_uv=False)
 
 
 def middle_kernel_oracle_dimension(structure: QuaternionicStructure) -> int:
     """Independent route to the middle-kernel dimension.
 
-    Intersects the six kernels one at a time by projector composition instead
-    of stacking, so rank decisions are made on different matrices than the
-    ones middle_kernel uses.
+    Counts the vanishing singular values of the Gram sum of the six operators
+    (at 1e-10 relative, as `nullspace` cuts), so the rank is decided on one
+    symmetric matrix instead of the restricted operators middle_kernel uses.
     """
-    alg = structure.algebra
-    p = 2 * structure.k
-    size = len(_basis(structure.dim, p))
-    basis = np.eye(size)
-    for op in [alg.L_matrix(i, p) for i in (1, 2, 3)] \
-            + [alg.Lambda_matrix(i, p) for i in (1, 2, 3)]:
-        restricted = op @ basis
-        inner_null = nullspace(restricted)
-        if inner_null.shape[1] == 0:
-            return 0
-        basis = basis @ inner_null
-    return basis.shape[1]
+    s = _middle_gram_spectrum(structure)
+    return int((s <= 1e-10 * max(s[0], 1.0)).sum())
 
 
 def asd_two_form_basis(structure: QuaternionicStructure) -> list[FormVector]:

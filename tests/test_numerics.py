@@ -193,6 +193,24 @@ def test_composite_simpson_exact_on_cubics():
         composite_simpson(np.zeros(10), 0.1)
 
 
+def test_composite_simpson_matches_the_exact_weighted_sum():
+    # the slice sums reorder the weighted sum 1, 4, 2, ..., 2, 4, 1; pairwise
+    # summation errs by at most about log2(n) eps of the absolute sum
+    rng = np.random.default_rng(5)
+    eps = np.finfo(float).eps
+    for n in (3, 5, 20_001):
+        vals = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        w = np.ones(n)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        got = composite_simpson(vals, 0.3)
+        for col in range(2):
+            v = vals[:, col]
+            exact = 0.1 * complex(math.fsum(w * v.real), math.fsum(w * v.imag))
+            scale = 0.1 * float(np.sum(w * np.abs(v)))
+            assert abs(got[col] - exact) <= (np.log2(n) + 4) * eps * scale
+
+
 def test_loglog_slope():
     xs = np.geomspace(1.0, 100.0, 10)
     assert loglog_slope(xs, 5.0 * xs ** -2) == pytest.approx(-2.0, abs=1e-12)

@@ -29,6 +29,7 @@ from hkforms.exterior import (
 from hkforms.exterior import operators
 from hkforms.exterior.forms import merge_sign
 from hkforms.exterior.operators import derivation_matrix
+from hkforms.numerics import nullspace, subspace_distance
 
 Q4 = QuaternionicStructure(4)
 Q8 = QuaternionicStructure(8)
@@ -384,6 +385,78 @@ def test_middle_kernel_k2():
 
 def test_middle_kernel_oracle_k1():
     assert middle_kernel_oracle_dimension(Q4) == 3
+
+
+def stacked_middle_kernel(Q):
+    """The stacked route: one SVD of the six operators stacked (168 x 70 at k = 2)."""
+    alg = Q.algebra
+    p = 2 * Q.k
+    return nullspace(np.vstack([alg.L_matrix(i, p) for i in (1, 2, 3)]
+                               + [alg.Lambda_matrix(i, p) for i in (1, 2, 3)]))
+
+
+@pytest.mark.parametrize("Q", [Q4, Q8, QuaternionicStructure(8, metric=2.0 * np.eye(8)),
+                               random_frame_structure(21), random_frame_structure(22)],
+                         ids=["k1", "k2", "k2-scaled-metric", "k1-random-frame-21",
+                              "k1-random-frame-22"])
+def test_middle_kernel_matches_the_stacked_svd(Q):
+    p = 2 * Q.k
+    kernel = np.column_stack([eta.to_vector(p) for eta in middle_kernel(Q)])
+    expected = stacked_middle_kernel(Q)
+    assert kernel.shape == expected.shape == (expected.shape[0], 3 if Q.k == 1 else 14)
+    assert np.abs(kernel.conj().T @ kernel - np.eye(kernel.shape[1])).max() <= 1e-12
+    assert subspace_distance(kernel, expected) <= 1e-12
+    assert middle_kernel_oracle_dimension(Q) == kernel.shape[1]
+
+
+@pytest.mark.parametrize("Q, dim", [(Q4, 3), (Q8, 14)], ids=["k1", "k2"])
+def test_middle_kernel_gram_margin(Q, dim):
+    spectrum = operators._middle_gram_spectrum(Q)
+    kept, dropped = spectrum[:-dim], spectrum[-dim:]
+    assert kept.min() >= 3.9
+    assert dropped.max() <= 1e-13
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from((4, 8)), st.data())
+def test_real_matvec_matches_the_complex_product(dim, data):
+    Q = Q4 if dim == 4 else Q8
+    degree = data.draw(st.integers(0, dim))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    v = random_form(rng, dim, degree).to_vector(degree)
+    alg = Q.algebra
+    blocks = [alg.sigma_matrix(axis, degree) for axis in (1, 2, 3)]
+    if degree <= dim - 2:
+        blocks += [alg.L_matrix(axis, degree) for axis in (1, 2, 3)]
+    if degree >= 2:
+        blocks += [alg.Lambda_matrix(axis, degree) for axis in (1, 2, 3)]
+    for M in blocks:
+        got = operators._real_matvec(M, v)
+        assert np.all(np.abs(got - M @ v) <= 4 * EPS * (np.abs(M) @ np.abs(v)))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.sampled_from((4, 8)), st.data())
+def test_type_components_types_match_the_complex_product(dim, data):
+    # a sum of some of a random form's (p, q)-components has exactly those
+    # types, whether sigma is applied by two real products or one complex one
+    Q = Q4 if dim == 4 else Q8
+    degree = data.draw(st.integers(0, dim))
+    axis = data.draw(st.sampled_from((1, 2, 3)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    comps = type_components(random_form(rng, dim, degree), axis, Q)
+    kept = sorted(data.draw(st.sets(st.integers(0, len(comps) - 1), min_size=1)))
+    form = FormVector.zero(dim)
+    for j in kept:
+        form = form + comps[j][2]
+    types = [(p, q) for p, q, _ in type_components(form, axis, Q)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "_real_matvec", lambda M, v: M @ v)
+        complex_types = [(p, q) for p, q, _ in type_components(form, axis, Q)]
+    assert types == complex_types == [comps[j][:2] for j in kept]
 
 
 def test_operator_matrix_wrapper():
