@@ -35,6 +35,7 @@ from .exterior.forms import merge_sign
 from .numerics import (
     adaptive_simpson,
     exterior_derivative_at,
+    gauss_kronrod,
     hodge_star_2form,
     loglog_slope,
     smoothstep_c2,
@@ -79,59 +80,79 @@ def ratio(axis: int, profile: BianchiProfile, rho: float) -> float:
 class ClosednessSolution:
     """F_i(rho) = exp(-integral from rho_ref to rho of ratio_i), F_i(rho_ref) = 1.
 
-    This is the unique (up to scale) coefficient making phi_i closed.
-    Cumulative integrals are cached at every queried point, so sweeps that
-    approach an endpoint geometrically only ever integrate short hops.
+    This is the unique (up to scale) coefficient making phi_i closed.  Every
+    queried point becomes an anchor holding (E, ratio_i) -- the cumulative
+    integral E from rho_ref and the ratio there -- so sweeps that approach an
+    endpoint geometrically only ever integrate short hops, and `l2_density`
+    reads the ratio at a point it has queried without evaluating the profile.
 
-    Each new point integrates from the anchor nearest to it, found by
-    bisection on the sorted anchor list.  Among anchors at the same computed
-    distance |s - rho| the one inserted first wins, which is the anchor a
-    linear `min` scan in insertion order would pick.
+    A new point rho costs one checked `ratio` evaluation plus the interior
+    nodes of its hop.  The hop runs from the nearest anchor, ties going to the
+    lower rho: only the two keys that bracket rho in the sorted key list can
+    be nearest.  It integrates in t = log(rho - rho_min), where ratios with
+    power-law endpoint behaviour become mild exponentials, and takes both end
+    values from the stored ratios.  One Simpson level (3 new evaluations) is
+    accepted, with its Richardson correction, under `adaptive_simpson`'s test
+    at tol = max(1e-10, 1e-11 |S|).  A hop that fails it is long on the scale
+    of the ratio's variation, and there bisecting Simpson would spend many
+    evaluations; it goes to `gauss_kronrod` at the same tol instead.  Inner
+    nodes lie between two anchors whose domain checks passed, so the
+    integrand evaluates the profile without `ratio`'s check.
     """
 
     def __init__(self, axis: int, profile: BianchiProfile):
         self.axis = axis
         self.profile = profile
-        # anchor -> (cumulative integral, insertion index); the sorted keys
-        self._anchors: dict[float, tuple[float, int]] = {profile.rho_ref: (0.0, 0)}
+        # anchor -> (cumulative integral, ratio_i there); the sorted keys
+        self._anchors = {profile.rho_ref: (0.0, ratio(axis, profile, profile.rho_ref))}
         self._sorted = [profile.rho_ref]
-
-    def _nearest_anchor(self, rho: float) -> float:
-        """The anchor a min scan in insertion order picks: nearest, then oldest."""
-        keys, anchors = self._sorted, self._anchors
-        if math.isnan(rho):   # every distance is NaN and min keeps the first
-            return next(iter(anchors))
-        # abs(s - rho) is monotone in s on each side of rho, so every anchor at
-        # the least distance is in an equal-distance run next to rho's slot
-        i = bisect.bisect_left(keys, rho)
-        run = []
-        for side in (range(i - 1, -1, -1), range(i, len(keys))):
-            d = None
-            for j in side:
-                if d is not None and abs(keys[j] - rho) != d:
-                    break
-                d = abs(keys[j] - rho)
-                run.append(keys[j])
-        return min(run, key=lambda s: (abs(s - rho), anchors[s][1]))
-
-    def exponent_integral(self, rho: float) -> float:
-        if rho in self._anchors:
-            return self._anchors[rho][0]
-        nearest = self._nearest_anchor(rho)
-        lo, hi = (nearest, rho) if rho > nearest else (rho, nearest)
-        # integrate in t = log(rho - rho_min): ratios with power-law endpoint
-        # behavior become mild exponentials, so hops near the endpoint stay cheap
-        base = self.profile.rho_min
+        base, coefficients = profile.rho_min, profile.coefficients
+        i, j, k = {1: (1, 2, 3), 2: (2, 3, 1), 3: (3, 1, 2)}[axis]
 
         def integrand(t):
+            # ratio_i(base + e^t) e^t with the arithmetic of `ratio`, unchecked
             e = math.exp(t)
-            return ratio(self.axis, self.profile, base + e) * e
+            v = coefficients(base + e)
+            return v[0] * v[i] / (v[j] * v[k]) * e
 
-        val = adaptive_simpson(integrand, math.log(lo - base), math.log(hi - base),
-                               1e-10, rel=1e-11)
-        total = self._anchors[nearest][0] + (val if rho > nearest else -val)
+        self._integrand = integrand
+
+    def _nearest_anchor(self, rho: float) -> float:
+        """The anchor nearest to rho, the lower one on a tie (rho not an anchor)."""
+        keys = self._sorted
+        i = bisect.bisect_left(keys, rho)
+        if i == 0:
+            return keys[0]
+        if i == len(keys):
+            return keys[-1]
+        lo, hi = keys[i - 1], keys[i]
+        return lo if rho - lo <= hi - rho else hi
+
+    def exponent_integral(self, rho: float) -> float:
+        anchors = self._anchors
+        if rho in anchors:
+            return anchors[rho][0]
+        r = ratio(self.axis, self.profile, rho)   # refuses rho outside the domain
+        nearest = self._nearest_anchor(rho)
+        start, r_start = anchors[nearest]
+        base = self.profile.rho_min
+        a, b = math.log(nearest - base), math.log(rho - base)
+        # one Simpson level from the anchor's end values, oriented nearest -> rho
+        fa, fb = r_start * (nearest - base), r * (rho - base)
+        f = self._integrand
+        m = 0.5 * (a + b)
+        fm = f(m)
+        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+        halves = ((m - a) / 6.0 * (fa + 4.0 * f(0.5 * (a + m)) + fm)
+                  + (b - m) / 6.0 * (fm + 4.0 * f(0.5 * (m + b)) + fb))
+        tol = max(1e-10, 1e-11 * abs(whole))
+        if abs(halves - whole) <= 15.0 * tol:
+            hop = halves + (halves - whole) / 15.0
+        else:
+            hop = gauss_kronrod(f, a, b, tol)
+        total = start + hop
         bisect.insort(self._sorted, rho)
-        self._anchors[rho] = (total, len(self._anchors))
+        anchors[rho] = (total, r)
         return total
 
     def __call__(self, rho: float) -> float:
@@ -144,9 +165,16 @@ def solve_closedness(axis: int, profile: BianchiProfile) -> ClosednessSolution:
 
 def l2_density(axis: int, profile: BianchiProfile, rho: float,
                F: ClosednessSolution) -> float:
-    """Signed density 2 F_i^2 ratio_i of phi_i ^ *phi_i against drho^s1^s2^s3."""
-    val = F(rho)
-    return 2.0 * val * val * ratio(axis, profile, rho)
+    """Signed density 2 F_i^2 ratio_i of phi_i ^ *phi_i against drho^s1^s2^s3.
+
+    The ratio is the one F stored at its anchor rho, so F must be the
+    closedness solution of this axis and profile.
+    """
+    if F.axis != axis or F.profile is not profile:
+        raise ValueError(f"F solves axis {F.axis} of {F.profile.name}, "
+                         f"not axis {axis} of {profile.name}")
+    val = math.exp(-F.exponent_integral(rho))   # F(rho)
+    return 2.0 * val * val * F._anchors[rho][1]
 
 
 def l2_measure_density(axis: int, profile: BianchiProfile, rho: float,

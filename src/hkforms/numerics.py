@@ -4,8 +4,9 @@ Everything here is dimension-agnostic plumbing used by the geometry modules:
 high-order finite-difference stencils (Fornberg weights), Richardson-extrapolated
 partial derivatives, the exterior derivative of a form field given by its
 coefficient arrays, adaptive Simpson quadrature with endpoint substitutions for
-improper integrals, SVD nullspaces and subspace distances, pointwise Hodge
-duality for 2-forms on 4-dimensional coordinate patches, and the su(2) basis.
+improper integrals, adaptive Gauss-Kronrod 7-15 quadrature, SVD nullspaces and
+subspace distances, pointwise Hodge duality for 2-forms on 4-dimensional
+coordinate patches, and the su(2) basis.
 """
 
 from __future__ import annotations
@@ -163,6 +164,58 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     if rel > 0.0:
         tol = max(tol, rel * abs(whole))
     return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, 48)
+
+
+# Gauss-Kronrod 7-15 on [-1, 1] (QUADPACK qk15): the Kronrod abscissae from the
+# outermost to the centre, their weights, and the 7-point Gauss weights of the
+# odd-positioned abscissae 1, 3, 5 and the centre
+_GK_X = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+         0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+         0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+         0.207784955007898467600689403773245)
+_GK_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+          0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+          0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+          0.204432940075298892414161999234649)
+_GK_WK_CENTRE = 0.209482141084727828012999174891714
+_GK_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+          0.381830050505118944950369775488975)
+_GK_WG_CENTRE = 0.417959183673469387755102040816327
+
+
+def _kronrod_panel(f, a, b):
+    """(Kronrod 15-point, Gauss 7-point) estimates of the integral of f over [a, b]."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fc = f(c)
+    kronrod, gauss = _GK_WK_CENTRE * fc, _GK_WG_CENTRE * fc
+    for k, x in enumerate(_GK_X):
+        pair = f(c - h * x) + f(c + h * x)
+        kronrod += _GK_WK[k] * pair
+        if k % 2:
+            gauss += _GK_WG[k // 2] * pair
+    return h * kronrod, h * gauss
+
+
+def _kronrod_recurse(f, a, b, tol, depth):
+    kronrod, gauss = _kronrod_panel(f, a, b)
+    if depth <= 0 or abs(kronrod - gauss) <= tol:
+        return kronrod
+    m = 0.5 * (a + b)
+    return (_kronrod_recurse(f, a, m, tol / 2.0, depth - 1)
+            + _kronrod_recurse(f, m, b, tol / 2.0, depth - 1))
+
+
+def gauss_kronrod(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
+    """Adaptive Gauss-Kronrod 7-15 quadrature to absolute tolerance `tol`.
+
+    A panel is accepted when its 15-point Kronrod and 7-point Gauss estimates
+    differ by at most its share of `tol` (halved at each bisection), and its
+    Kronrod value is returned; the Kronrod rule is exact for polynomials of
+    degree 22.  Bisection stops at depth 48, as in `adaptive_simpson`.  One
+    panel costs 15 evaluations, none shared with its neighbours, so the rule
+    pays off on long smooth intervals, where Simpson would bisect many times.
+    """
+    return _kronrod_recurse(f, a, b, tol, 48)
 
 
 def integrate_to_infinity(f: Callable[[float], float], a: float, scale: float = 1.0,

@@ -15,6 +15,7 @@ from hkforms.numerics import (
     composite_simpson,
     exterior_derivative_at,
     fd_weights,
+    gauss_kronrod,
     grid_derivative,
     hodge_star_2form,
     integrate_to_infinity,
@@ -176,6 +177,62 @@ def test_adaptive_simpson_leaves_no_reference_cycle():
     finally:
         if enabled:
             gc.enable()
+
+
+def counting(f):
+    """f together with a list whose length is the number of calls made to it."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("degree", range(23))
+def test_gauss_kronrod_exact_on_one_panel(degree):
+    # Kronrod 15 integrates degree <= 22 exactly; a tolerance the panel always
+    # meets keeps the Gauss-Kronrod difference from forcing a bisection
+    f, calls = counting(lambda x: (x - 0.2) ** degree)
+    exact = ((1.3 - 0.2) ** (degree + 1) - (-0.7 - 0.2) ** (degree + 1)) / (degree + 1)
+    assert gauss_kronrod(f, -0.7, 1.3, 1.0) == pytest.approx(exact, rel=1e-14, abs=1e-15)
+    assert len(calls) == 15
+
+
+def test_gauss_kronrod_gauss_part_is_exact_to_degree_13():
+    # below degree 14 the Gauss estimate is exact too, so one panel is accepted
+    # at any tolerance; degree 14 separates the two rules and bisects
+    for degree in range(14):
+        f, calls = counting(lambda x, d=degree: x ** d)
+        assert gauss_kronrod(f, 0.0, 1.0, 1e-14) == pytest.approx(1.0 / (degree + 1), rel=1e-14)
+        assert len(calls) == 15, degree
+    f, calls = counting(lambda x: x ** 14)
+    assert gauss_kronrod(f, 0.0, 1.0, 1e-14) == pytest.approx(1.0 / 15.0, rel=1e-14)
+    assert len(calls) > 15
+
+
+def test_gauss_kronrod_bisects_onto_a_kink():
+    f, calls = counting(lambda x: abs(x - 0.3))
+    assert gauss_kronrod(f, 0.0, 1.0, 1e-10) == pytest.approx(0.045 + 0.245, abs=1e-10)
+    # only panels holding the kink are split: about 30 evaluations per level
+    assert 15 * 10 < len(calls) < 30 * 48
+    kink_side = sorted(calls, key=lambda x: abs(x - 0.3))
+    assert abs(kink_side[0] - 0.3) < 1e-8
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (math.sin, 0.0, math.pi),
+    (math.exp, -3.0, 2.5),
+    (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0),
+    (lambda x: math.exp(-x) * math.cos(7.0 * x), 0.0, 6.0),
+    (lambda x: math.sqrt(x), 1e-3, 4.0),
+    (lambda x: math.log(x), 10.0, 0.5),
+], ids=["sin", "exp", "runge", "damped-cosine", "sqrt", "log-reversed"])
+def test_gauss_kronrod_matches_scipy_quad(f, a, b):
+    from scipy.integrate import quad
+    reference = quad(f, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    assert gauss_kronrod(f, a, b, 1e-13) == pytest.approx(reference, abs=1e-13)
 
 
 def test_integrate_to_infinity():
