@@ -369,11 +369,11 @@ class SimpsonHopReference:
     def __init__(self, axis, profile):
         self.axis = axis
         self.profile = profile
-        self._anchors = {profile.rho_ref: (0.0, 0)}
+        self._anchors = {profile.rho_ref: 0.0}   # dict order is insertion order
 
     def exponent_integral(self, rho):
         if rho in self._anchors:
-            return self._anchors[rho][0]
+            return self._anchors[rho]
         nearest = min(self._anchors, key=lambda s: abs(s - rho))
         lo, hi = (nearest, rho) if rho > nearest else (rho, nearest)
         base = self.profile.rho_min
@@ -384,8 +384,8 @@ class SimpsonHopReference:
 
         val = adaptive_simpson(integrand, math.log(lo - base), math.log(hi - base),
                                1e-10, rel=1e-11)
-        total = self._anchors[nearest][0] + (val if rho > nearest else -val)
-        self._anchors[rho] = (total, len(self._anchors))
+        total = self._anchors[nearest] + (val if rho > nearest else -val)
+        self._anchors[rho] = total
         return total
 
     def __call__(self, rho):
