@@ -134,7 +134,21 @@ def one_pole_state(s_min: float, s_max: float, nodes: int) -> NahmState:
 
 
 def _comm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return X @ Y - Y @ X
+    """[X, Y] for stacks of 2 x 2 matrices (or one 2 x 2), entry by entry.
+
+    Every Nahm matrix is 2 x 2 (the residues are SU2_BASIS), and the written-out
+    bracket is an order of magnitude faster than batched matmul on tall stacks.
+    """
+    if X.shape[-2:] != (2, 2) or Y.shape[-2:] != (2, 2):
+        raise ValueError("the bracket is written out for 2 x 2 matrices")
+    a, b, c, d = X[..., 0, 0], X[..., 0, 1], X[..., 1, 0], X[..., 1, 1]
+    e, f, g, h = Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 0], Y[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(X.shape, Y.shape), dtype=np.result_type(X, Y))
+    out[..., 0, 0] = b * g - f * c
+    out[..., 1, 1] = -out[..., 0, 0]
+    out[..., 0, 1] = f * (a - d) - b * (e - h)
+    out[..., 1, 0] = c * (e - h) - g * (a - d)
+    return out
 
 
 def nahm_residual(state: NahmState) -> float:

@@ -256,12 +256,15 @@ def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(slope)
 
 
-def nullspace(A: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis (columns) of the nullspace of A, by SVD."""
+def nullspace(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the nullspace of A, by SVD.
+
+    Singular values up to 1e-10 times max(largest, 1) count as zero.
+    """
     A = np.atleast_2d(A)
     _, s, vt = np.linalg.svd(A)
     smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rtol * max(smax, 1.0)))
+    rank = int(np.sum(s > 1e-10 * max(smax, 1.0)))
     return vt[rank:].conj().T
 
 
@@ -272,12 +275,6 @@ def subspace_distance(U: np.ndarray, V: np.ndarray) -> float:
     pu = qu @ qu.conj().T
     pv = qv @ qv.conj().T
     return float(np.linalg.norm(pu - pv, 2))
-
-
-def orthonormal_projector(rows: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the nullspace of the given row constraints."""
-    N = nullspace(rows, 1e-12)
-    return N @ N.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,13 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import SU2_BASIS, exterior_derivative_at, orthonormal_projector, partial_derivative
+from .numerics import SU2_BASIS, exterior_derivative_at, partial_derivative
 
 _ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+# d(u_0 + i u_1) and d(u_2 + i u_3) along the four chart directions
+_DU01 = np.array([1.0, 1.0j, 0.0, 0.0])
+_DU23 = np.array([0.0, 0.0, 1.0, 1.0j])
 
 # frames a QuotientChart keeps before its memo is cleared
 _FRAME_MEMO_SIZE = 256
@@ -167,13 +171,16 @@ class QuotientChart:
       real-positive for the fiducial vector v0 = (1, 0).
 
     The horizontal frame at a chart point -- the representative p, the
-    projector P and the tangent columns T -- is built once and kept in a
-    memo on the instance, keyed by the exact bytes of u, because every
-    finite-difference stencil on the chart revisits the same 17 points
-    (u, u +- h e_k, u +- h/2 e_k).  `chart_tangents`, `pushdown_field` and
-    `kahler_form` read from it.  The memo lives as long as the chart, is
-    cleared once it holds _FRAME_MEMO_SIZE frames, and its arrays are
-    read-only.  Every chart derivative uses the step numerics.FD_STEP.
+    projector P and the tangent columns T = P J -- is exact: J is the
+    Jacobian of the representative, differentiated by hand, and P is
+    written out from the orthogonal frame (Y, IY, JY, KY) of the vertical
+    space.  Each frame is built once and kept in a memo on the instance,
+    keyed by the exact bytes of u, because the finite-difference stencils
+    of the checks revisit the same 17 points (u, u +- h e_k, u +- h/2 e_k).
+    `chart_tangents`, `pushdown_field` and `kahler_form` read from it.  The
+    memo lives as long as the chart, is cleared once it holds
+    _FRAME_MEMO_SIZE frames, and its arrays are read-only.  Every finite
+    difference on the chart uses the step numerics.FD_STEP.
     """
 
     def __init__(self, spec: GroupActionSpec):
@@ -203,6 +210,39 @@ class QuotientChart:
         w = eta * np.array([-zeta, 1.0])
         return spec.space.to_real(z, w)
 
+    def _representative_jacobian(self, u: np.ndarray) -> np.ndarray:
+        """The 8 x 4 real Jacobian of `representative`, differentiated by hand.
+
+        Along the four chart directions Re(conj(x) dx) is (u_0, u_1, 0, 0) for
+        x = u_0 + i u_1 and (0, 0, u_2, u_3) for x = u_2 + i u_3.
+        """
+        spec = self.spec
+        if spec.model == "taubnut_R":
+            z1 = u[0] + 1j * u[1]
+            w1 = u[2] + 1j * u[3]
+            dz1, dw1 = _DU01, _DU23
+            dz2 = 1j * u * np.array([1.0, 1.0, -1.0, -1.0])   # i (Re(z1* dz1) - Re(w1* dw1))
+            dw2 = -1j * (dz1 * w1 + z1 * dw1)
+            rows = (dz1, dz2, dw1, dw2)
+        else:
+            zeta = u[0] + 1j * u[1]
+            eta = u[2] + 1j * u[3]
+            dzeta, deta = _DU01, _DU23
+            level = 2.0 * spec.level_shift
+            denom = 1.0 + abs(zeta) ** 2
+            mu = math.sqrt(abs(eta) ** 2 + level / denom)
+            # mu dmu = Re(eta* deta) - level Re(zeta* dzeta) / denom^2
+            c = -level / denom ** 2
+            dmu = u * np.array([c, c, 1.0, 1.0]) / mu
+            rows = (dmu, dmu * zeta + mu * dzeta, -(deta * zeta + eta * dzeta), deta)
+        # complex rows (dz_1, dz_2, dw_1, dw_2), one column per chart direction,
+        # split into (Re, Im) row pairs as to_real packs them
+        C = np.array(rows, dtype=complex)
+        J = np.empty((8, 4))
+        J[0::2] = C.real
+        J[1::2] = C.imag
+        return J
+
     def solve_level_set(self, u: np.ndarray) -> np.ndarray:
         """Representative with a Newton polish; residual must meet _LEVEL_SET_TOL."""
         p = self.representative(u)
@@ -221,10 +261,15 @@ class QuotientChart:
     # -- horizontal geometry ------------------------------------------------------
 
     def projector(self, p: np.ndarray) -> np.ndarray:
-        """Orthogonal projector onto the horizontal space at p in mu^{-1}(0)."""
-        rows = np.vstack([self.spec.moment_gradient_rows(p),
-                          self.spec.generator_real(p)])
-        return orthonormal_projector(rows)
+        """Orthogonal projector onto the horizontal space at p in mu^{-1}(0).
+
+        The moment-gradient rows IY, JY, KY and the generator Y span the
+        vertical space; on flat space the four are mutually orthogonal with
+        norm |Y|, so the projector is I - R^T R / |Y|^2 for R stacking them.
+        """
+        Y = self.spec.generator_real(p)
+        R = np.vstack([self.spec.moment_gradient_rows(p), Y])
+        return np.eye(Y.size) - R.T @ R / (Y @ Y)
 
     def _frame(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(p, P, T) at u: representative, horizontal projector, tangent columns."""
@@ -235,9 +280,7 @@ class QuotientChart:
             return frame
         p = self.representative(u)
         P = self.projector(p)
-        T = np.column_stack([P @ partial_derivative(self.representative, u, k)
-                             for k in range(4)])
-        frame = (p, P, T)
+        frame = (p, P, P @ self._representative_jacobian(u))
         for arr in frame:
             arr.flags.writeable = False
         if len(self._frames) >= _FRAME_MEMO_SIZE:

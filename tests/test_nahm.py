@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hkforms import suites
+from hkforms import nahm, suites
 from hkforms.nahm import (
     EULER_EXPONENTS,
     NahmState,
@@ -283,6 +283,23 @@ def test_ivp_tangent_closed_form_matches_rk4(nodes, bound):
     for a in tangent.A:
         assert np.array_equal(a, -np.conj(np.swapaxes(a, -1, -2)))
     assert not tangent.A[0].any()
+
+
+def test_bracket_matches_matrix_products():
+    # the written-out 2 x 2 bracket against X Y - Y X, on stacks and broadcast
+    # against a single matrix from either side
+    rng = np.random.default_rng(31)
+    X, Y = (rng.standard_normal((501, 2, 2)) + 1j * rng.standard_normal((501, 2, 2))
+            for _ in range(2))
+    M = SU2_BASIS[1] + 0.3 * XI
+    for A, B in ((X, Y), (X, M), (M, Y), (M, XI)):
+        ref = A @ B - B @ A
+        out = nahm._comm(A, B)
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(out[..., 0, 0], -out[..., 1, 1])     # trace-free exactly
+    with pytest.raises(ValueError):
+        nahm._comm(np.eye(3), np.eye(3))
 
 
 def test_euler_exponents_are_integers():

@@ -21,7 +21,6 @@ from hkforms.numerics import (
     integrate_to_infinity,
     loglog_slope,
     nullspace,
-    orthonormal_projector,
     partial_derivative,
     smoothstep_c2,
     smoothstep_c3,
@@ -280,13 +279,6 @@ def test_nullspace_known_kernel():
     assert N.shape == (7, 3)
     assert np.abs(B @ N).max() <= 1e-12
     assert np.abs(N.T @ N - np.eye(3)).max() <= 1e-12
-
-
-def test_orthonormal_projector():
-    rows = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
-    P = orthonormal_projector(rows)
-    assert np.abs(P @ P - P).max() <= 1e-12
-    assert np.abs(P @ rows.T).max() <= 1e-12
 
 
 def test_subspace_distance():

@@ -7,7 +7,7 @@ import pytest
 
 from hkforms import quotient, suites
 from hkforms.bianchi import eguchi_hanson_profile, ratio
-from hkforms.numerics import FD_STEP, SU2_BASIS, partial_derivative
+from hkforms.numerics import FD_STEP, SU2_BASIS, nullspace, partial_derivative
 from hkforms.quotient import (
     FlatCotangentSpace,
     GroupActionSpec,
@@ -204,6 +204,42 @@ def test_projector_properties():
             assert np.abs(chart.spec.moment_gradient_rows(p) @ P).max() <= 1e-10
 
 
+def _svd_projector(rows):
+    """Orthogonal projector onto the nullspace of the row constraints, by SVD."""
+    N = nullspace(rows)
+    return N @ N.conj().T
+
+
+def test_svd_projector_oracle():
+    rows = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+    P = _svd_projector(rows)
+    assert np.abs(P @ P - P).max() <= 1e-12
+    assert np.abs(P @ rows.T).max() <= 1e-12
+
+
+def test_projector_matches_svd_oracle():
+    rng = np.random.default_rng(24)
+    for chart in (CHART_TN, CHART_CAL):
+        for _ in range(20):
+            p = chart.representative(rng.standard_normal(4))
+            rows = np.vstack([chart.spec.moment_gradient_rows(p), chart.spec.generator_real(p)])
+            assert np.abs(chart.projector(p) - _svd_projector(rows)).max() <= 1e-14
+
+
+def test_projector_record_sees_a_vertical_frame_that_is_not_orthogonal(monkeypatch):
+    # the closed-form projector assumes |IY| = |JY| = |KY| = |Y|; stretching the
+    # mu_1 gradient by 1.001 breaks that and the *-projector records must fail
+    for tag in ("taubnut", "calabi"):
+        assert _quotient_record(f"{tag}-projector").passed
+    rows = GroupActionSpec.moment_gradient_rows
+    monkeypatch.setattr(GroupActionSpec, "moment_gradient_rows",
+                        lambda spec, p: rows(spec, p) * np.array([[1.001], [1.0], [1.0]]))
+    for tag in ("taubnut", "calabi"):
+        record = _quotient_record(f"{tag}-projector")
+        assert not record.passed
+        assert record.measured >= 1e-4
+
+
 def test_chart_map_well_conditioned():
     rng = np.random.default_rng(9)
     for chart in (CHART_TN, CHART_CAL):
@@ -324,10 +360,14 @@ def test_frame_arrays_are_read_only():
 
 def test_frame_memo_is_per_chart():
     u = np.array([0.3, -0.2, 0.5, 0.1])
-    for model, shifts in (("taubnut_R", (0.0, 0.3)), ("calabi_circle", (0.5, 0.75))):
-        a, b = (QuotientChart(GroupActionSpec(model, level_shift=s)) for s in shifts)
-        assert not np.array_equal(a.chart_tangents(u), b.chart_tangents(u))
-        assert not np.array_equal(a._frame(u)[0], b._frame(u)[0])
+    # the taubnut shift only translates Im z_2, and neither the Jacobian nor
+    # Y involves z_2: the two charts share T bit for bit but not p
+    a, b = (QuotientChart(GroupActionSpec("taubnut_R", level_shift=s)) for s in (0.0, 0.3))
+    assert np.array_equal(a.chart_tangents(u), b.chart_tangents(u))
+    assert not np.array_equal(a._frame(u)[0], b._frame(u)[0])
+    a, b = (QuotientChart(GroupActionSpec("calabi_circle", level_shift=s)) for s in (0.5, 0.75))
+    assert not np.array_equal(a.chart_tangents(u), b.chart_tangents(u))
+    assert not np.array_equal(a._frame(u)[0], b._frame(u)[0])
 
 
 def test_frame_memo_is_bounded():
@@ -367,15 +407,39 @@ def _inline_richardson(fn, u, k, h):
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
-def test_frame_tangents_match_inline_stencil():
+def _inline_jacobian(chart, u):
+    """Richardson Jacobian of the chart's representative, column by column."""
+    return np.column_stack([_inline_richardson(chart.representative, u, k, FD_STEP)
+                            for k in range(4)])
+
+
+_SHIFTED_SPECS = [GroupActionSpec("taubnut_R", s) for s in (0.0, 0.4, -0.4)] \
+    + [GroupActionSpec("calabi_circle", s) for s in (0.5, 0.9)]
+
+
+@pytest.mark.parametrize("spec", _SHIFTED_SPECS, ids=lambda s: f"{s.model}-{s.level_shift}")
+def test_representative_jacobian_matches_inline_stencil(spec):
+    # a route that does not share the hand-written derivative: the difference
+    # quotient of the representative itself
+    chart = QuotientChart(spec)
     rng = np.random.default_rng(19)
-    for spec in (TN, CAL):
-        chart = QuotientChart(spec)
+    for _ in range(10):
         u = 0.7 * rng.standard_normal(4)
-        _, P, T = chart._frame(u)
-        inline = np.column_stack([P @ _inline_richardson(chart.representative, u, k, FD_STEP)
-                                  for k in range(4)])
-        assert np.array_equal(T, inline)
+        J = chart._representative_jacobian(u)
+        fd = _inline_jacobian(chart, u)
+        assert J.shape == (8, 4)
+        assert np.abs(J - fd).max() <= 1e-10 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("spec", _SHIFTED_SPECS, ids=lambda s: f"{s.model}-{s.level_shift}")
+def test_representative_jacobian_is_tangent_to_the_level_set(spec):
+    # d mu o J = 0: the moment gradients iota(Y) omega_a annihilate every column
+    chart = QuotientChart(spec)
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        u = 0.7 * rng.standard_normal(4)
+        rows = spec.moment_gradient_rows(chart.representative(u))
+        assert np.abs(rows @ chart._representative_jacobian(u)).max() <= 1e-12
 
 
 def test_lie_derivative_matches_inline_stencil():
@@ -604,7 +668,11 @@ def test_packing_is_the_float_view_of_the_complex_vector():
 # -- a representative off the level set ----------------------------------------------------
 
 def _shift_representatives(monkeypatch, delta):
-    """Build every representative on the level shift + delta(u), not the chart's own."""
+    """Build every representative on the level shift + delta(u), not the chart's own.
+
+    The chart tangents then come from the Richardson Jacobian of the shifted
+    representatives, so the frames follow the faulty map.
+    """
     representative = QuotientChart.representative
 
     def shifted(chart, u):
@@ -613,6 +681,7 @@ def _shift_representatives(monkeypatch, delta):
         return representative(QuotientChart(moved), u)
 
     monkeypatch.setattr(QuotientChart, "representative", shifted)
+    monkeypatch.setattr(QuotientChart, "_representative_jacobian", _inline_jacobian)
 
 
 def test_a_shifted_level_set_fails_the_quotient_suite(monkeypatch):
@@ -638,3 +707,32 @@ def test_a_point_dependent_level_shift_fails_the_closedness_records(monkeypatch)
         relations = max(max(chart.omegas_relation_residuals(u).values()) for u in points)
         beta = max(chart.beta_exactness_residual(u) for u in points)
         assert max(relations, beta) <= 1e-9
+
+
+def _calabi_jacobian_without_dmu(chart, u):
+    """The Calabi Jacobian with its d(mu) term dropped: dz = mu (0, d zeta)."""
+    zeta, eta = u[0] + 1j * u[1], u[2] + 1j * u[3]
+    mu = math.sqrt(abs(eta) ** 2 + 2.0 * chart.spec.level_shift / (1.0 + abs(zeta) ** 2))
+    dzeta, deta = np.array([1.0, 1j, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 1j])
+    C = np.array([np.zeros(4), mu * dzeta, -(deta * zeta + eta * dzeta), deta])
+    return np.column_stack([_sliced_to_real(C[:2, k], C[2:, k]) for k in range(4)])
+
+
+def test_a_calabi_jacobian_without_its_dmu_term_fails_the_records(monkeypatch):
+    # T = P J with a wrong J still projects onto horizontal vectors, so only
+    # the checks that difference the pushed-down forms can see the fault
+    jacobian = QuotientChart._representative_jacobian
+
+    def faulty(chart, u):
+        if chart.spec.model == "calabi_circle":
+            return _calabi_jacobian_without_dmu(chart, u)
+        return jacobian(chart, u)
+
+    for check in ("calabi-forms-closed", "calabi-beta-exactness"):
+        assert _quotient_record(check).passed
+    monkeypatch.setattr(QuotientChart, "_representative_jacobian", faulty)
+    for check in ("calabi-forms-closed", "calabi-beta-exactness"):
+        record = _quotient_record(check)
+        assert not record.passed
+        assert record.measured >= 0.1
+    assert _quotient_record("taubnut-forms-closed").passed
