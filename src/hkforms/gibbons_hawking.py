@@ -80,69 +80,86 @@ def potential(p: GHPoint, d: GHData) -> float:
     return 1.0 + d.m / p.r
 
 
-def alpha_components(p: GHPoint, d: GHData) -> np.ndarray:
-    """Cartesian components of the Dirac-gauge connection 1-form."""
-    x1, x2, x3 = p.x
-    r = p.r
+def _alpha(x1: float, x2: float, x3: float, r: float, d: GHData) -> tuple[float, float]:
+    """(alpha_1, alpha_2) of the Dirac-gauge connection 1-form; alpha_3 = 0."""
     rho_sq = x1 * x1 + x2 * x2
     if rho_sq <= _AXIS_TOL * r * r:
         if d.patch == "north" and x3 < 0:
             raise ValueError("point on the excluded -z axis of the north patch")
         if d.patch == "south" and x3 > 0:
             raise ValueError("point on the excluded +z axis of the south patch")
-        return np.zeros(3)  # on the regular axis of the patch
+        return 0.0, 0.0  # on the regular axis of the patch
     sign = -1.0 if d.patch == "north" else 1.0
     factor = d.m * (x3 / r + sign) / rho_sq
-    return factor * np.array([-x2, x1, 0.0])
+    return factor * -x2, factor * x1
+
+
+def _metric(x: list[float], r: float, d: GHData) -> np.ndarray:
+    """`metric_at` on the floats of x and r = |x|, with no GHPoint built."""
+    x1, x2, x3 = x
+    a1, a2 = _alpha(x1, x2, x3, r, d)
+    V = 1.0 + d.m / r
+    t1, t2 = a1 / V, a2 / V
+    c12 = a1 * a2 / V
+    return np.array([[V + a1 * a1 / V, c12, 0.0, t1],
+                     [c12, V + a2 * a2 / V, 0.0, t2],
+                     [0.0, 0.0, V, 0.0],
+                     [t1, t2, 0.0, 1.0 / V]])
 
 
 def metric_at(p: GHPoint, d: GHData) -> np.ndarray:
     """GH metric V dx^2 + V^{-1}(dtau + alpha)^2 in coordinates (x, tau).
 
     Its last row is theta = V^{-1}(dtau + alpha), the metric dual of d/dtau.
+    Straight-line arithmetic on the Python floats of x and r, one 4 x 4
+    array per call.
     """
-    V = potential(p, d)
-    a = alpha_components(p, d)
-    g = np.zeros((4, 4))
-    g[:3, :3] = V * np.eye(3) + np.outer(a, a) / V
-    g[:3, 3] = a / V
-    g[3, :3] = a / V
-    g[3, 3] = 1.0 / V
-    return g
+    return _metric(p.x.tolist(), p.r, d)
 
 
-def _grad_V(p: GHPoint, d: GHData) -> np.ndarray:
-    return -d.m * p.x / p.r ** 3
+def _dtheta(x: list[float], r: float, d: GHData) -> np.ndarray:
+    """`dtheta` on the floats of x and r = |x|, with no GHPoint built."""
+    x1, x2, x3 = x
+    a1, a2 = _alpha(x1, x2, x3, r, d)
+    V = 1.0 + d.m / r
+    V2 = V ** 2
+    r3 = r ** 3
+    g1, g2, g3 = -d.m * x1 / r3, -d.m * x2 / r3, -d.m * x3 / r3  # grad V
+    b01 = -(g1 * a2 - g2 * a1) / V2 + g3 / V
+    b02 = g3 * a1 / V2 - g2 / V
+    b12 = g3 * a2 / V2 + g1 / V
+    b03, b13, b23 = -g1 / V2, -g2 / V2, -g3 / V2
+    return np.array([[0.0, b01, b02, b03],
+                     [-b01, 0.0, b12, b13],
+                     [-b02, -b12, 0.0, b23],
+                     [-b03, -b13, -b23, 0.0]])
 
 
 def dtheta(p: GHPoint, d: GHData) -> np.ndarray:
     """Closed-form d(theta) as an antisymmetric matrix on (x, tau).
 
-    dtheta = -V^{-2} dV ^ (dtau + alpha) + V^{-1} * dV.
+    dtheta = -V^{-2} dV ^ (dtau + alpha) + V^{-1} * dV.  Straight-line
+    arithmetic on the Python floats of x and r, one 4 x 4 array per call.
     """
-    V = potential(p, d)
-    a = alpha_components(p, d).tolist()
-    gv = _grad_V(p, d).tolist()
-    B = np.zeros((4, 4))
-    for i in range(3):
-        B[i, 3] = -gv[i] / V ** 2
-    pairs = (((0, 1), 2), ((0, 2), 1), ((1, 2), 0))
-    eps = {(0, 1): 1.0, (0, 2): -1.0, (1, 2): 1.0}
-    for (i, j), k in pairs:
-        B[i, j] = -(gv[i] * a[j] - gv[j] * a[i]) / V ** 2 + eps[(i, j)] * gv[k] / V
-    return B - B.T
+    return _dtheta(p.x.tolist(), p.r, d)
 
 
-def two_form_norm_sq(B: np.ndarray, g: np.ndarray) -> float:
-    """|beta|^2_g = 1/2 B_{mn} B^{mn} for an antisymmetric coefficient matrix."""
+def two_form_norm_sq(B: np.ndarray, g: np.ndarray) -> float | np.ndarray:
+    """|beta|^2_g = 1/2 B_{mn} B^{mn} for an antisymmetric coefficient matrix.
+
+    B and g may also be stacks of shape (n, 4, 4); the result is then the
+    n norms as an array, from one batched inverse.
+    """
     ginv = np.linalg.inv(g)
-    return float(0.5 * np.sum(B * (ginv @ B @ ginv)))
+    sq = 0.5 * np.sum(B * (ginv @ B @ ginv), axis=(-2, -1))
+    return float(sq) if sq.ndim == 0 else sq
 
 
 def ddtheta_residual(p: GHPoint, d: GHData) -> float:
     """Max finite-difference coefficient of d(dtheta); zero for a closed form."""
-    three_form = exterior_derivative_at(lambda c: dtheta(GHPoint(c[:3], c[3]), d),
-                                        np.append(p.x, p.tau))
+    # the stencil's points go straight to the float kernel, with GHPoint's r
+    field = lambda c: _dtheta(c[:3].tolist(), float(np.linalg.norm(c[:3])), d)
+    three_form = exterior_derivative_at(field, np.append(p.x, p.tau))
     return max(abs(v) for v in three_form.values())
 
 
@@ -215,16 +232,24 @@ def cutoff_cross_term(d: GHData, r: float, seed: int = 0) -> float:
     sup over _CUTOFF_SAMPLES random shell points of (K/|x|) (c1 |x| + c0)
     |dtheta|_g, times the square root of the shell volume; tends to zero as r
     grows because |dtheta| decays two powers faster than the linear growth of
-    the cutoff estimate.
+    the cutoff estimate.  Each sample draws a direction and then a radius
+    s in [r, 2r) from the seeded generator; dtheta and g of all samples are
+    stacked and normed by one `two_form_norm_sq` call.
     """
+    if r <= 0:
+        raise ValueError("shell radius must be positive")
     K, c1, c0 = _CUTOFF_K, _CUTOFF_C1, _CUTOFF_C0
     rng = np.random.default_rng(seed)
-    sup = 0.0
+    radii, forms, metrics = [], [], []
     for _ in range(_CUTOFF_SAMPLES):
         u = rng.standard_normal(3)
         u /= np.linalg.norm(u)
         s = r * (1.0 + rng.random())
-        p = GHPoint(s * u)
-        val = (K / s) * (c1 * s + c0) * math.sqrt(two_form_norm_sq(dtheta(p, d), metric_at(p, d)))
-        sup = max(sup, val)
-    return sup * math.sqrt(shell_volume(d, r))
+        x = s * u
+        xs, rx = x.tolist(), float(np.linalg.norm(x))
+        radii.append(s)
+        forms.append(_dtheta(xs, rx, d))
+        metrics.append(_metric(xs, rx, d))
+    s = np.array(radii)
+    norms = np.sqrt(two_form_norm_sq(np.array(forms), np.array(metrics)))
+    return float(((K / s) * (c1 * s + c0) * norms).max()) * math.sqrt(shell_volume(d, r))

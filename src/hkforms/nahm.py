@@ -133,14 +133,31 @@ def one_pole_state(s_min: float, s_max: float, nodes: int) -> NahmState:
     return NahmState(s, (B0, Bi[0], Bi[1], Bi[2]), res)
 
 
+def _check_2x2(X: np.ndarray, Y: np.ndarray) -> None:
+    if X.shape[-2:] != (2, 2) or Y.shape[-2:] != (2, 2):
+        raise ValueError("products are written out for 2 x 2 matrices")
+
+
+def _mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X Y for stacks of 2 x 2 matrices (or one 2 x 2), entry by entry, as `_comm`."""
+    _check_2x2(X, Y)
+    a, b, c, d = X[..., 0, 0], X[..., 0, 1], X[..., 1, 0], X[..., 1, 1]
+    e, f, g, h = Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 0], Y[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(X.shape, Y.shape), dtype=np.result_type(X, Y))
+    out[..., 0, 0] = a * e + b * g
+    out[..., 0, 1] = a * f + b * h
+    out[..., 1, 0] = c * e + d * g
+    out[..., 1, 1] = c * f + d * h
+    return out
+
+
 def _comm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """[X, Y] for stacks of 2 x 2 matrices (or one 2 x 2), entry by entry.
 
     Every Nahm matrix is 2 x 2 (the residues are SU2_BASIS), and the written-out
     bracket is an order of magnitude faster than batched matmul on tall stacks.
     """
-    if X.shape[-2:] != (2, 2) or Y.shape[-2:] != (2, 2):
-        raise ValueError("the bracket is written out for 2 x 2 matrices")
+    _check_2x2(X, Y)
     a, b, c, d = X[..., 0, 0], X[..., 0, 1], X[..., 1, 0], X[..., 1, 1]
     e, f, g, h = Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 0], Y[..., 1, 1]
     out = np.empty(np.broadcast_shapes(X.shape, Y.shape), dtype=np.result_type(X, Y))
@@ -164,19 +181,23 @@ def nahm_residual(state: NahmState) -> float:
 
 
 def gauge_transform(state: NahmState, g: np.ndarray, g_prime: np.ndarray) -> NahmState:
-    """Act by a unitary path and its analytic g': B_0 -> g B_0 g* - g' g*, B_i -> g B_i g*."""
+    """Act by a unitary path and its analytic g': B_0 -> g B_0 g* - g' g*, B_i -> g B_i g*.
+
+    Every product, the unitarity check's g g* included, is the written-out
+    2 x 2 `_mul`.
+    """
     g = np.asarray(g, dtype=complex)
     if g.shape != state.B[0].shape:
         raise ValueError("gauge path must match the grid")
     gh = np.conj(np.swapaxes(g, -1, -2))
     eye = np.eye(state.k)
-    if np.abs(g @ gh - eye).max() > 1e-10:
+    if np.abs(_mul(g, gh) - eye).max() > 1e-10:
         raise ValueError("gauge path must be unitary")
-    B0 = g @ state.B[0] @ gh - g_prime @ gh
+    B0 = _mul(_mul(g, state.B[0]), gh) - _mul(g_prime, gh)
     # keep the anti-hermitian part: g' g* is exactly anti-hermitian for
     # unitary paths, so symmetrize only to absorb roundoff
     B0 = 0.5 * (B0 - np.conj(np.swapaxes(B0, -1, -2)))
-    rest = tuple(g @ state.B[i] @ gh for i in (1, 2, 3))
+    rest = tuple(_mul(_mul(g, state.B[i]), gh) for i in (1, 2, 3))
     return NahmState(state.s, (B0,) + rest, state.residues)
 
 
@@ -202,7 +223,7 @@ def bump_gauge_path(state: NahmState, direction: np.ndarray) -> tuple[np.ndarray
     xi, phi, phi_prime = _gauge_bump(state, direction)
     evals, evecs = np.linalg.eig(xi)
     g = (evecs * np.exp(np.outer(phi, evals))[:, None, :]) @ np.linalg.inv(evecs)
-    g_prime = phi_prime[:, None, None] * (g @ xi)
+    g_prime = phi_prime[:, None, None] * _mul(g, xi)
     return g, g_prime
 
 

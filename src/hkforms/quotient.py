@@ -171,12 +171,14 @@ class QuotientChart:
       real-positive for the fiducial vector v0 = (1, 0).
 
     The horizontal frame at a chart point -- the representative p, the
-    projector P and the tangent columns T = P J -- is exact: J is the
-    Jacobian of the representative, differentiated by hand, and P is
-    written out from the orthogonal frame (Y, IY, JY, KY) of the vertical
-    space.  Each frame is built once and kept in a memo on the instance,
-    keyed by the exact bytes of u, because the finite-difference stencils
-    of the checks revisit the same 17 points (u, u +- h e_k, u +- h/2 e_k).
+    tangent columns T = P J and their left inverse T+ = (T^T T)^{-1} T^T --
+    is exact: J is the Jacobian of the representative, differentiated by
+    hand, and the projector P is written out from the orthogonal frame
+    (Y, IY, JY, KY) of the vertical space.  P itself is not kept: T+ P = T+,
+    so a pushed-down field is T+ applied to the ambient one.  Each frame is
+    built once and kept in a memo on the instance, keyed by the exact bytes
+    of u, because the finite-difference stencils of the checks revisit the
+    same 17 points (u, u +- h e_k, u +- h/2 e_k).
     `chart_tangents`, `pushdown_field` and `kahler_form` read from it.  The
     memo lives as long as the chart, is cleared once it holds
     _FRAME_MEMO_SIZE frames, and its arrays are read-only.  Every finite
@@ -272,15 +274,16 @@ class QuotientChart:
         return np.eye(Y.size) - R.T @ R / (Y @ Y)
 
     def _frame(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(p, P, T) at u: representative, horizontal projector, tangent columns."""
+        """(p, T, T+) at u: representative, tangent columns T = P J and the
+        left inverse T+ = (T^T T)^{-1} T^T."""
         u = _chart_point(u)
         key = u.tobytes()
         frame = self._frames.get(key)
         if frame is not None:
             return frame
         p = self.representative(u)
-        P = self.projector(p)
-        frame = (p, P, P @ self._representative_jacobian(u))
+        T = self.projector(p) @ self._representative_jacobian(u)
+        frame = (p, T, np.linalg.solve(T.T @ T, T.T))
         for arr in frame:
             arr.flags.writeable = False
         if len(self._frames) >= _FRAME_MEMO_SIZE:
@@ -290,7 +293,7 @@ class QuotientChart:
 
     def chart_tangents(self, u: np.ndarray) -> np.ndarray:
         """Horizontal lifts of the chart-coordinate directions (as columns)."""
-        return self._frame(u)[2]
+        return self._frame(u)[1]
 
     def kahler_form(self, axis: int, u: np.ndarray) -> np.ndarray:
         """Pushed-down omega_axis as an antisymmetric chart matrix."""
@@ -308,11 +311,13 @@ class QuotientChart:
 
     def pushdown_field(self, ambient_field: Callable[[np.ndarray], np.ndarray],
                        u: np.ndarray) -> np.ndarray:
-        """Chart components of the projection of an ambient field."""
-        p, P, T = self._frame(u)
-        X = P @ ambient_field(p)
-        coeffs, *_ = np.linalg.lstsq(T, X, rcond=None)
-        return coeffs
+        """Chart components of the projection of an ambient field.
+
+        The least-squares coefficients of P X in the columns of T, read as
+        T+ X: T = P J with P symmetric and idempotent gives T+ P = T+.
+        """
+        p, _, T_pinv = self._frame(u)
+        return T_pinv @ ambient_field(p)
 
     def rotation_ambient(self, p: np.ndarray) -> np.ndarray:
         """Generator of w -> e^{-i t} w, the circle rotating omega_2 into omega_3."""

@@ -20,14 +20,17 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Prints the CPU time that every thread but the main one spent during the
-# suite.  Loading OpenBLAS costs its threads about 0.06 s, before the count
-# starts; the sleep lets a worker woken by the suite's last BLAS call finish
-# its spin before the count ends.
+# suite.  Loading OpenBLAS starts its worker spinning for about 0.1 s of wall
+# time (about 0.06 s of CPU) before it sleeps, and a fast import ends inside
+# that spin, so the first sleep lets it finish before the count starts.  The
+# second lets a worker woken by the suite's last BLAS call finish its spin
+# before the count ends.
 CHILD = """
 import sys, time
 from hkforms.cli import main
 def workers():
     return time.process_time() - time.thread_time()
+time.sleep(0.3)
 start = workers()
 code = main(["--suite", sys.argv[1], "--seed", "7", "--out", sys.argv[2], "--quiet"])
 time.sleep(0.3)

@@ -8,7 +8,6 @@ import pytest
 from hkforms.gibbons_hawking import (
     GHData,
     GHPoint,
-    alpha_components,
     anti_self_duality_residual,
     cutoff_cross_term,
     ddtheta_residual,
@@ -207,14 +206,28 @@ def test_shell_volume_matches_metric_quadrature():
 
 
 def test_alpha_regular_on_patch_axis():
+    # alpha vanishes on the patch's regular axis: g is diag(V, V, V, 1/V) there
     north = GHData(m=1.0, patch="north")
-    assert np.abs(alpha_components(GHPoint(np.array([0.0, 0.0, 3.0])), north)).max() == 0.0
+    g = metric_at(GHPoint(np.array([0.0, 0.0, 3.0])), north)
+    assert np.array_equal(g, np.diag(np.diag(g)))
+
+
+def _alpha_oracle(p, d):
+    """The Dirac-gauge connection's Cartesian components, as a numpy 3-vector."""
+    x1, x2, x3 = p.x
+    r = p.r
+    rho_sq = x1 * x1 + x2 * x2
+    if rho_sq <= 1e-13 * r * r:
+        return np.zeros(3)
+    sign = -1.0 if d.patch == "north" else 1.0
+    factor = d.m * (x3 / r + sign) / rho_sq
+    return factor * np.array([-x2, x1, 0.0])
 
 
 def _dtheta_oracle(p, d):
     """dtheta's loop on numpy scalars, as it ran before reading Python floats."""
     V = potential(p, d)
-    a = alpha_components(p, d)
+    a = _alpha_oracle(p, d)
     gv = -d.m * p.x / p.r ** 3
     B = np.zeros((4, 4))
     for i in range(3):
@@ -232,3 +245,77 @@ def test_dtheta_is_bit_identical_to_the_numpy_scalar_loop():
             p = GHPoint(rng.standard_normal(3) * 3.0, float(rng.random()))
             assert p.r == float(np.linalg.norm(p.x))
             assert np.array_equal(dtheta(p, d), _dtheta_oracle(p, d))
+
+
+def _metric_oracle(p, d):
+    """metric_at's numpy construction, as it ran before reading Python floats."""
+    V = potential(p, d)
+    a = _alpha_oracle(p, d)
+    g = np.zeros((4, 4))
+    g[:3, :3] = V * np.eye(3) + np.outer(a, a) / V
+    g[:3, 3] = a / V
+    g[3, :3] = a / V
+    g[3, 3] = 1.0 / V
+    return g
+
+
+def test_metric_is_bit_identical_to_the_numpy_construction():
+    rng = np.random.default_rng(29)
+    for d in (D1, GHData(m=0.7, patch="south")):
+        for _ in range(50):
+            p = GHPoint(rng.standard_normal(3) * 3.0, float(rng.random()))
+            assert np.array_equal(metric_at(p, d), _metric_oracle(p, d))
+        # on the patch's regular axis alpha is zero
+        p = GHPoint(np.array([0.0, 0.0, 2.0 if d.patch == "north" else -2.0]))
+        assert np.array_equal(metric_at(p, d), _metric_oracle(p, d))
+
+
+def _cutoff_oracle(d, r, seed):
+    """cutoff_cross_term's loop: one point, dtheta, g and |dtheta|_g per sample."""
+    rng = np.random.default_rng(seed)
+    sup = 0.0
+    for _ in range(64):
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        s = r * (1.0 + rng.random())
+        p = GHPoint(s * u)
+        B, g = _dtheta_oracle(p, d), _metric_oracle(p, d)
+        ginv = np.linalg.inv(g)
+        norm_sq = float(0.5 * np.sum(B * (ginv @ B @ ginv)))
+        sup = max(sup, (1.0 / s) * s * math.sqrt(norm_sq))  # K = c1 = 1, c0 = 0
+    return sup * math.sqrt(shell_volume(d, r))
+
+
+def test_cutoff_cross_term_matches_the_per_sample_loop():
+    for patch in ("north", "south"):
+        for m in (0.5, 1.0, 1.7):
+            d = GHData(m=m, patch=patch)
+            for r in (12.0, 1e2, 1e3, 1e4):
+                for seed in range(5):
+                    oracle = _cutoff_oracle(d, r, seed)
+                    assert cutoff_cross_term(d, r, seed) == pytest.approx(oracle, rel=1e-14)
+
+
+def test_cutoff_cross_term_refuses_a_nonpositive_radius():
+    for r in (0.0, -10.0):
+        with pytest.raises(ValueError):
+            cutoff_cross_term(D1, r)
+
+
+def test_stacked_norm_equals_per_matrix_calls():
+    points = random_points(30, 12)
+    for d in (D1, GHData(m=1.7, patch="south")):
+        B = np.array([dtheta(p, d) for p in points])
+        g = np.array([metric_at(p, d) for p in points])
+        stacked = two_form_norm_sq(B, g)
+        assert stacked.shape == (len(points),)
+        single = [two_form_norm_sq(b, h) for b, h in zip(B, g)]
+        assert all(isinstance(v, float) for v in single)
+        assert np.array_equal(stacked, single)
+
+
+def test_ddtheta_residual_refuses_the_excluded_axis():
+    with pytest.raises(ValueError, match="north patch"):
+        ddtheta_residual(GHPoint(np.array([0.0, 0.0, -2.0]), 0.5), GHData(m=1.0, patch="north"))
+    with pytest.raises(ValueError, match="south patch"):
+        ddtheta_residual(GHPoint(np.array([0.0, 0.0, 2.0]), 0.5), GHData(m=1.0, patch="south"))

@@ -302,6 +302,24 @@ def test_bracket_matches_matrix_products():
         nahm._comm(np.eye(3), np.eye(3))
 
 
+def test_product_matches_matmul():
+    # the written-out 2 x 2 product against np.matmul, on stacks and broadcast
+    # against a single matrix from either side
+    rng = np.random.default_rng(32)
+    X, Y = (rng.standard_normal((501, 2, 2)) + 1j * rng.standard_normal((501, 2, 2))
+            for _ in range(2))
+    M = SU2_BASIS[1] + 0.3 * XI
+    for A, B in ((X, Y), (X, M), (M, Y), (M, XI), (X.real, Y)):
+        ref = np.matmul(A, B)
+        out = nahm._mul(A, B)
+        assert out.shape == ref.shape and out.dtype == ref.dtype
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+    with pytest.raises(ValueError):
+        nahm._mul(np.eye(3), np.eye(3))
+    with pytest.raises(ValueError):
+        nahm._mul(X, np.eye(3))
+
+
 def test_euler_exponents_are_integers():
     lam = euler_exponents(SU2_BASIS)
     assert np.abs(lam - np.array(EULER_EXPONENTS)).max() <= 1e-12

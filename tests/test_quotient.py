@@ -343,8 +343,12 @@ def test_frame_memo_matches_fresh_chart():
         for v in _stencil(u, FD_STEP):
             assert v.tobytes() in chart._frames
             fresh = QuotientChart(spec)
-            for cached, built in zip(chart._frame(v), fresh._frame(v)):
+            for cached, built in zip(chart._frame(v), fresh._frame(v), strict=True):
                 assert np.array_equal(cached, built)
+            # (p, T, T+): T+ is T's left inverse
+            p, T, T_pinv = chart._frame(v)
+            assert np.array_equal(T, chart.chart_tangents(v))
+            assert np.abs(T_pinv @ T - np.eye(4)).max() <= 1e-12
         assert len(chart._frames) == 17
 
 
@@ -458,6 +462,31 @@ def test_lie_derivative_matches_inline_stencil():
                                 for b in range(4)] for a in range(4)])
             assert np.array_equal(chart.lie_derivative(chart.rotation_ambient, axis, u),
                                   inline)
+
+
+def _lstsq_pushdown(chart, field, u):
+    """The least-squares chart components of P X, solved by lstsq at every call."""
+    p = chart.representative(u)
+    coeffs, *_ = np.linalg.lstsq(chart.chart_tangents(u), chart.projector(p) @ field(p),
+                                 rcond=None)
+    return coeffs
+
+
+@pytest.mark.parametrize("spec", [GroupActionSpec("taubnut_R", s) for s in (0.0, 0.4, -0.4)]
+                         + [GroupActionSpec("calabi_circle", s) for s in (0.5, 0.75, 0.9)],
+                         ids=lambda s: f"{s.model}-{s.level_shift}")
+def test_pushdown_field_matches_lstsq_oracle(spec):
+    rng = np.random.default_rng(21)
+    chart = QuotientChart(spec)
+    # a linear field with vertical components too, which the projection removes
+    A = rng.standard_normal((8, 8))
+    fields = (chart.rotation_ambient, chart.triholomorphic_ambient, lambda p: A @ p)
+    for _ in range(4):
+        u = 0.7 * rng.standard_normal(4)
+        for field in fields:
+            oracle = _lstsq_pushdown(chart, field, u)
+            got = chart.pushdown_field(field, u)
+            assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 def test_triholomorphic_circle_annihilates_forms():
