@@ -6,7 +6,7 @@ Subpackages and modules:
 * gibbons_hawking -- Taub-NUT metric, its harmonic 2-form and L^2 norms
 * bianchi         -- cohomogeneity-one metrics and L^2 integrability verdicts
 * quotient        -- finite-dimensional hyperkahler quotients of flat T*C^n
-* nahm            -- Nahm matrix flows, symplectic pairings, rotation identities
+* nahm            -- Nahm flows in u(2) coefficients, symplectic pairings, rotation identities
 * cli             -- batch verification driver emitting JSON/CSV reports
 """
 

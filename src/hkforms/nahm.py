@@ -1,18 +1,27 @@
-"""Nahm matrix flows on an interval: residues, residuals, rotation identities.
+"""Nahm flows on an interval: residues, residuals, rotation identities.
 
-States live on a uniform truncated grid [eps, L] with anti-hermitian k x k
-matrices B_0, ..., B_3 per node.  Derivatives use order-6 stencils so that
-the exact one-pole solution B_i = rho_i / s meets tight residual targets on
-moderate grids; integrals use the composite Simpson rule.  Pole behavior is
-handled by explicit boundary-term bookkeeping rather than singular solves.
+Every Nahm matrix is anti-hermitian 2 x 2, an element of u(2) = iR + su(2),
+stored as four real coefficients: x = (x_0, x_1, x_2, x_3) stands for
+X = x_0 i Id + sum_a x_a E_a with E = SU2_BASIS.  A state holds four
+(nodes, 4) arrays B_0..B_3 on a uniform truncated grid [eps, L].  Then
+[X, Y] = (0, -x x y) with x x y the cross product of the su(2) parts, and
+tr(X Y) = -2 x_0 y_0 - (x . y) / 2.  A gauge path g = exp(phi xi) fixes x_0,
+rotates the su(2) part by R = exp(-phi [xi]_x) and has g' g* = phi' xi.
+Matrices appear only at the edges: a residue or direction given as a matrix
+is converted and refused unless anti-hermitian 2 x 2, and `to_matrix` writes
+the state profile.
+
+Derivatives use order-6 stencils so that the exact one-pole solution
+B_i = rho_i / s meets tight residual targets on moderate grids; integrals use
+the composite Simpson rule.  Pole behavior is handled by explicit boundary-term
+bookkeeping rather than singular solves.
 
 Tangents of the one-pole solution come in closed form: around B_i = rho_i / s
 the linearized flow (gauge A_0 = 0) is the Euler system s A' = M A with a
-fixed 3k^2 x 3k^2 operator M built from the residues.  For k = 2 its
-exponents are the integers -2, -1 (x3), 0 (x3), 1 (x5), so
-A(s) = V diag((s/eps)^lambda) V^-1 A(eps) is exact on every node and the
-pole-end boundary term of an admissible tangent vanishes linearly in eps.
-An RK4 integration of the same system is kept only as a test oracle.
+real symmetric 12 x 12 operator M built from the residues, of exponents
+-2, -1 (x3), 0 (x3), 1 (x5).  So A(s) = V diag((s/eps)^lambda) V^T A(eps) is
+exact on every node and the pole-end boundary term of an admissible tangent
+vanishes linearly in eps.
 
 Sign conventions: the flow equations are B_i' + [B_0, B_i] = [B_j, B_k] for
 (i, j, k) cyclic, and the residue triple satisfies [rho_j, rho_k] = -rho_i.
@@ -37,64 +46,91 @@ from .numerics import SU2_BASIS, composite_simpson, grid_derivative
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
+# tr(X Y) = sum_a _TRACE_WEIGHTS[a] x_a y_a
+_TRACE_WEIGHTS = np.array([-2.0, -0.5, -0.5, -0.5])
+
 # amplitude of the polynomial bump behind the gauge path and the gauge tangent
 _BUMP_AMPLITUDE = 0.3
 
 
+def _coefficients(X) -> np.ndarray:
+    """(x_0, x_1, x_2, x_3) of anti-hermitian 2 x 2 matrices X; refuses anything else."""
+    X = np.asarray(X, dtype=complex)
+    if X.shape[-2:] != (2, 2):
+        raise ValueError("Nahm matrices are 2 x 2")
+    if np.abs(X + np.conj(np.swapaxes(X, -1, -2))).max() > 1e-12 * max(1.0, np.abs(X).max()):
+        raise ValueError("Nahm matrices must be anti-hermitian")
+    a, b, c, d = X[..., 0, 0], X[..., 0, 1], X[..., 1, 0], X[..., 1, 1]
+    return np.stack([0.5 * (a + d).imag, (b + c).imag, (b - c).real, (a - d).imag], axis=-1)
+
+
+def to_matrix(x: np.ndarray) -> np.ndarray:
+    """The anti-hermitian 2 x 2 matrices of coefficient arrays x of shape (..., 4)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = 1j * x[..., 0] + 0.5j * x[..., 3]
+    out[..., 0, 1] = 0.5 * x[..., 2] + 0.5j * x[..., 1]
+    out[..., 1, 0] = -0.5 * x[..., 2] + 0.5j * x[..., 1]
+    out[..., 1, 1] = 1j * x[..., 0] - 0.5j * x[..., 3]
+    return out
+
+
+def _bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """[X, Y] in coefficients: the scalar parts commute and [E_a, E_b] = -eps_abc E_c."""
+    out = np.zeros(np.broadcast_shapes(X.shape, Y.shape))
+    out[..., 1:] = -np.cross(X[..., 1:], Y[..., 1:])
+    return out
+
+
+def _trace(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """tr(X Y) in coefficients, real for anti-hermitian X and Y."""
+    return np.einsum("...a,a,...a->...", X, _TRACE_WEIGHTS, Y)
+
+
 @dataclass(frozen=True)
 class ResidueTriple:
-    """Anti-hermitian residues forming an su(2) representation."""
+    """Trace-free residues forming an su(2) representation, as a read-only (3, 4) array."""
 
-    rho: tuple
+    rho: np.ndarray
 
     def __post_init__(self):
-        rho = tuple(np.asarray(r, dtype=complex) for r in self.rho)
-        if len(rho) != 3:
+        rho = _coefficients(self.rho)
+        if rho.shape != (3, 4):
             raise ValueError("need three residues")
-        object.__setattr__(self, "rho", rho)
+        if np.abs(rho[:, 0]).max() > 1e-12:
+            raise ValueError("residues must be trace-free")
         for i, j, k in _CYCLIC:
-            if np.abs(rho[j] @ rho[k] - rho[k] @ rho[j] + rho[i]).max() > 1e-12:
+            if np.abs(np.cross(rho[j, 1:], rho[k, 1:]) - rho[i, 1:]).max() > 1e-12:
                 raise ValueError("[rho_j, rho_k] != -rho_i")
-        for r in rho:
-            if abs(np.trace(r)) > 1e-12:
-                raise ValueError("residues must be trace-free")
-            if np.abs(r + r.conj().T).max() > 1e-12:
-                raise ValueError("residues must be anti-hermitian")
-
-    @property
-    def k(self) -> int:
-        return self.rho[0].shape[0]
+        rho.flags.writeable = False
+        object.__setattr__(self, "rho", rho)
 
 
-def _anti_hermitian_ok(M: np.ndarray, tol: float) -> bool:
-    return np.abs(M + np.conj(np.swapaxes(M, -1, -2))).max() <= tol
+def _on_grid(arrays: tuple, s: np.ndarray) -> tuple:
+    """The four coefficient arrays of a state or tangent, refused unless real (nodes, 4)."""
+    arrays = tuple(np.asarray(a) for a in arrays)
+    if len(arrays) != 4 or any(a.shape != (s.size, 4) or np.iscomplexobj(a) for a in arrays):
+        raise ValueError("need four real (nodes, 4) coefficient arrays on the grid")
+    return tuple(a.astype(float, copy=False) for a in arrays)
 
 
 @dataclass(frozen=True)
 class NahmState:
-    """Matrices B_0..B_3 on a uniform grid over a truncated interval."""
+    """Coefficients of B_0..B_3 on a uniform grid over a truncated interval."""
 
     s: np.ndarray
-    B: tuple   # four arrays of shape (nodes, k, k)
+    B: tuple   # four real arrays of shape (nodes, 4)
     residues: ResidueTriple | None = None
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
-        B = tuple(np.asarray(b, dtype=complex) for b in self.B)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "B", B)
-        if len(B) != 4:
-            raise ValueError("need B_0, B_1, B_2, B_3")
         if s.ndim != 1 or s.size < 7:
             raise ValueError("grid too coarse")
         steps = np.diff(s)
         if np.abs(steps - steps[0]).max() > 1e-12 * max(np.abs(s).max(), 1.0):
             raise ValueError("grid must be uniform")
-        for b in B:
-            if b.shape[0] != s.size:
-                raise ValueError("matrix arrays must match the grid")
-            if not _anti_hermitian_ok(b, 1e-10 * max(1.0, np.abs(b).max())):
-                raise ValueError("matrices must be anti-hermitian on every node")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "B", _on_grid(self.B, s))
 
     @property
     def h(self) -> float:
@@ -104,21 +140,18 @@ class NahmState:
     def eps(self) -> float:
         return float(self.s[0])
 
-    @property
-    def k(self) -> int:
-        return self.B[0].shape[1]
-
 
 @dataclass(frozen=True)
 class TangentState:
-    """Linearized direction (A_0..A_3) on the same grid as its base state."""
+    """Linearized direction (A_0..A_3), coefficients on the grid of its base state."""
 
     s: np.ndarray
     A: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "s", np.asarray(self.s, dtype=float))
-        object.__setattr__(self, "A", tuple(np.asarray(a, dtype=complex) for a in self.A))
+        s = np.asarray(self.s, dtype=float)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "A", _on_grid(self.A, s))
 
 
 def one_pole_state(s_min: float, s_max: float, nodes: int) -> NahmState:
@@ -127,45 +160,14 @@ def one_pole_state(s_min: float, s_max: float, nodes: int) -> NahmState:
         raise ValueError("the pole at s = 0 must be excluded")
     res = ResidueTriple(SU2_BASIS)
     s = np.linspace(s_min, s_max, nodes)
-    inv = 1.0 / s
-    B0 = np.zeros((nodes, res.k, res.k), dtype=complex)
-    Bi = [inv[:, None, None] * res.rho[i] for i in range(3)]
-    return NahmState(s, (B0, Bi[0], Bi[1], Bi[2]), res)
+    B = np.zeros((4, nodes, 4))
+    B[1:] = (1.0 / s)[:, None] * res.rho[:, None]
+    return NahmState(s, tuple(B), res)
 
 
-def _check_2x2(X: np.ndarray, Y: np.ndarray) -> None:
-    if X.shape[-2:] != (2, 2) or Y.shape[-2:] != (2, 2):
-        raise ValueError("products are written out for 2 x 2 matrices")
-
-
-def _mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """X Y for stacks of 2 x 2 matrices (or one 2 x 2), entry by entry, as `_comm`."""
-    _check_2x2(X, Y)
-    a, b, c, d = X[..., 0, 0], X[..., 0, 1], X[..., 1, 0], X[..., 1, 1]
-    e, f, g, h = Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 0], Y[..., 1, 1]
-    out = np.empty(np.broadcast_shapes(X.shape, Y.shape), dtype=np.result_type(X, Y))
-    out[..., 0, 0] = a * e + b * g
-    out[..., 0, 1] = a * f + b * h
-    out[..., 1, 0] = c * e + d * g
-    out[..., 1, 1] = c * f + d * h
-    return out
-
-
-def _comm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """[X, Y] for stacks of 2 x 2 matrices (or one 2 x 2), entry by entry.
-
-    Every Nahm matrix is 2 x 2 (the residues are SU2_BASIS), and the written-out
-    bracket is an order of magnitude faster than batched matmul on tall stacks.
-    """
-    _check_2x2(X, Y)
-    a, b, c, d = X[..., 0, 0], X[..., 0, 1], X[..., 1, 0], X[..., 1, 1]
-    e, f, g, h = Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 0], Y[..., 1, 1]
-    out = np.empty(np.broadcast_shapes(X.shape, Y.shape), dtype=np.result_type(X, Y))
-    out[..., 0, 0] = b * g - f * c
-    out[..., 1, 1] = -out[..., 0, 0]
-    out[..., 0, 1] = f * (a - d) - b * (e - h)
-    out[..., 1, 0] = c * (e - h) - g * (a - d)
-    return out
+def _max_norm(X: np.ndarray) -> float:
+    """Max over the grid of the Frobenius norm sqrt(-tr(X X))."""
+    return float(np.sqrt(-_trace(X, X)).max())
 
 
 def nahm_residual(state: NahmState) -> float:
@@ -175,38 +177,37 @@ def nahm_residual(state: NahmState) -> float:
     worst = 0.0
     for i, j, k in _CYCLIC:
         Bi, Bj, Bk = state.B[i + 1], state.B[j + 1], state.B[k + 1]
-        res = grid_derivative(Bi, h) + _comm(B0, Bi) - _comm(Bj, Bk)
-        worst = max(worst, float(np.sqrt(np.sum(np.abs(res) ** 2, axis=(1, 2))).max()))
+        worst = max(worst, _max_norm(grid_derivative(Bi, h) + _bracket(B0, Bi)
+                                     - _bracket(Bj, Bk)))
     return worst
 
 
-def gauge_transform(state: NahmState, g: np.ndarray, g_prime: np.ndarray) -> NahmState:
-    """Act by a unitary path and its analytic g': B_0 -> g B_0 g* - g' g*, B_i -> g B_i g*.
+def gauge_transform(state: NahmState, R: np.ndarray, c: np.ndarray) -> NahmState:
+    """Act by a gauge path given as its rotations R and c = g' g*.
 
-    Every product, the unitarity check's g g* included, is the written-out
-    2 x 2 `_mul`.
+    g B g* fixes the scalar coefficient and rotates the su(2) part by R, so
+    B_0 -> g B_0 g* - g' g* and B_i -> g B_i g*.  R must be a rotation
+    (orthogonal, det +1) on every node.
     """
-    g = np.asarray(g, dtype=complex)
-    if g.shape != state.B[0].shape:
+    R = np.asarray(R, dtype=float)
+    if R.shape != (state.s.size, 3, 3) or np.shape(c) != (state.s.size, 4):
         raise ValueError("gauge path must match the grid")
-    gh = np.conj(np.swapaxes(g, -1, -2))
-    eye = np.eye(state.k)
-    if np.abs(_mul(g, gh) - eye).max() > 1e-10:
-        raise ValueError("gauge path must be unitary")
-    B0 = _mul(_mul(g, state.B[0]), gh) - _mul(g_prime, gh)
-    # keep the anti-hermitian part: g' g* is exactly anti-hermitian for
-    # unitary paths, so symmetrize only to absorb roundoff
-    B0 = 0.5 * (B0 - np.conj(np.swapaxes(B0, -1, -2)))
-    rest = tuple(_mul(_mul(g, state.B[i]), gh) for i in (1, 2, 3))
-    return NahmState(state.s, (B0,) + rest, state.residues)
+    det = np.einsum("ni,ni->n", R[:, 0], np.cross(R[:, 1], R[:, 2]))
+    if np.abs(np.einsum("nji,njk->nik", R, R) - np.eye(3)).max() > 1e-10 or (det <= 0).any():
+        raise ValueError("gauge path must be a rotation on every node")
+    B = np.stack(state.B)
+    B[..., 1:] = np.einsum("nij,bnj->bni", R, B[..., 1:])
+    B[0] -= c
+    return NahmState(state.s, tuple(B), state.residues)
 
 
 def _gauge_bump(state: NahmState,
                 direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(xi, phi, phi') for anti-hermitian xi and phi = _BUMP_AMPLITUDE (t(1-t))^3, t in [0, 1]."""
-    xi = np.asarray(direction, dtype=complex)
-    if np.abs(xi + xi.conj().T).max() > 1e-12:
-        raise ValueError("gauge direction must be anti-hermitian")
+    """(xi, phi, phi') for the coefficients xi of an anti-hermitian direction and
+    phi = _BUMP_AMPLITUDE (t(1-t))^3, t in [0, 1]."""
+    xi = _coefficients(direction)
+    if xi.shape != (4,):
+        raise ValueError("gauge direction must be one 2 x 2 matrix")
     s = state.s
     t = (s - s[0]) / (s[-1] - s[0])
     phi = _BUMP_AMPLITUDE * (t * (1.0 - t)) ** 3
@@ -215,26 +216,26 @@ def _gauge_bump(state: NahmState,
 
 
 def bump_gauge_path(state: NahmState, direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smooth unitary path equal to the identity at both grid ends.
+    """(R, g' g*) of g = exp(phi(s) xi), the identity at both grid ends.
 
-    Returns (g, g') with the derivative analytic, g = exp(phi(s) xi) for an
-    anti-hermitian direction xi and a polynomial bump phi.
+    xi is an anti-hermitian direction and phi a polynomial bump.  Ad_g rotates
+    the su(2) coefficients by R = exp(-phi [xi]_x), written by Rodrigues'
+    formula, and g' g* = phi' xi exactly.
     """
     xi, phi, phi_prime = _gauge_bump(state, direction)
-    evals, evecs = np.linalg.eig(xi)
-    g = (evecs * np.exp(np.outer(phi, evals))[:, None, :]) @ np.linalg.inv(evecs)
-    g_prime = phi_prime[:, None, None] * _mul(g, xi)
-    return g, g_prime
+    norm = float(np.sqrt(np.sum(xi[1:] ** 2)))
+    K = np.cross(np.eye(3), -xi[1:] / norm if norm else xi[1:])   # [-axis]_x
+    theta = phi * norm
+    R = np.eye(3) + np.sin(theta)[:, None, None] * K \
+        + (1.0 - np.cos(theta))[:, None, None] * (K @ K)
+    return R, phi_prime[:, None] * xi
 
 
 def translation_action(state: NahmState, x: np.ndarray) -> NahmState:
     """B_i -> B_i + i x_i Id for i >= 1; an exact symmetry of the flow."""
-    x = np.asarray(x, dtype=float)
-    eye = np.eye(state.k)
-    new = [state.B[0]]
-    for i in range(3):
-        new.append(state.B[i + 1] + 1j * x[i] * eye)
-    return NahmState(state.s, tuple(new), state.residues)
+    B = np.stack(state.B)
+    B[1:, :, 0] += np.asarray(x, dtype=float)[:, None]
+    return NahmState(state.s, tuple(B), state.residues)
 
 
 def linearized_residual(tangent: TangentState, state: NahmState) -> float:
@@ -247,9 +248,8 @@ def linearized_residual(tangent: TangentState, state: NahmState) -> float:
     for i, j, k in _CYCLIC:
         Ai, Aj, Ak = tangent.A[i + 1], tangent.A[j + 1], tangent.A[k + 1]
         Bi, Bj, Bk = state.B[i + 1], state.B[j + 1], state.B[k + 1]
-        res = (grid_derivative(Ai, h) + _comm(A0, Bi) + _comm(B0, Ai)
-               - _comm(Aj, Bk) - _comm(Bj, Ak))
-        worst = max(worst, float(np.sqrt(np.sum(np.abs(res) ** 2, axis=(1, 2))).max()))
+        worst = max(worst, _max_norm(grid_derivative(Ai, h) + _bracket(A0, Bi)
+                                     + _bracket(B0, Ai) - _bracket(Aj, Bk) - _bracket(Bj, Ak)))
     return worst
 
 
@@ -259,12 +259,9 @@ def linearized_residual(tangent: TangentState, state: NahmState) -> float:
 
 def translation_tangent(state: NahmState, x: np.ndarray) -> TangentState:
     """Constant direction (0, i x_1 Id, i x_2 Id, i x_3 Id)."""
-    x = np.asarray(x, dtype=float)
-    eye = np.eye(state.k)
-    zero = np.zeros_like(state.B[0])
-    comps = [zero] + [np.broadcast_to(1j * x[i] * eye, state.B[0].shape).copy()
-                      for i in range(3)]
-    return TangentState(state.s, tuple(comps))
+    A = np.zeros((4,) + state.B[0].shape)
+    A[1:, :, 0] = np.asarray(x, dtype=float)[:, None]
+    return TangentState(state.s, tuple(A))
 
 
 def gauge_tangent(state: NahmState, direction: np.ndarray) -> TangentState:
@@ -274,9 +271,9 @@ def gauge_tangent(state: NahmState, direction: np.ndarray) -> TangentState:
     direction: the tangent at the identity of the paths exp(lambda X).
     """
     xi, phi, phi_prime = _gauge_bump(state, direction)
-    X = phi[:, None, None] * xi
-    A0 = phi_prime[:, None, None] * xi + _comm(state.B[0], X)
-    rest = tuple(_comm(state.B[i], X) for i in (1, 2, 3))
+    X = phi[:, None] * xi
+    A0 = phi_prime[:, None] * xi + _bracket(state.B[0], X)
+    rest = tuple(_bracket(state.B[i], X) for i in (1, 2, 3))
     return TangentState(state.s, (A0,) + rest)
 
 
@@ -288,40 +285,39 @@ def pole_shift_tangent(state: NahmState) -> TangentState:
     """
     if state.residues is None:
         raise ValueError("state carries no residue data")
-    inv2 = 1.0 / state.s ** 2
-    zero = np.zeros_like(state.B[0])
-    comps = [zero] + [inv2[:, None, None] * state.residues.rho[i] for i in range(3)]
-    return TangentState(state.s, tuple(comps))
+    A = np.zeros((4,) + state.B[0].shape)
+    A[1:] = (1.0 / state.s ** 2)[:, None] * state.residues.rho[:, None]
+    return TangentState(state.s, tuple(A))
 
 
 EULER_EXPONENTS = (-2.0, -1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
-def _euler_operator(rho: tuple) -> np.ndarray:
-    """The matrix M of s A' = M A on (A_1, A_2, A_3) flattened, A_0 = 0.
+def _euler_operator(rho: np.ndarray) -> np.ndarray:
+    """The matrix M of s A' = M A on the coefficients of (A_1, A_2, A_3), A_0 = 0.
 
     Around B_i = rho_i / s the linearized flow reads
-    s A_i' = [A_j, rho_k] + [rho_j, A_k]; M is that right-hand side applied
-    to the 3 k^2 unit matrices, one column each.
+    s A_i' = [A_j, rho_k] + [rho_j, A_k], whose su(2) part is
+    rho_k x a_j - rho_j x a_k and whose scalar part vanishes.  Block (i, j)
+    of M is [rho_k]_x and block (j, i) is -[rho_k]_x = [rho_k]_x^T, so M is
+    symmetric for every triple.
     """
-    rho = tuple(np.asarray(r, dtype=complex) for r in rho)
-    k = rho[0].shape[0]
-    n = 3 * k * k
-    units = np.eye(n, dtype=complex).reshape(n, 3, k, k)
-    images = np.empty_like(units)
-    for i, j, k_ in _CYCLIC:
-        images[:, i] = _comm(units[:, j], rho[k_]) + _comm(rho[j], units[:, k_])
-    return images.reshape(n, n).T
+    cross = np.cross(np.eye(3), np.asarray(rho, dtype=float)[:, None, 1:])   # [rho_i]_x
+    M = np.zeros((3, 4, 3, 4))
+    for i, j, k in _CYCLIC:
+        M[i, 1:, j, 1:] = cross[k]
+        M[i, 1:, k, 1:] = -cross[j]
+    return M.reshape(12, 12)
 
 
-def euler_exponents(rho: tuple) -> np.ndarray:
-    """Spectrum of the Euler operator M for residues rho, sorted.
+def euler_exponents(rho: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of the symmetric Euler operator M for residue coefficients rho.
 
-    For an irreducible k = 2 triple with [rho_j, rho_k] = -rho_i it is
+    For an irreducible triple with [rho_j, rho_k] = -rho_i it is
     EULER_EXPONENTS: the scalar directions give 0 three times, and the
-    trace-free ones split as spin 0 + 1 + 2 into -2, -1 (x3) and 1 (x5).
+    su(2) ones split as spin 0 + 1 + 2 into -2, -1 (x3) and 1 (x5).
     """
-    return np.sort_complex(np.linalg.eigvals(_euler_operator(rho)))
+    return np.linalg.eigvalsh(_euler_operator(rho))
 
 
 def ivp_tangent(state: NahmState, scalars: np.ndarray, seed: int = 0) -> TangentState:
@@ -329,30 +325,26 @@ def ivp_tangent(state: NahmState, scalars: np.ndarray, seed: int = 0) -> Tangent
 
     Initial data A_i(eps) = scalars_i * i * Id + eps * eta_i with random
     anti-hermitian eta_i drawn from `seed`, which is the admissible near-pole
-    shape (scalar plus a vanishing correction).  The gauge slice is A_0 = 0 and the state must be the exact
-    one-pole background, around which the flow is the Euler system
-    s A' = M A (see `euler_exponents`).  Its solution
-    A(s) = V diag((s/eps)^lambda) V^-1 A(eps), with M = V diag(lambda) V^-1,
-    is evaluated on every node and projected onto anti-hermitian matrices to
-    absorb roundoff.  The tests keep an RK4 integration of the same system
-    as an oracle.
+    shape (scalar plus a vanishing correction).  The gauge slice is A_0 = 0
+    and the state must be the exact one-pole background, around which the
+    flow is the Euler system s A' = M A (see `euler_exponents`).  M is
+    symmetric, M = V diag(lambda) V^T with V orthogonal, and the solution
+    A(s) = V diag((s/eps)^lambda) V^T A(eps) is evaluated on every node.
+    The tests keep an RK4 integration of the same system as an oracle.
     """
     res = state.residues
     if res is None:
         raise ValueError("state carries no residue data")
     if np.abs(state.B[0]).max() > 0:
         raise ValueError("IVP integration assumes the B_0 = 0 one-pole gauge")
-    k = state.k
     rng = np.random.default_rng(seed)
-    directions = []
-    for _ in range(3):
-        M = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        directions.append(0.5 * (M - M.conj().T))
+    M = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
     eps = state.eps
-    start = np.concatenate([(1j * scalars[i] * np.eye(k) + eps * directions[i]).ravel()
-                            for i in range(3)])
-    lam, V = np.linalg.eig(_euler_operator(res.rho))
-    modes = np.linalg.solve(V, start)
+    start = eps * _coefficients([0.5 * (m - m.conj().T) for m in M])
+    start[:, 0] += scalars
+    start = start.ravel()
+    lam, V = np.linalg.eigh(_euler_operator(res.rho))
+    modes = start @ V
     # in place, so that at most two (nodes x 12) arrays are alive at once:
     # larger transients raise the process's peak RSS
     growth = np.outer(np.log(state.s / eps), lam)
@@ -361,12 +353,9 @@ def ivp_tangent(state: NahmState, scalars: np.ndarray, seed: int = 0) -> Tangent
     # einsum keeps the (nodes x 12)(12 x 12) product off threaded BLAS
     A = np.einsum("nm,im->ni", growth, V)
     del growth
-    A[0] = start   # the initial data, without the roundoff of V V^-1
-    A = A.reshape(-1, 3, k, k)
-    A -= np.conj(np.swapaxes(A, -1, -2))
-    A *= 0.5
-    zero = np.zeros_like(A[:, 0])
-    return TangentState(state.s, (zero, A[:, 0], A[:, 1], A[:, 2]))
+    A[0] = start   # the initial data, without the roundoff of V V^T
+    A = A.reshape(-1, 3, 4)
+    return TangentState(state.s, (np.zeros_like(A[:, 0]), A[:, 0], A[:, 1], A[:, 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +366,10 @@ def symplectic_form(A: TangentState, B: TangentState) -> float:
     """Flat pairing: Simpson integral of the displayed four-trace combination."""
     if A.s.shape != B.s.shape or np.abs(A.s - B.s).max() > 1e-12:
         raise ValueError("tangents must share a grid")
-    integrand = np.einsum("nab,nba->n", -A.A[0], B.A[1]) \
-        + np.einsum("nab,nba->n", A.A[1], B.A[0]) \
-        + np.einsum("nab,nba->n", A.A[2], B.A[3]) \
-        - np.einsum("nab,nba->n", A.A[3], B.A[2])
+    integrand = -_trace(A.A[0], B.A[1]) + _trace(A.A[1], B.A[0]) \
+        + _trace(A.A[2], B.A[3]) - _trace(A.A[3], B.A[2])
     h = float(A.s[1] - A.s[0])
-    return float(np.real(composite_simpson(integrand, h)))
+    return float(composite_simpson(integrand, h))
 
 
 def constant_psi(state: NahmState) -> np.ndarray:
@@ -394,15 +381,16 @@ def constant_psi(state: NahmState) -> np.ndarray:
 
 
 def bumped_psi(state: NahmState, direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, psi') for psi = -rho_1 + sin^2(pi t) eta / 2, t in [0, 1], pinned at the ends."""
-    eta = np.asarray(direction, dtype=complex)
+    """(psi, psi') for psi = -rho_1 + sin^2(pi t) eta / 2, t in [0, 1], pinned at the ends.
+
+    eta is an anti-hermitian 2 x 2 direction.
+    """
+    eta = _coefficients(direction)
     s = state.s
     t = (s - s[0]) / (s[-1] - s[0])
     bump = 0.5 * np.sin(math.pi * t) ** 2
     bump_prime = 0.5 * math.pi * np.sin(2.0 * math.pi * t) / (s[-1] - s[0])
-    psi = constant_psi(state) + bump[:, None, None] * eta
-    psi_prime = bump_prime[:, None, None] * eta
-    return psi, psi_prime
+    return constant_psi(state) + bump[:, None] * eta, bump_prime[:, None] * eta
 
 
 def rotation_field(state: NahmState, psi: np.ndarray, psi_prime: np.ndarray) -> TangentState:
@@ -413,14 +401,13 @@ def rotation_field(state: NahmState, psi: np.ndarray, psi_prime: np.ndarray) -> 
     res = state.residues
     if res is None:
         raise ValueError("state carries no residue data")
-    psi = np.asarray(psi, dtype=complex)
     for end in (0, -1):
         if np.abs(psi[end] + res.rho[0]).max() > 1e-10:
             raise ValueError("psi must equal -rho_1 at the grid ends")
-    X0 = psi_prime + _comm(state.B[0], psi)
-    X1 = _comm(state.B[1], psi)
-    X2 = state.B[3] + _comm(state.B[2], psi)
-    X3 = -state.B[2] + _comm(state.B[3], psi)
+    X0 = psi_prime + _bracket(state.B[0], psi)
+    X1 = _bracket(state.B[1], psi)
+    X2 = state.B[3] + _bracket(state.B[2], psi)
+    X3 = -state.B[2] + _bracket(state.B[3], psi)
     return TangentState(state.s, (X0, X1, X2, X3))
 
 
@@ -430,11 +417,8 @@ class ContractionReport:
     rhs: float
     boundary: float
     boundary_left: float
-    boundary_right: float
     rel_err: float
     scale: float
-    eps: float
-    h: float
 
 
 def contraction_identity(state: NahmState, tangent: TangentState,
@@ -448,19 +432,15 @@ def contraction_identity(state: NahmState, tangent: TangentState,
     """
     X = rotation_field(state, psi, psi_prime)
     lhs = symplectic_form(X, tangent)
-    integrand = np.einsum("nab,nba->n", tangent.A[2], state.B[2]) \
-        + np.einsum("nab,nba->n", tangent.A[3], state.B[3])
-    rhs = -float(np.real(composite_simpson(integrand, state.h)))
-    tr_a1psi = np.real(np.einsum("nab,nba->n", tangent.A[1], np.asarray(psi, complex)))
-    boundary_left = float(tr_a1psi[0])
-    boundary_right = float(tr_a1psi[-1])
-    boundary = boundary_right - boundary_left
+    integrand = _trace(tangent.A[2], state.B[2]) + _trace(tangent.A[3], state.B[3])
+    rhs = -float(composite_simpson(integrand, state.h))
+    boundary_left = float(_trace(tangent.A[1][0], psi[0]))
+    boundary = float(_trace(tangent.A[1][-1], psi[-1])) - boundary_left
     # the natural magnitude of both sides before cancellation
-    lhs_integrand = sum(np.abs(np.einsum("nab,nba->n", X.A[a], tangent.A[b]))
+    lhs_integrand = sum(np.abs(_trace(X.A[a], tangent.A[b]))
                         for a, b in ((0, 1), (1, 0), (2, 3), (3, 2)))
     magnitude = float(np.abs(composite_simpson(np.abs(integrand), state.h))) \
         + float(np.abs(composite_simpson(lhs_integrand, state.h)))
     scale = max(abs(lhs), abs(rhs), abs(boundary), magnitude, 1e-30)
     rel_err = abs(lhs + rhs + boundary) / scale
-    return ContractionReport(lhs, rhs, boundary, boundary_left, boundary_right,
-                             rel_err, scale, state.eps, state.h)
+    return ContractionReport(lhs, rhs, boundary, boundary_left, rel_err, scale)

@@ -273,7 +273,7 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
         coords = np.array([lo + 2.0 * rng.random(), 0.4 + 2.2 * rng.random(),
                            6.0 * rng.random(), 6.0 * rng.random()])
         for axis in (1, 2, 3):
-            F = bx.solve_closedness(axis, profile)
+            F = bx.ClosednessSolution(axis, profile)
             worst_closed = max(worst_closed, bx.closedness_residual(axis, profile, coords, F))
             worst_asd = max(worst_asd, bx.anti_self_duality_residual(axis, profile, coords, F))
             worst_wedge = max(worst_wedge, bx.wedge_density_cross_check(axis, profile, coords, F))
@@ -283,7 +283,7 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
                            worst_asd, 1e-8 * ts))
 
     data = gh.GHData(m=1.0, patch="north")
-    F3 = bx.solve_closedness(3, tn)
+    F3 = bx.ClosednessSolution(3, tn)
     constants = []
     for _ in range(8):
         coords = np.array([0.3 + 3.0 * rng.random(), 0.3 + 2.4 * rng.random(),
@@ -316,7 +316,7 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
             verdict_records.append(verd)
 
     rhos = np.geomspace(1e-3, 30.0, 40)
-    F1 = bx.solve_closedness(1, ah)
+    F1 = bx.ClosednessSolution(1, ah)
     density_profile = {"rho_minus_pi": list(rhos),
                        "density_axis1": [bx.l2_measure_density(1, ah, math.pi + float(r), F1)
                                          for r in rhos]}
@@ -435,12 +435,12 @@ def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
 # nahm
 # ---------------------------------------------------------------------------
 
-def _euler_record(rho: tuple, ts: float) -> tuple[ReportRecord, list[float]]:
+def _euler_record(rho: np.ndarray, ts: float) -> tuple[ReportRecord, list[float]]:
     """Distance of the Euler exponents of rho from {-2, -1 (x3), 0 (x3), 1 (x5)}."""
     lam = nahm.euler_exponents(rho)
     distance = float(np.abs(lam - np.array(nahm.EULER_EXPONENTS)).max())
     return (bounded("nahm", "euler-exponents", "integer-pole-exponents", distance, 1e-10 * ts),
-            [float(x.real) for x in lam])
+            [float(x) for x in lam])
 
 
 def run_nahm(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
@@ -532,10 +532,11 @@ def run_nahm(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     }
     state_csv = {"s": list(state.s)}
     for i in range(4):
-        for row in range(state.k):
-            for col in range(state.k):
-                state_csv[f"B{i}_{row}{col}_re"] = list(np.real(state.B[i][:, row, col]))
-                state_csv[f"B{i}_{row}{col}_im"] = list(np.imag(state.B[i][:, row, col]))
+        matrices = nahm.to_matrix(state.B[i])
+        for row in range(2):
+            for col in range(2):
+                state_csv[f"B{i}_{row}{col}_re"] = list(matrices[:, row, col].real)
+                state_csv[f"B{i}_{row}{col}_im"] = list(matrices[:, row, col].imag)
     return records, {"record": details, "state_profile": state_csv}
 
 

@@ -26,7 +26,6 @@ from hkforms.bianchi import (
     pullback_two_form,
     ratio,
     reparametrize,
-    solve_closedness,
     wedge_density_cross_check,
 )
 from hkforms.numerics import (
@@ -264,7 +263,7 @@ def classify_recording_anchors(profile, monkeypatch):
         solutions.append(ClosednessSolution(axis, prof))
         return solutions[-1]
 
-    monkeypatch.setattr(bianchi, "solve_closedness", recording)
+    monkeypatch.setattr(bianchi, "ClosednessSolution", recording)
     verdicts = classify_l2(profile)
     monkeypatch.undo()
     return verdicts, [(sol._anchors, sol._sorted) for sol in solutions]
@@ -291,13 +290,13 @@ def test_constant_ratio_closedness():
                           rho_ref=1.0)
     # fa/(bc) = 1/(sqrt2 * sqrt2/2) = 1 identically
     assert ratio(1, prof, 2.0) == pytest.approx(1.0)
-    F = solve_closedness(1, prof)
+    F = ClosednessSolution(1, prof)
     for rho in (1.5, 3.0, 0.5):
         assert F(rho) == pytest.approx(math.exp(-(rho - 1.0)), rel=1e-9)
 
 
 def test_eh_closedness_solution():
-    F3 = solve_closedness(3, EH)
+    F3 = ClosednessSolution(3, EH)
     for r in (0.8, 2.0, 4.0):
         assert F3(r) == pytest.approx(1.0 / r, rel=1e-10)   # rho_ref = 2a = 1
     assert l2_density(3, EH, 4.0, F3) == pytest.approx(2.0 * 1.0 / 4.0 ** 3, rel=1e-9)
@@ -319,7 +318,7 @@ TIE_ANCHORS = (3.0, 5.0, 9.0, 7.0, 0.75, 1.25, 0.5625, 40.0)   # and rho_ref = 1
 
 
 def test_nearest_anchor_ties_go_to_the_lower_key():
-    sol = solve_closedness(1, EH)
+    sol = ClosednessSolution(1, EH)
     for rho in TIE_ANCHORS:
         sol.exponent_integral(rho)
     keys = sorted(TIE_ANCHORS + (1.0,))
@@ -343,7 +342,7 @@ def test_nearest_anchor_ties_go_to_the_lower_key():
 def test_tied_query_hops_from_the_lower_anchor():
     # every node of the hop to the midpoint of 3 and 5 lies between 3 and 4
     profile, calls = counted_profile(EH)
-    sol = solve_closedness(1, profile)
+    sol = ClosednessSolution(1, profile)
     for rho in (3.0, 5.0):
         sol.exponent_integral(rho)
     del calls[:]
@@ -353,7 +352,7 @@ def test_tied_query_hops_from_the_lower_anchor():
 
 @pytest.mark.parametrize("rho", [math.nan, 0.5, 0.25, -1.0, math.inf, -math.inf])
 def test_query_outside_the_domain_raises_before_insertion(rho):
-    sol = solve_closedness(1, EH)
+    sol = ClosednessSolution(1, EH)
     sol.exponent_integral(3.0)
     anchors, keys = dict(sol._anchors), list(sol._sorted)
     with pytest.raises(ValueError):
@@ -403,7 +402,7 @@ def test_classification_matches_simpson_hop_reference(case, monkeypatch):
     # exponents that move only at the level of the hop quadrature's error
     profile = ORACLE_CASES[case][0]
     verdicts = classify_l2(profile)
-    monkeypatch.setattr(bianchi, "solve_closedness", SimpsonHopReference)
+    monkeypatch.setattr(bianchi, "ClosednessSolution", SimpsonHopReference)
     monkeypatch.setattr(bianchi, "l2_density", reference_l2_density)
     reference = classify_l2(profile)
     for axis in (1, 2, 3):
@@ -435,7 +434,7 @@ def two_monopole_exponent_reference(axis, rho):
 @pytest.mark.parametrize("axis", [1, 2, 3])
 def test_two_monopole_exponent_matches_quad(axis):
     # the suite's density-profile radii in its order, then both sides of each band edge
-    F = solve_closedness(axis, AH)
+    F = ClosednessSolution(axis, AH)
     radii = [math.pi + float(r) for r in np.geomspace(1e-3, 30.0, 40)]
     radii += [edge + s * d for edge in (math.pi + 1.0, math.pi + 2.0)
               for d in (1e-6, 1e-3, 0.1) for s in (-1.0, 1.0)]
@@ -457,7 +456,7 @@ def closed_form_cases():
 
 @pytest.mark.parametrize("profile,end,exponent", closed_form_cases())
 def test_axis3_exponent_matches_closed_form(profile, end, exponent):
-    F = solve_closedness(3, profile)
+    F = ClosednessSolution(3, profile)
     radii = [end + float(d) for d in np.geomspace(1e-5, 60.0 - end, 400)]
     # the two longest hops, from rho_ref straight to each end, go to Gauss-Kronrod
     long_hops = [abs(F.exponent_integral(rho) - exponent(rho)) for rho in (radii[0], radii[-1])]
@@ -476,7 +475,7 @@ def test_closedness_evaluation_budget(monkeypatch):
 
     monkeypatch.setattr(bianchi, "gauss_kronrod", counted_kronrod)
     profile, calls = counted_profile(EH)
-    F = solve_closedness(1, profile)
+    F = ClosednessSolution(1, profile)
     assert len(calls) == 1                       # the ratio at rho_ref
     # a short hop: its first Simpson level passes, so one checked ratio and 3 nodes
     F.exponent_integral(1.01)
@@ -504,7 +503,7 @@ def test_classify_l2_evaluation_count():
 
 
 def test_l2_density_refuses_another_solution():
-    F = solve_closedness(3, EH)
+    F = ClosednessSolution(3, EH)
     with pytest.raises(ValueError):
         l2_density(1, EH, 4.0, F)
     with pytest.raises(ValueError):
@@ -550,14 +549,14 @@ def test_verdict_table(make_profile, expected):
 
 
 def test_ah_f1_tends_to_constant_at_pi():
-    F1 = solve_closedness(1, AH)
+    F1 = ClosednessSolution(1, AH)
     vals = [F1(math.pi + d) for d in (1e-2, 1e-4, 1e-6)]
     assert vals[0] > 0
     assert abs(vals[2] - vals[1]) < 1e-3 * vals[1]
 
 
 def test_tn_closedness_matches_inverse_potential():
-    F3 = solve_closedness(3, TN)
+    F3 = ClosednessSolution(3, TN)
     Vref = 2.0   # V at rho_ref = m = 1
     for r in (0.3, 1.0, 5.0):
         assert F3(r) == pytest.approx(Vref / (1.0 + 1.0 / r), rel=1e-9)
@@ -566,27 +565,27 @@ def test_tn_closedness_matches_inverse_potential():
 # -- densities ----------------------------------------------------------------
 
 def test_ah_density_near_pi_inverse_square():
-    F2 = solve_closedness(2, AH)
+    F2 = ClosednessSolution(2, AH)
     d1 = l2_measure_density(2, AH, math.pi + 1e-4, F2)
     d2 = l2_measure_density(2, AH, math.pi + 2e-4, F2)
     assert d1 / d2 == pytest.approx(4.0, rel=1e-2)
 
 
 def test_ah_density_exponential_at_infinity():
-    F1 = solve_closedness(1, AH)
+    F1 = ClosednessSolution(1, AH)
     d1 = l2_measure_density(1, AH, 30.0, F1)
     d2 = l2_measure_density(1, AH, 31.0, F1)
     assert d1 / d2 == pytest.approx(math.e, rel=1e-2)
 
 
 def test_eh_density_closed_form():
-    F3 = solve_closedness(3, EH)
+    F3 = ClosednessSolution(3, EH)
     for r in (0.9, 1.7, 6.0):
         assert l2_density(3, EH, r, F3) == pytest.approx(2.0 / r ** 3, rel=1e-9)
 
 
 def test_ansatz_form_bundle():
-    F3 = solve_closedness(3, EH)
+    F3 = ClosednessSolution(3, EH)
     assert F3(4.0) == pytest.approx(0.25, rel=1e-10)
     assert l2_density(3, EH, 4.0, F3) == pytest.approx(2.0 / 64.0, rel=1e-9)
     for rho in (0.6, 1.0, 5.0):
@@ -608,7 +607,7 @@ def test_ansatz_closed_and_asd(profile, rho_lo):
     for _ in range(2):
         coords = sample_coords(rng, rho_lo)
         for axis in (1, 2, 3):
-            F = solve_closedness(axis, profile)
+            F = ClosednessSolution(axis, profile)
             assert closedness_residual(axis, profile, coords, F) <= 1e-6
             assert anti_self_duality_residual(axis, profile, coords, F) <= 1e-8
 
@@ -618,7 +617,7 @@ def test_wedge_density_cross_check():
     for profile, rho_lo in ((AH, math.pi + 0.3), (EH, 0.7), (TN, 0.4)):
         coords = sample_coords(rng, rho_lo)
         for axis in (1, 2, 3):
-            F = solve_closedness(axis, profile)
+            F = ClosednessSolution(axis, profile)
             assert wedge_density_cross_check(axis, profile, coords, F) <= 1e-10
 
 
@@ -637,7 +636,7 @@ def test_wedge_route_record_sees_a_negated_coframe_row(monkeypatch):
     for profile, rho_lo in ((AH, math.pi + 0.3), (EH, 0.7), (TN, 0.4)):
         coords = sample_coords(rng, rho_lo)
         for axis in (1, 2, 3):
-            F = solve_closedness(axis, profile)
+            F = ClosednessSolution(axis, profile)
             assert wedge_density_cross_check(axis, profile, coords, F) == \
                 pytest.approx(2.0, rel=1e-12)
     records, _ = suites.run_bianchi(suites.SuiteConfig(seed=7))
@@ -668,8 +667,8 @@ def test_closedness_residual_sees_perturbed_solution(profile, rho_lo):
     for _ in range(2):
         coords = sample_coords(rng, rho_lo)
         for axis in (1, 2, 3):
-            exact = closedness_residual(axis, profile, coords, solve_closedness(axis, profile))
-            off = closedness_residual(axis, profile, coords, solve_closedness(axis, perturbed))
+            exact = closedness_residual(axis, profile, coords, ClosednessSolution(axis, profile))
+            off = closedness_residual(axis, profile, coords, ClosednessSolution(axis, perturbed))
             assert exact <= 1e-6 < off, (axis, exact, off)
 
 
@@ -703,7 +702,7 @@ def test_classify_biaxial_taubnut():
 
 def test_divergent_truncation_scaling():
     # truncated integral of a 1/(rho-pi)^2 density scales like 1/eps
-    F2 = solve_closedness(2, AH)
+    F2 = ClosednessSolution(2, AH)
     dens = lambda rho: l2_measure_density(2, AH, rho, F2)
     eps = np.geomspace(1e-5, 1e-3, 5)
     vals = [adaptive_simpson(dens, math.pi + float(e), math.pi + 0.5, 1e-9, rel=1e-9)
@@ -729,7 +728,7 @@ def test_verdicts_reparametrization_invariant():
 
 def test_tn_phi3_proportional_to_gh_dtheta():
     data = gh.GHData(m=1.0, patch="north")
-    F3 = solve_closedness(3, TN)
+    F3 = ClosednessSolution(3, TN)
     rng = np.random.default_rng(20)
     constants = []
     for _ in range(10):

@@ -1,5 +1,7 @@
 """Nahm flows: residuals, gauge covariance, the rotation contraction identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from hkforms import nahm, suites
 from hkforms.nahm import (
     EULER_EXPONENTS,
     NahmState,
+    ResidueTriple,
     TangentState,
     bump_gauge_path,
     bumped_psi,
@@ -29,13 +32,26 @@ from hkforms.numerics import SU2_BASIS
 
 XI = 1j * np.array([[0.3, 0.2 + 0.1j], [0.2 - 0.1j, -0.3]])
 ETA = 1j * np.array([[0.1, 0.4 - 0.2j], [0.4 + 0.2j, -0.1]])
+# the coefficients (x_0, x_1, x_2, x_3) of SU2_BASIS: rho_a = E_a
+RHO = np.eye(4)[1:]
+
+
+def _matrix(x):
+    """Oracle for coefficients: x_0 i Id + sum_a x_a E_a, summed over SU2_BASIS."""
+    x = np.asarray(x, dtype=float)
+    return 1j * x[..., 0, None, None] * np.eye(2) \
+        + np.einsum("...a,aij->...ij", x[..., 1:], np.array(SU2_BASIS))
+
+
+def _random_coefficients(rng, shape):
+    return rng.standard_normal(shape + (4,))
 
 
 def _rk4_tangent(state, scalars, seed):
     """RK4 integration of the linearized flow from the left end: the oracle
     for the closed form of `ivp_tangent`, with the same random directions."""
-    res = state.residues
-    k = state.k
+    rho = _matrix(state.residues.rho)
+    k = 2
     rng = np.random.default_rng(seed)
     directions = []
     for _ in range(3):
@@ -48,7 +64,7 @@ def _rk4_tangent(state, scalars, seed):
     def rhs(s, A3):
         out = []
         for i, j, k_ in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            rj, rk = res.rho[j] / s, res.rho[k_] / s
+            rj, rk = rho[j] / s, rho[k_] / s
             out.append((A3[j] @ rk - rk @ A3[j]) + (rj @ A3[k_] - A3[k_] @ rj))
         return out
 
@@ -70,29 +86,80 @@ def _rk4_tangent(state, scalars, seed):
     return result
 
 
+# -- coefficients ------------------------------------------------------------------
+
+def test_coefficient_conversions_round_trip():
+    # to_matrix writes the entries out; the oracle sums over SU2_BASIS
+    rng = np.random.default_rng(30)
+    x = _random_coefficients(rng, (501,))
+    assert np.abs(nahm.to_matrix(x) - _matrix(x)).max() <= 1e-15
+    assert np.abs(nahm._coefficients(_matrix(x)) - x).max() <= 1e-15
+    assert np.array_equal(nahm._coefficients(np.array(SU2_BASIS)), RHO)
+    for bad in ([[1.0, 2.0], [0.0, 3.0]], np.eye(3), 1j * np.eye(3)):
+        with pytest.raises(ValueError):
+            nahm._coefficients(bad)
+
+
+def test_bracket_matches_matrix_products():
+    # the cross-product bracket against X Y - Y X of the oracle matrices, on
+    # stacks and broadcast against a single element from either side
+    rng = np.random.default_rng(31)
+    X, Y = (_random_coefficients(rng, (501,)) for _ in range(2))
+    m = RHO[1] + 0.3 * nahm._coefficients(XI)
+    xi = nahm._coefficients(XI)
+    for A, B in ((X, Y), (X, m), (m, Y), (m, xi)):
+        MA, MB = _matrix(A), _matrix(B)
+        ref = MA @ MB - MB @ MA
+        out = nahm._bracket(A, B)
+        assert out.shape == np.broadcast_shapes(A.shape, B.shape)
+        assert np.abs(_matrix(out) - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert not out[..., 0].any()     # trace-free exactly
+
+
+def test_product_matches_matmul():
+    # the coefficient trace tr(X Y) and norm |X|^2 against np.matmul of the
+    # oracle matrices, on stacks and broadcast against a single element
+    rng = np.random.default_rng(32)
+    X, Y = (_random_coefficients(rng, (501,)) for _ in range(2))
+    m = RHO[1] + 0.3 * nahm._coefficients(XI)
+    for A, B in ((X, Y), (X, m), (m, Y), (m, m)):
+        ref = np.trace(np.matmul(_matrix(A), _matrix(B)), axis1=-2, axis2=-1)
+        out = nahm._trace(A, B)
+        assert out.shape == ref.shape and out.dtype == float
+        assert np.abs(ref.imag).max() <= 1e-15 * np.abs(ref).max()
+        assert np.abs(out - ref.real).max() <= 1e-15 * np.abs(ref).max()
+    norm_sq = np.sum(np.abs(_matrix(X)) ** 2, axis=(1, 2))
+    assert np.abs(-nahm._trace(X, X) - norm_sq).max() <= 1e-14 * norm_sq.max()
+
+
 # -- residues -------------------------------------------------------------------
 
 def test_standard_residues_bracket():
     res = one_pole_state(0.1, 1.0, 11).residues
-    assert res.rho == SU2_BASIS
+    assert np.array_equal(res.rho, RHO)
+    assert not res.rho.flags.writeable
     assert not any(E.flags.writeable for E in SU2_BASIS)
+    rho = _matrix(res.rho)
     for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        comm = res.rho[j] @ res.rho[k] - res.rho[k] @ res.rho[j]
-        assert np.abs(comm + res.rho[i]).max() == 0
+        comm = rho[j] @ rho[k] - rho[k] @ rho[j]
+        assert np.abs(comm + rho[i]).max() == 0
 
 
 def test_standard_residues_traceless_irreducible():
     res = one_pole_state(0.1, 1.0, 11).residues
-    for r in res.rho:
-        assert abs(np.trace(r)) == 0
+    assert not res.rho[:, 0].any()
     # irreducible for k = 2: the triple spans the trace-free anti-hermitian matrices
-    assert np.linalg.matrix_rank(np.array([r.ravel() for r in res.rho]), tol=1e-10) == 3
+    assert np.linalg.matrix_rank(_matrix(res.rho).reshape(3, 4), tol=1e-10) == 3
 
 
 def test_bad_residues_rejected():
-    from hkforms.nahm import ResidueTriple
-    with pytest.raises(ValueError):
-        ResidueTriple(tuple(np.eye(2, dtype=complex) for _ in range(3)))
+    for bad in (tuple(np.eye(2, dtype=complex) for _ in range(3)),   # not anti-hermitian
+                tuple(-E for E in SU2_BASIS),                       # [rho_j, rho_k] = +rho_i
+                (SU2_BASIS[0] + 1j * np.eye(2),) + SU2_BASIS[1:],   # not trace-free
+                SU2_BASIS[:2],                                      # two residues
+                tuple(1j * np.eye(3) for _ in range(3))):           # not 2 x 2
+        with pytest.raises(ValueError):
+            ResidueTriple(bad)
 
 
 # -- states and residuals ----------------------------------------------------------
@@ -110,17 +177,20 @@ def test_pole_ansatz_consistency():
 
 
 def test_commuting_constant_state_exact():
+    # D = i diag(1, -1) = 2 E_3
     s = np.linspace(0.2, 1.0, 501)
-    D = np.broadcast_to(1j * np.diag([1.0, -1.0]), (501, 2, 2)).copy()
-    zero = np.zeros((501, 2, 2), dtype=complex)
+    D = np.broadcast_to([0.0, 0.0, 0.0, 2.0], (501, 4))
+    assert np.array_equal(_matrix(D[0]), 1j * np.diag([1.0, -1.0]))
+    zero = np.zeros((501, 4))
     state = NahmState(s, (zero, D, 2.0 * D, 3.0 * D))
     assert nahm_residual(state) <= 1e-10
 
 
 def test_residual_detects_perturbation():
+    # B_1 + 1e-3 i sigma_1 = B_1 + 2e-3 E_1
     state = one_pole_state(0.1, 1.0, 2000)
     B = list(state.B)
-    B[1] = B[1] + 1e-3 * (1j * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    B[1] = B[1] + np.array([0.0, 2e-3, 0.0, 0.0])
     perturbed = NahmState(state.s, tuple(B), state.residues)
     r = nahm_residual(perturbed)
     assert 1e-4 < r < 1e-1
@@ -128,11 +198,18 @@ def test_residual_detects_perturbation():
 
 def test_state_validation():
     s = np.linspace(0.1, 1.0, 101)
-    good = np.zeros((101, 2, 2), dtype=complex)
+    good = np.zeros((101, 4))
     with pytest.raises(ValueError):
-        NahmState(s, (good, good, good))            # missing one matrix
+        NahmState(s, (good, good, good))                           # missing one array
     with pytest.raises(ValueError):
-        NahmState(s, (good, good, good, np.ones((101, 2, 2))))  # not anti-hermitian
+        NahmState(s, (good, good, good, np.zeros((101, 2, 2))))   # matrices, not coefficients
+    with pytest.raises(ValueError):
+        NahmState(s, (good, good, good, good.astype(complex)))    # complex coefficients
+    with pytest.raises(ValueError):
+        NahmState(s, (good, good, good, good[:-1]))               # off the grid
+    for bad in (np.zeros((101, 2, 2)), good.astype(complex)):
+        with pytest.raises(ValueError):
+            TangentState(s, (good, good, good, bad))
     with pytest.raises(ValueError):
         one_pole_state(-0.1, 1.0, 100)
 
@@ -141,35 +218,38 @@ def test_state_validation():
 
 def test_identity_gauge_is_identity():
     state = one_pole_state(0.1, 1.0, 501)
-    g = np.broadcast_to(np.eye(2, dtype=complex), state.B[0].shape).copy()
-    out = gauge_transform(state, g, np.zeros_like(g))
+    R = np.broadcast_to(np.eye(3), (501, 3, 3))
+    out = gauge_transform(state, R, np.zeros((501, 4)))
     for a, b in zip(out.B, state.B):
-        assert np.abs(a - b).max() <= 1e-14
+        assert np.array_equal(a, b)
 
 
 def test_gauge_invariance_of_residual():
     state = one_pole_state(0.1, 1.0, 2000)
-    g, g_prime = bump_gauge_path(state, XI)
-    transformed = gauge_transform(state, g, g_prime)
+    R, c = bump_gauge_path(state, XI)
+    transformed = gauge_transform(state, R, c)
     assert abs(nahm_residual(transformed) - nahm_residual(state)) <= 1e-8
 
 
 def test_gauge_invariance_of_traces():
     state = one_pole_state(0.1, 1.0, 801)
-    g, g_prime = bump_gauge_path(state, XI)
-    transformed = gauge_transform(state, g, g_prime)
+    R, c = bump_gauge_path(state, XI)
+    transformed = gauge_transform(state, R, c)
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            tr_before = np.einsum("nab,nba->n", state.B[i], state.B[j])
-            tr_after = np.einsum("nab,nba->n", transformed.B[i], transformed.B[j])
+            tr_before = np.einsum("nab,nba->n", _matrix(state.B[i]), _matrix(state.B[j]))
+            tr_after = np.einsum("nab,nba->n", _matrix(transformed.B[i]),
+                                 _matrix(transformed.B[j]))
             assert np.abs(tr_before - tr_after).max() <= 1e-10
 
 
 def test_nonunitary_gauge_rejected():
+    # the rotations of a gauge path must be orthogonal with det +1 on every node
     state = one_pole_state(0.1, 1.0, 501)
-    g = np.broadcast_to(2.0 * np.eye(2, dtype=complex), state.B[0].shape).copy()
-    with pytest.raises(ValueError):
-        gauge_transform(state, g, np.zeros_like(g))
+    c = np.zeros((501, 4))
+    for R in (2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0]), np.eye(4)):
+        with pytest.raises(ValueError):
+            gauge_transform(state, np.broadcast_to(R, (501,) + R.shape), c)
 
 
 def test_translation_preserves_residual_exactly():
@@ -181,8 +261,9 @@ def test_translation_preserves_residual_exactly():
 def test_translation_tangent_constant_norm():
     state = one_pole_state(0.1, 1.0, 801)
     tangent = translation_tangent(state, np.array([1.0, 2.0, -1.0]))
-    norms = np.sqrt(sum(np.sum(np.abs(a) ** 2, axis=(1, 2)) for a in tangent.A))
+    norms = np.sqrt(sum(np.sum(np.abs(_matrix(a)) ** 2, axis=(1, 2)) for a in tangent.A))
     assert np.abs(norms - norms[0]).max() <= 1e-14
+    assert norms[0] == pytest.approx(np.sqrt(2.0 * 6.0), rel=1e-15)   # |i x Id|^2 = 2 x^2
 
 
 # -- linearized equation ---------------------------------------------------------------
@@ -215,19 +296,31 @@ def test_gauge_tangent_is_the_gauge_path_derivative():
 
 
 def test_bump_gauge_path_matches_per_node_exponential():
+    # the rotations and g' g* against g = exp(phi xi) per node, conjugated as
+    # g B g* and differentiated as g' = phi' xi g
     state = one_pole_state(0.1, 1.0, 2001)
     rng = np.random.default_rng(5)
     M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    # amplitude 0.7 along the second direction, as a scaled direction
-    for xi in (XI, 0.5 * (M - M.conj().T) * (0.7 / 0.3)):
-        g, g_prime = bump_gauge_path(state, xi)
-        t = (state.s - state.s[0]) / (state.s[-1] - state.s[0])
-        phi = 0.3 * (t * (1.0 - t)) ** 3
+    t = (state.s - state.s[0]) / (state.s[-1] - state.s[0])
+    phi = 0.3 * (t * (1.0 - t)) ** 3
+    phi_prime = 0.9 * (t * (1.0 - t)) ** 2 * (1.0 - 2.0 * t) / (state.s[-1] - state.s[0])
+    # amplitude 0.7 along the second direction, as a scaled direction; the
+    # third is a pure scalar, whose rotations are the identity
+    for xi in (XI, 0.5 * (M - M.conj().T) * (0.7 / 0.3), 0.4j * np.eye(2)):
+        R, c = bump_gauge_path(state, xi)
+        assert np.array_equal(R[0], np.eye(3)) and np.array_equal(R[-1], np.eye(3))
+        assert not c[0].any()
         evals, evecs = np.linalg.eig(xi)
-        loop = np.array([evecs @ np.diag(np.exp(p * evals)) @ np.linalg.inv(evecs)
-                         for p in phi])
-        assert np.array_equal(g, loop)
-        assert np.array_equal(g_prime[0], np.zeros((2, 2)))
+        g = np.array([evecs @ np.diag(np.exp(p * evals)) @ np.linalg.inv(evecs)
+                      for p in phi])
+        gh = np.conj(np.swapaxes(g, -1, -2))
+        gpg = phi_prime[:, None, None] * (xi @ g) @ gh
+        assert np.abs(_matrix(c) - gpg).max() <= 1e-15
+        moved = gauge_transform(state, R, c)
+        assert np.abs(_matrix(moved.B[0]) + gpg).max() <= 1e-15
+        for i in (1, 2, 3):
+            oracle = g @ _matrix(state.B[i]) @ gh
+            assert np.abs(_matrix(moved.B[i]) - oracle).max() <= 1e-14
 
 
 def test_finite_difference_gauge_family_tangent():
@@ -264,7 +357,7 @@ def test_ivp_tangent_linearized_and_near_scalar():
     assert linearized_residual(tangent, state) <= 1e-4
     # A_i at the pole end is a scalar plus an O(eps) correction
     for i in (1, 2, 3):
-        A0 = tangent.A[i][0]
+        A0 = _matrix(tangent.A[i][0])
         scalar = np.trace(A0) / 2.0
         assert np.abs(A0 - scalar * np.eye(2)).max() <= 2.0 * state.eps
 
@@ -278,64 +371,81 @@ def test_ivp_tangent_closed_form_matches_rk4(nodes, bound):
     tangent = ivp_tangent(state, scalars, seed=3)
     oracle = _rk4_tangent(state, scalars, seed=3)
     for i in range(3):
-        assert np.array_equal(tangent.A[i + 1][0], oracle[i][0])
-        assert np.abs(tangent.A[i + 1] - oracle[i]).max() <= bound
+        A = _matrix(tangent.A[i + 1])
+        # the same initial data, up to the roundoff of the coefficient conversion
+        assert np.abs(A[0] - oracle[i][0]).max() <= 1e-16
+        assert np.abs(A - oracle[i]).max() <= bound
     for a in tangent.A:
-        assert np.array_equal(a, -np.conj(np.swapaxes(a, -1, -2)))
+        assert a.dtype == float and a.shape == (nodes, 4)
     assert not tangent.A[0].any()
 
 
-def test_bracket_matches_matrix_products():
-    # the written-out 2 x 2 bracket against X Y - Y X, on stacks and broadcast
-    # against a single matrix from either side
-    rng = np.random.default_rng(31)
-    X, Y = (rng.standard_normal((501, 2, 2)) + 1j * rng.standard_normal((501, 2, 2))
-            for _ in range(2))
-    M = SU2_BASIS[1] + 0.3 * XI
-    for A, B in ((X, Y), (X, M), (M, Y), (M, XI)):
-        ref = A @ B - B @ A
-        out = nahm._comm(A, B)
-        assert out.shape == ref.shape
-        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
-        assert np.array_equal(out[..., 0, 0], -out[..., 1, 1])     # trace-free exactly
-    with pytest.raises(ValueError):
-        nahm._comm(np.eye(3), np.eye(3))
-
-
-def test_product_matches_matmul():
-    # the written-out 2 x 2 product against np.matmul, on stacks and broadcast
-    # against a single matrix from either side
-    rng = np.random.default_rng(32)
-    X, Y = (rng.standard_normal((501, 2, 2)) + 1j * rng.standard_normal((501, 2, 2))
-            for _ in range(2))
-    M = SU2_BASIS[1] + 0.3 * XI
-    for A, B in ((X, Y), (X, M), (M, Y), (M, XI), (X.real, Y)):
-        ref = np.matmul(A, B)
-        out = nahm._mul(A, B)
-        assert out.shape == ref.shape and out.dtype == ref.dtype
-        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
-    with pytest.raises(ValueError):
-        nahm._mul(np.eye(3), np.eye(3))
-    with pytest.raises(ValueError):
-        nahm._mul(X, np.eye(3))
+def test_euler_operator_is_symmetric_and_matches_matrix_brackets():
+    # M against s A_i' = [A_j, rho_k] + [rho_j, A_k] evaluated on the oracle
+    # matrices of the 12 unit coefficient vectors, for the standard, the
+    # negated and a random triple
+    rng = np.random.default_rng(33)
+    for rho in (RHO, -RHO, _random_coefficients(rng, (3,))):
+        M = nahm._euler_operator(rho)
+        assert np.array_equal(M, M.T)
+        R = _matrix(rho)
+        for col, unit in enumerate(np.eye(12).reshape(12, 3, 4)):
+            A = _matrix(unit)
+            image = _matrix(M[:, col].reshape(3, 4))
+            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                ref = A[j] @ R[k] - R[k] @ A[j] + R[j] @ A[k] - A[k] @ R[j]
+                assert np.abs(image[i] - ref).max() <= 1e-15
 
 
 def test_euler_exponents_are_integers():
-    lam = euler_exponents(SU2_BASIS)
+    lam = euler_exponents(RHO)
+    assert lam.dtype == float
     assert np.abs(lam - np.array(EULER_EXPONENTS)).max() <= 1e-12
-    record, exponents = suites._euler_record(SU2_BASIS, 1.0)
+    record, exponents = suites._euler_record(RHO, 1.0)
     assert record.passed and record.measured <= 1e-12
-    assert exponents == [float(x.real) for x in lam]
+    assert exponents == [float(x) for x in lam]
 
 
 def test_euler_exponents_record_fails_for_negated_residues():
     # -rho breaks [rho_j, rho_k] = -rho_i, so ResidueTriple would reject it
-    negated = tuple(-r for r in SU2_BASIS)
+    negated = -RHO
     lam = euler_exponents(negated)
     assert np.abs(lam + np.array(EULER_EXPONENTS[::-1])).max() <= 1e-12
     record, _ = suites._euler_record(negated, 1.0)
     assert not record.passed
     assert record.measured >= 0.5
+
+
+def test_which_records_catch_negated_residues():
+    # B_i = -rho_i / s, built directly: the flow residual is 2 rho_i / s^2,
+    # at most 2 |E_i| / 0.1^2 = 141.4 on the record's grid
+    state = one_pole_state(0.1, 1.0, 2000)
+    negated = NahmState(state.s, (state.B[0],) + tuple(-b for b in state.B[1:]), None)
+    assert nahm_residual(negated) == pytest.approx(100.0 * np.sqrt(2.0), rel=1e-3)
+    # linearized-translation (bound 1e-10) is blind: scalars commute with everything
+    translation = translation_tangent(negated, np.array([0.7, -0.3, 1.1]))
+    assert linearized_residual(translation, negated) <= 1e-10
+    # linearized-gauge (bound 1e-10) sees [F(B), X] with F(B) the flow residual
+    assert linearized_residual(gauge_tangent(negated, XI), negated) > 1e-2
+    # linearized-pole-shift (bound 1e-6) needs the residues: a state without
+    # them is refused, and the negated pole's shift -rho_i / s^2, passed
+    # explicitly, is off the linearized flow by 4 |E_i| / s^3
+    with pytest.raises(ValueError):
+        pole_shift_tangent(negated)
+    inv2 = 1.0 / state.s ** 2
+    shift = TangentState(state.s, (state.B[0],) + tuple(-inv2[:, None] * r for r in RHO))
+    assert linearized_residual(shift, negated) > 1e3
+    # contraction-translation-tangent (bound 1e-10) is blind: with the standard
+    # residues passed explicitly (ResidueTriple refuses the negated ones) every
+    # trace against a scalar tangent vanishes
+    big = one_pole_state(1e-3, 1.0, 20001)
+    big_negated = NahmState(big.s, (big.B[0],) + tuple(-b for b in big.B[1:]), big.residues)
+    psi, psi_prime = bumped_psi(big_negated, ETA)
+    report = contraction_identity(big_negated, translation_tangent(big_negated, [0.7, -0.3, 1.1]),
+                                  psi, psi_prime)
+    assert report.rel_err <= 1e-10
+    with pytest.raises(ValueError):
+        rotation_field(dataclasses.replace(big_negated, residues=None), psi, psi_prime)
 
 
 def test_zero_tangent():
@@ -361,8 +471,9 @@ def test_symplectic_constant_case_closed_form():
     x, y = 1.7, 2.3
     A = translation_tangent(state, np.array([x, 0.0, 0.0]))
     zero = np.zeros_like(state.B[0])
-    B = TangentState(state.s, (np.broadcast_to(1j * y * np.eye(2), zero.shape).copy(),
-                               zero, zero, zero))
+    B0 = zero.copy()
+    B0[:, 0] = y
+    B = TangentState(state.s, (B0, zero, zero, zero))
     assert symplectic_form(A, B) == pytest.approx(-2.0 * x * y * (1.0 - eps), rel=1e-12)
 
 
@@ -388,6 +499,15 @@ def test_rotation_field_requires_endpoint_values():
     bad = np.zeros_like(state.B[0])
     with pytest.raises(ValueError):
         rotation_field(state, bad, np.zeros_like(bad))
+
+
+def test_bumped_psi_refuses_a_direction_that_is_not_anti_hermitian():
+    # such an eta gave a rotation field 9.5 away from anti-hermitian and a
+    # contraction rel_err of 9.5e-8, inside the record's bound 1e-4
+    state = one_pole_state(1e-2, 1.0, 401)
+    for bad in ([[1, 2], [0, 3]], np.eye(3)):
+        with pytest.raises(ValueError):
+            bumped_psi(state, bad)
 
 
 def test_contraction_translation_tangent_exact():

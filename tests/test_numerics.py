@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hkforms.bianchi import ansatz_form_matrix, eguchi_hanson_profile, solve_closedness
+from hkforms.bianchi import ClosednessSolution, ansatz_form_matrix, eguchi_hanson_profile
 from hkforms.gibbons_hawking import GHData, GHPoint, dtheta
 from hkforms.numerics import (
     adaptive_simpson,
@@ -112,7 +112,7 @@ def _form_fields():
     eh_points = [np.array([1.0 + 2.0 * rng.random(), 0.4 + 2.2 * rng.random(),
                            6.0 * rng.random(), 6.0 * rng.random()]) for _ in range(3)]
     for axis in (1, 2, 3):
-        F = solve_closedness(axis, eh)
+        F = ClosednessSolution(axis, eh)
         yield pytest.param(lambda c, axis=axis, F=F: ansatz_form_matrix(axis, eh, c, F),
                            eh_points, id=f"bianchi-phi{axis}")
     chart = QuotientChart(GroupActionSpec("calabi_circle", level_shift=0.5))
