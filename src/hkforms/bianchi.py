@@ -63,18 +63,19 @@ class BianchiProfile:
 # ratios, closedness, densities
 # ---------------------------------------------------------------------------
 
+# (i, j, k) for axis i, cyclic: ds_i = s_j ^ s_k
+_CYCLIC = {1: (1, 2, 3), 2: (2, 3, 1), 3: (3, 1, 2)}
+
+
 def ratio(axis: int, profile: BianchiProfile, rho: float) -> float:
     """Cyclic coefficient ratio: fa/(bc), fb/(ca), fc/(ab) for axes 1, 2, 3."""
     if not profile.rho_min < rho < profile.rho_max:
         raise ValueError(f"rho = {rho} is not interior to {profile.name}")
-    f, a, b, c = profile.coefficients(rho)
-    if axis == 1:
-        return f * a / (b * c)
-    if axis == 2:
-        return f * b / (c * a)
-    if axis == 3:
-        return f * c / (a * b)
-    raise ValueError("axis must be 1, 2 or 3")
+    if axis not in _CYCLIC:
+        raise ValueError("axis must be 1, 2 or 3")
+    i, j, k = _CYCLIC[axis]
+    v = profile.coefficients(rho)
+    return v[0] * v[i] / (v[j] * v[k])
 
 
 class ClosednessSolution:
@@ -107,7 +108,7 @@ class ClosednessSolution:
         self._anchors = {profile.rho_ref: (0.0, ratio(axis, profile, profile.rho_ref))}
         self._sorted = [profile.rho_ref]
         base, coefficients = profile.rho_min, profile.coefficients
-        i, j, k = {1: (1, 2, 3), 2: (2, 3, 1), 3: (3, 1, 2)}[axis]
+        i, j, k = _CYCLIC[axis]
 
         def integrand(t):
             # ratio_i(base + e^t) e^t with the arithmetic of `ratio`, unchecked
@@ -219,7 +220,7 @@ def ansatz_form_matrix(axis: int, profile: BianchiProfile, coords: np.ndarray,
     """phi_i = F_i (ds_i - ratio_i drho ^ s_i) as an antisymmetric matrix."""
     rho, theta, _, psi = coords
     rows = coframe_rows(theta, psi)
-    j, k = {1: (2, 3), 2: (3, 1), 3: (1, 2)}[axis]   # cyclic: ds_i = s_j ^ s_k
+    _, j, k = _CYCLIC[axis]
     ds = _wedge_rows(rows[j], rows[k])
     drho_si = _wedge_rows(rows[0], rows[axis])
     return F(rho) * (ds - ratio(axis, profile, rho) * drho_si)

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..numerics import nullspace, subspace_distance
 from .forms import FormVector, _basis, _basis_position, form_gram, hodge_star, merge_sign
-from .quaternionic import QuaternionicStructure
+from .quaternionic import QuaternionicStructure, _check_axis
 
 
 def wedge_operator_matrix(two_form: FormVector, degree: int) -> np.ndarray:
@@ -106,6 +106,7 @@ class LefschetzAlgebra:
     def L_matrix(self, axis: int, degree: int) -> np.ndarray:
         key = (axis, degree)
         if key not in self._L:
+            _check_axis(axis)   # on a miss only: L_matrix is hot
             self._L[key] = wedge_operator_matrix(self._omegas[axis - 1], degree)
         return self._L[key]
 
@@ -130,6 +131,7 @@ class LefschetzAlgebra:
     def sigma_matrix(self, axis: int, degree: int) -> np.ndarray:
         key = (axis, degree)
         if key not in self._sigma:
+            _check_axis(axis)
             I = self._complex_structures[axis - 1]
             self._sigma[key] = derivation_matrix(-I.T, degree)
         return self._sigma[key]

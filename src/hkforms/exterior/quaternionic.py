@@ -10,9 +10,9 @@ With the flat metric this makes the three Kahler forms
 
 all self-dual for the standard orientation, and fixes every sign downstream.
 
-A structure keeps read-only copies of its matrices and owns one
-LefschetzAlgebra (`algebra`), built on first use and shared by every
-exterior check on that structure.
+A structure keeps read-only copies of its matrices and of its omega
+matrices, and owns one LefschetzAlgebra (`algebra`), built on first use and
+shared by every exterior check on that structure.  An axis is 1, 2 or 3.
 """
 
 from __future__ import annotations
@@ -27,6 +27,12 @@ from .forms import FormVector
 _I4 = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
 _J4 = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
 _K4 = np.array([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=float)
+
+
+def _check_axis(axis: int) -> None:
+    """Refuse an axis other than 1, 2 or 3, which would otherwise index from the end."""
+    if axis not in (1, 2, 3):
+        raise ValueError("axis must be 1, 2 or 3")
 
 
 def _block_repeat(M: np.ndarray, copies: int) -> np.ndarray:
@@ -78,10 +84,8 @@ class QuaternionicStructure:
 
     def complex_structure(self, axis: int) -> np.ndarray:
         """The matrix I, J or K for axis 1, 2 or 3."""
-        try:
-            return (self.I, self.J, self.K)[axis - 1]
-        except IndexError:
-            raise ValueError("axis must be 1, 2 or 3") from None
+        _check_axis(axis)
+        return (self.I, self.J, self.K)[axis - 1]
 
     def omega(self, axis: int) -> FormVector:
         """Kahler 2-form omega_i(X, Y) = g(I_i X, Y)."""
@@ -93,9 +97,17 @@ class QuaternionicStructure:
                     coeffs[(a, b)] = C[a, b]
         return FormVector(self.dim, coeffs)
 
+    @cached_property
+    def _omega_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        omegas = tuple(M.T @ self.metric for M in (self.I, self.J, self.K))
+        for W in omegas:
+            W.flags.writeable = False
+        return omegas
+
     def omega_matrix(self, axis: int) -> np.ndarray:
-        """Antisymmetric coefficient matrix of omega_i."""
-        return self.complex_structure(axis).T @ self.metric
+        """Antisymmetric coefficient matrix of omega_i, built once and read-only."""
+        _check_axis(axis)
+        return self._omega_matrices[axis - 1]
 
     def _validate(self):
         tol = 1e-12

@@ -2,9 +2,11 @@
 
 Real coordinates are packed as [x_1, y_1, ..., x_n, y_n, u_1, v_1, ..., u_n, v_n]
 for z_j = x_j + i y_j and w_j = u_j + i v_j: the float view of the complex
-vector (z, w).  The complex structure I is
-multiplication by i, J sends dz-directions to conjugate dw-directions, and
-omega^c = omega_2 + i omega_3 equals the canonical pairing sum dz_j ^ dw_j.
+vector (z, w), written by `to_real` and read back by `to_complex`.  The flat
+structure `flat_structure(n)` is an exterior.QuaternionicStructure on
+R^{4n}: I is multiplication by i, J sends dz-directions to conjugate
+dw-directions, K = IJ, and omega^c = omega_2 + i omega_3 equals the
+canonical pairing sum dz_j ^ dw_j.
 
 Moment-map conventions: d(mu) = iota(Y) omega throughout.  The displayed
 complex moment maps (i z_1 w_1 + w_2 for the translation-rotation action,
@@ -24,15 +26,14 @@ L_X omega_3 = -omega_2 with these signs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
+from .exterior import QuaternionicStructure
 from .numerics import SU2_BASIS, exterior_derivative_at, partial_derivative
-
-_ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 # d(u_0 + i u_1) and d(u_2 + i u_3) along the four chart directions
 _DU01 = np.array([1.0, 1.0j, 0.0, 0.0])
@@ -52,60 +53,31 @@ def _chart_point(u: np.ndarray) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class FlatCotangentSpace:
-    """T*C^n = C^n x C^n with its flat hyperkahler structure."""
+def to_real(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pack (z, w) in C^n x C^n as the float view of the complex vector (z, w)."""
+    return np.concatenate((z, w), dtype=complex).view(float)
 
-    n: int
 
-    @property
-    def real_dim(self) -> int:
-        return 4 * self.n
+def to_complex(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z, w) as views of p; callers only read them."""
+    c = np.ascontiguousarray(p, dtype=float).view(complex)
+    n = c.size // 2
+    return c[:n], c[n:]
 
-    # -- packing -------------------------------------------------------------
 
-    def to_real(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return np.concatenate((z, w), dtype=complex).view(float)
+@lru_cache(maxsize=None)
+def flat_structure(n: int) -> QuaternionicStructure:
+    """T*C^n = C^n x C^n with its flat hyperkahler structure, in the packed layout.
 
-    def to_complex(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(z, w) as views of p; callers only read them."""
-        c = np.ascontiguousarray(p, dtype=float).view(complex)
-        return c[:self.n], c[self.n:]
-
-    # -- structure matrices ----------------------------------------------------
-
-    def I_matrix(self) -> np.ndarray:
-        M = np.zeros((self.real_dim, self.real_dim))
-        for j in range(2 * self.n):
-            M[2 * j:2 * j + 2, 2 * j:2 * j + 2] = _ROT2
-        return M
-
-    def J_matrix(self) -> np.ndarray:
-        M = np.zeros((self.real_dim, self.real_dim))
-        off = 2 * self.n
-        for j in range(self.n):
-            x, y = 2 * j, 2 * j + 1
-            u, v = off + 2 * j, off + 2 * j + 1
-            M[u, x] = 1.0
-            M[v, y] = -1.0
-            M[x, u] = -1.0
-            M[y, v] = 1.0
-        return M
-
-    def K_matrix(self) -> np.ndarray:
-        return self.I_matrix() @ self.J_matrix()
-
-    @cached_property
-    def _omegas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # built once per space: omega_matrix is read on every kahler_form call
-        omegas = tuple(M.T for M in (self.I_matrix(), self.J_matrix(), self.K_matrix()))
-        for M in omegas:
-            M.flags.writeable = False
-        return omegas
-
-    def omega_matrix(self, axis: int) -> np.ndarray:
-        """Antisymmetric coefficient matrix of omega_axis (flat metric), read-only."""
-        return self._omegas[axis - 1]
+    I is multiplication by i, J sends (z, w) to (-conj(w), conj(z)), and
+    K = IJ.
+    """
+    I, J = np.zeros((4 * n, 4 * n)), np.zeros((4 * n, 4 * n))
+    re = np.arange(0, 4 * n, 2)              # every Re slot; its Im slot follows
+    I[re + 1, re], I[re, re + 1] = 1.0, -1.0
+    x, u = np.arange(0, 2 * n, 2), np.arange(2 * n, 4 * n, 2)   # Re z_j, Re w_j
+    J[u, x], J[u + 1, x + 1], J[x, u], J[x + 1, u + 1] = 1.0, -1.0, -1.0, 1.0
+    return QuaternionicStructure(4 * n, I=I, J=J, K=I @ J)
 
 
 @dataclass(frozen=True)
@@ -114,12 +86,11 @@ class GroupActionSpec:
 
     model: str
     level_shift: float = 0.0
-    space: FlatCotangentSpace = field(init=False)
+    structure = flat_structure(2)    # not a field: every spec acts on the one T*C^2
 
     def __post_init__(self):
         if self.model not in ("taubnut_R", "calabi_circle"):
             raise ValueError(f"unknown model {self.model!r}")
-        object.__setattr__(self, "space", FlatCotangentSpace(2))
 
     # -- the infinitesimal action ---------------------------------------------
 
@@ -129,9 +100,7 @@ class GroupActionSpec:
         return 1j * np.asarray(z, complex), -1j * np.asarray(w, complex)
 
     def generator_real(self, p: np.ndarray) -> np.ndarray:
-        z, w = self.space.to_complex(p)
-        dz, dw = self.generator(z, w)
-        return self.space.to_real(dz, dw)
+        return to_real(*self.generator(*to_complex(p)))
 
     # -- moment maps ------------------------------------------------------------
 
@@ -146,13 +115,13 @@ class GroupActionSpec:
         return float(mu1), complex(muc)
 
     def moment_residual(self, p: np.ndarray) -> float:
-        mu1, muc = self.moment_maps(*self.space.to_complex(p))
+        mu1, muc = self.moment_maps(*to_complex(p))
         return max(abs(mu1), abs(muc))
 
     def moment_gradient_rows(self, p: np.ndarray) -> np.ndarray:
         """Real gradients of (mu_1, Re mu^c, Im mu^c) as rows: d mu_a = iota(Y) omega_a."""
         Y = self.generator_real(p)
-        return np.vstack([Y @ self.space.omega_matrix(axis) for axis in (1, 2, 3)])
+        return np.vstack([Y @ self.structure.omega_matrix(axis) for axis in (1, 2, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +141,15 @@ class QuotientChart:
 
     The horizontal frame at a chart point -- the representative p, the
     tangent columns T = P J and their left inverse T+ = (T^T T)^{-1} T^T --
-    is exact: J is the Jacobian of the representative, differentiated by
-    hand, and the projector P is written out from the orthogonal frame
-    (Y, IY, JY, KY) of the vertical space.  P itself is not kept: T+ P = T+,
-    so a pushed-down field is T+ applied to the ambient one.  Each frame is
-    built once and kept in a memo on the instance, keyed by the exact bytes
-    of u, because the finite-difference stencils of the checks revisit the
-    same 17 points (u, u +- h e_k, u +- h/2 e_k).
-    `chart_tangents`, `pushdown_field` and `kahler_form` read from it.  The
-    memo lives as long as the chart, is cleared once it holds
+    is exact: `_chart_map` returns p with its Jacobian J, differentiated
+    by hand from the same intermediates, and the projector P is written out
+    from the orthogonal frame (Y, IY, JY, KY) of the vertical space.  P
+    itself is not kept: T+ P = T+, so a pushed-down field is T+ applied to
+    the ambient one.  Each frame is built once and kept in a memo on the
+    instance, keyed by the exact bytes of u, because the finite-difference
+    stencils of the checks revisit the same 17 points (u, u +- h e_k,
+    u +- h/2 e_k).  `chart_tangents`, `pushdown_field` and `kahler_form`
+    read from it.  The memo lives as long as the chart, is cleared once it holds
     _FRAME_MEMO_SIZE frames, and its arrays are read-only.  Every finite
     difference on the chart uses the step numerics.FD_STEP.
     """
@@ -189,31 +158,10 @@ class QuotientChart:
         self.spec = spec
         self._frames: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    # -- representatives --------------------------------------------------------
+    # -- the chart map --------------------------------------------------------------
 
-    def representative(self, u: np.ndarray) -> np.ndarray:
-        u = _chart_point(u)
-        spec = self.spec
-        if spec.model == "taubnut_R":
-            z1 = u[0] + 1j * u[1]
-            w1 = u[2] + 1j * u[3]
-            w2 = -1j * z1 * w1
-            z2 = 1j * (0.5 * (abs(z1) ** 2 - abs(w1) ** 2) - spec.level_shift)
-            return spec.space.to_real(np.array([z1, z2]), np.array([w1, w2]))
-        zeta = u[0] + 1j * u[1]
-        eta = u[2] + 1j * u[3]
-        level = 2.0 * spec.level_shift  # mu_1 = 0 <=> |z|^2 - |w|^2 = 2 shift
-        denom = 1.0 + abs(zeta) ** 2
-        mu_sq = abs(eta) ** 2 + level / denom
-        if mu_sq <= 0:
-            raise ValueError("chart parameter outside the level-set domain")
-        mu = math.sqrt(mu_sq)
-        z = mu * np.array([1.0, zeta])
-        w = eta * np.array([-zeta, 1.0])
-        return spec.space.to_real(z, w)
-
-    def _representative_jacobian(self, u: np.ndarray) -> np.ndarray:
-        """The 8 x 4 real Jacobian of `representative`, differentiated by hand.
+    def _chart_map(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The representative p at u and its 8 x 4 real Jacobian, differentiated by hand.
 
         Along the four chart directions Re(conj(x) dx) is (u_0, u_1, 0, 0) for
         x = u_0 + i u_1 and (0, 0, u_2, u_3) for x = u_2 + i u_3.
@@ -222,17 +170,23 @@ class QuotientChart:
         if spec.model == "taubnut_R":
             z1 = u[0] + 1j * u[1]
             w1 = u[2] + 1j * u[3]
+            z = np.array([z1, 1j * (0.5 * (abs(z1) ** 2 - abs(w1) ** 2) - spec.level_shift)])
+            w = np.array([w1, -1j * z1 * w1])
             dz1, dw1 = _DU01, _DU23
             dz2 = 1j * u * np.array([1.0, 1.0, -1.0, -1.0])   # i (Re(z1* dz1) - Re(w1* dw1))
-            dw2 = -1j * (dz1 * w1 + z1 * dw1)
-            rows = (dz1, dz2, dw1, dw2)
+            rows = (dz1, dz2, dw1, -1j * (dz1 * w1 + z1 * dw1))
         else:
             zeta = u[0] + 1j * u[1]
             eta = u[2] + 1j * u[3]
             dzeta, deta = _DU01, _DU23
-            level = 2.0 * spec.level_shift
+            level = 2.0 * spec.level_shift  # mu_1 = 0 <=> |z|^2 - |w|^2 = 2 shift
             denom = 1.0 + abs(zeta) ** 2
-            mu = math.sqrt(abs(eta) ** 2 + level / denom)
+            mu_sq = abs(eta) ** 2 + level / denom
+            if mu_sq <= 0:
+                raise ValueError("chart parameter outside the level-set domain")
+            mu = math.sqrt(mu_sq)
+            z = mu * np.array([1.0, zeta])
+            w = eta * np.array([-zeta, 1.0])
             # mu dmu = Re(eta* deta) - level Re(zeta* dzeta) / denom^2
             c = -level / denom ** 2
             dmu = u * np.array([c, c, 1.0, 1.0]) / mu
@@ -243,7 +197,10 @@ class QuotientChart:
         J = np.empty((8, 4))
         J[0::2] = C.real
         J[1::2] = C.imag
-        return J
+        return to_real(z, w), J
+
+    def representative(self, u: np.ndarray) -> np.ndarray:
+        return self._chart_map(_chart_point(u))[0]
 
     def solve_level_set(self, u: np.ndarray) -> np.ndarray:
         """Representative with a Newton polish; residual must meet _LEVEL_SET_TOL."""
@@ -252,7 +209,7 @@ class QuotientChart:
         if res > _LEVEL_SET_TOL:
             # one Gauss-Newton step on the three moment equations
             rows = self.spec.moment_gradient_rows(p)
-            mu1, muc = self.spec.moment_maps(*self.spec.space.to_complex(p))
+            mu1, muc = self.spec.moment_maps(*to_complex(p))
             rhs = np.array([mu1, muc.real, muc.imag])
             p = p - rows.T @ np.linalg.solve(rows @ rows.T, rhs)
             res = self.spec.moment_residual(p)
@@ -281,8 +238,8 @@ class QuotientChart:
         frame = self._frames.get(key)
         if frame is not None:
             return frame
-        p = self.representative(u)
-        T = self.projector(p) @ self._representative_jacobian(u)
+        p, J = self._chart_map(u)
+        T = self.projector(p) @ J
         frame = (p, T, np.linalg.solve(T.T @ T, T.T))
         for arr in frame:
             arr.flags.writeable = False
@@ -298,7 +255,7 @@ class QuotientChart:
     def kahler_form(self, axis: int, u: np.ndarray) -> np.ndarray:
         """Pushed-down omega_axis as an antisymmetric chart matrix."""
         T = self.chart_tangents(u)
-        return T.T @ self.spec.space.omega_matrix(axis) @ T
+        return T.T @ self.spec.structure.omega_matrix(axis) @ T
 
     def closedness_residual(self, axis: int, u: np.ndarray) -> float:
         """Finite-difference d(omega_axis) on the chart."""
@@ -321,45 +278,44 @@ class QuotientChart:
 
     def rotation_ambient(self, p: np.ndarray) -> np.ndarray:
         """Generator of w -> e^{-i t} w, the circle rotating omega_2 into omega_3."""
-        z, w = self.spec.space.to_complex(p)
-        return self.spec.space.to_real(np.zeros_like(z), -1j * w)
+        z, w = to_complex(p)
+        return to_real(np.zeros_like(z), -1j * w)
 
     def triholomorphic_ambient(self, p: np.ndarray) -> np.ndarray:
         """Generator of (e^{i t} z_1, e^{-i t} w_1), defined for the taubnut model."""
-        z, w = self.spec.space.to_complex(p)
+        z, w = to_complex(p)
         dz = np.zeros_like(z)
         dw = np.zeros_like(w)
         dz[0] = 1j * z[0]
         dw[0] = -1j * w[0]
-        return self.spec.space.to_real(dz, dw)
+        return to_real(dz, dw)
 
-    def lie_derivative(self, ambient_field, axis: int, u: np.ndarray) -> np.ndarray:
-        """(L_X omega_axis) on the chart by finite differences."""
+    def lie_derivatives(self, ambient_field, u: np.ndarray) -> np.ndarray:
+        """(L_X omega_a) on the chart for a = 1, 2, 3, stacked, by finite differences.
+
+        The pushed-down field and the three forms are each differenced once;
+        every entry is the sum X . dB_iab + dX_a . B_i[:, b] + B_ia . dX_b.
+        """
         u = np.asarray(u, dtype=float)
-        omega_fn = lambda v: self.kahler_form(axis, v)
+        omegas_fn = lambda v: np.array([self.kahler_form(axis, v) for axis in (1, 2, 3)])
         X_fn = lambda v: self.pushdown_field(ambient_field, v)
-        X = X_fn(u)
-        B = omega_fn(u)
-        out = np.zeros((4, 4))
-        dB = np.array([partial_derivative(omega_fn, u, g) for g in range(4)])
+        X, B = X_fn(u), omegas_fn(u)
+        dB = np.array([partial_derivative(omegas_fn, u, g) for g in range(4)])
         dX = np.array([partial_derivative(X_fn, u, g) for g in range(4)])
-        for a in range(4):
-            for b in range(4):
-                out[a, b] = (X @ dB[:, a, b]
-                             + dX[a, :] @ B[:, b]
-                             + B[a, :] @ dX[b, :])
+        out = np.zeros((3, 4, 4))
+        for i, a, b in np.ndindex(out.shape):
+            out[i, a, b] = X @ dB[:, i, a, b] + dX[a] @ B[i, :, b] + B[i, a] @ dX[b]
         return out
 
     def omegas_relation_residuals(self, u: np.ndarray) -> dict:
         """Residuals of L_X omega_1 = 0, L_X omega_2 = omega_3, L_X omega_3 = -omega_2."""
-        scale = max(np.abs(self.kahler_form(2, u)).max(), 1e-300)
-        L1 = self.lie_derivative(self.rotation_ambient, 1, u)
-        L2 = self.lie_derivative(self.rotation_ambient, 2, u)
-        L3 = self.lie_derivative(self.rotation_ambient, 3, u)
+        B2 = self.kahler_form(2, u)
+        scale = max(np.abs(B2).max(), 1e-300)
+        L1, L2, L3 = self.lie_derivatives(self.rotation_ambient, u)
         return {
             "L_X omega1": float(np.abs(L1).max()) / scale,
             "L_X omega2 - omega3": float(np.abs(L2 - self.kahler_form(3, u)).max()) / scale,
-            "L_X omega3 + omega2": float(np.abs(L3 + self.kahler_form(2, u)).max()) / scale,
+            "L_X omega3 + omega2": float(np.abs(L3 + B2).max()) / scale,
         }
 
     def beta_exactness_residual(self, u: np.ndarray) -> float:
@@ -411,7 +367,7 @@ def growth_check(chart: QuotientChart,
     is the inequality chain projection <= ambient <= affine growth.
     """
     spec = chart.spec
-    dim = spec.space.real_dim
+    dim = spec.structure.dim
     p0 = chart.representative(np.zeros(4))
     c0 = float(np.linalg.norm(ambient_field(p0)))
     A = ambient_linear_part(ambient_field, dim)
@@ -451,12 +407,11 @@ def calabi_orbit_data(chart: QuotientChart, t: float) -> dict:
     """
     if chart.spec.model != "calabi_circle" or chart.spec.level_shift != 0.5:
         raise ValueError("the ray lies on the level |z|^2 - |w|^2 = 1 of the circle model")
-    space = chart.spec.space
     root = math.sqrt(1.0 + t * t)
     z, w = np.array([root, 0.0]), np.array([0.0, t])
-    P = chart.projector(space.to_real(z, w))
-    X = [P @ space.to_real(E @ z, np.conj(E) @ w) for E in SU2_BASIS]
-    gd = P @ space.to_real(np.array([t / root, 0.0]), np.array([0.0, 1.0]))
+    P = chart.projector(to_real(z, w))
+    X = [P @ to_real(E @ z, np.conj(E) @ w) for E in SU2_BASIS]
+    gd = P @ to_real(np.array([t / root, 0.0]), np.array([0.0, 1.0]))
     return {"A_sq": float(X[0] @ X[0]), "B_sq": float(X[1] @ X[1]),
             "C_sq": float(X[2] @ X[2]), "f_sq": float(gd @ gd),
             "cross_max": max(abs(float(X[i] @ X[j]))

@@ -93,6 +93,14 @@ def test_profile_validation():
         ratio(1, EH, 0.3)
 
 
+@pytest.mark.parametrize("axis", (0, -1, 4))
+def test_ratio_refuses_axes_other_than_1_2_3(axis):
+    with pytest.raises(ValueError):
+        ratio(axis, EH, 1.0)
+    with pytest.raises(ValueError):
+        ClosednessSolution(axis, EH)
+
+
 # Leading coefficient behavior at both ends of each shipped profile, probed
 # 1e-4 inside a finite end and at rho = 1e4 toward infinity.  The second
 # entry indexes the tuple (f, a, b, c).

@@ -478,6 +478,24 @@ def test_structure_arrays_are_read_only_copies():
     for M in (Q.metric, Q.I, Q.J, Q.K):
         with pytest.raises(ValueError):
             M[0, 0] = 1.0
+    for axis in (1, 2, 3):
+        W = Q.omega_matrix(axis)
+        assert W is Q.omega_matrix(axis) and not W.flags.writeable
+
+
+@pytest.mark.parametrize("axis", (0, -1, 4))
+def test_axes_other_than_1_2_3_are_refused(axis):
+    # 0 and -1 would otherwise index K and J from the end of (I, J, K)
+    alg = LefschetzAlgebra(Q4)
+    a = random_form(np.random.default_rng(0), 4, 2)
+    calls = (lambda: Q4.complex_structure(axis), lambda: Q4.omega_matrix(axis),
+             lambda: Q4.omega(axis), lambda: alg.L_matrix(axis, 2),
+             lambda: alg.Lambda_matrix(axis, 2), lambda: alg.sigma_matrix(axis, 2),
+             lambda: alg.lefschetz(axis, a), lambda: alg.su2_action(axis, a),
+             lambda: type_components(a, axis, Q4))
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def counting(monkeypatch, name):

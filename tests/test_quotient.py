@@ -9,13 +9,15 @@ from hkforms import quotient, suites
 from hkforms.bianchi import eguchi_hanson_profile, ratio
 from hkforms.numerics import FD_STEP, SU2_BASIS, nullspace, partial_derivative
 from hkforms.quotient import (
-    FlatCotangentSpace,
     GroupActionSpec,
     QuotientChart,
     _FRAME_MEMO_SIZE,
     ambient_linear_part,
     calabi_orbit_data,
+    flat_structure,
     growth_check,
+    to_complex,
+    to_real,
 )
 
 TN = GroupActionSpec("taubnut_R")
@@ -26,10 +28,10 @@ CHART_CAL = QuotientChart(CAL)
 
 # -- reference formulas, written out apart from the package ------------------
 
-def _canonical_pairing(space, X, Y):
+def _canonical_pairing(X, Y):
     """sum_j dz_j ^ dw_j evaluated on two real tangents."""
-    zX, wX = space.to_complex(X)
-    zY, wY = space.to_complex(Y)
+    zX, wX = to_complex(X)
+    zY, wY = to_complex(Y)
     return complex(np.sum(zX * wY - zY * wX))
 
 
@@ -56,31 +58,60 @@ def _metric(chart, u):
 # -- flat structure ------------------------------------------------------------
 
 def test_flat_quaternionic_identities():
-    sp = FlatCotangentSpace(3)
-    I, J, K = sp.I_matrix(), sp.J_matrix(), sp.K_matrix()
-    eye = np.eye(sp.real_dim)
-    assert np.abs(I @ I + eye).max() == 0
-    assert np.abs(J @ J + eye).max() == 0
-    assert np.abs(K @ K + eye).max() == 0
-    assert np.abs(I @ J @ K + eye).max() == 0
+    for n in (1, 2, 3):
+        Q = flat_structure(n)
+        assert Q is flat_structure(n) and Q.dim == 4 * n
+        I, J, K = Q.I, Q.J, Q.K
+        eye = np.eye(4 * n)
+        assert np.array_equal(I @ I, -eye)
+        assert np.array_equal(J @ J, -eye)
+        assert np.array_equal(K @ K, -eye)
+        assert np.array_equal(I @ J @ K, -eye)
+
+
+def test_flat_complex_structures_act_on_the_packed_layout():
+    # I is multiplication by i; J sends (z, w) to (-conj(w), conj(z))
+    rng = np.random.default_rng(1)
+    for n in (1, 2, 3):
+        Q = flat_structure(n)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.array_equal(Q.I @ _sliced_to_real(z, w), _sliced_to_real(1j * z, 1j * w))
+        assert np.array_equal(Q.J @ _sliced_to_real(z, w),
+                              _sliced_to_real(-np.conj(w), np.conj(z)))
 
 
 def test_omega_c_is_canonical_pairing():
-    sp = FlatCotangentSpace(2)
-    Wc = sp.omega_matrix(2) + 1j * sp.omega_matrix(3)
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        X, Y = rng.standard_normal(8), rng.standard_normal(8)
-        assert X @ Wc @ Y == pytest.approx(_canonical_pairing(sp, X, Y), abs=1e-12)
+    for n in (1, 2, 3):
+        Q = flat_structure(n)
+        Wc = Q.omega_matrix(2) + 1j * Q.omega_matrix(3)
+        for _ in range(20):
+            X, Y = rng.standard_normal(4 * n), rng.standard_normal(4 * n)
+            assert X @ Wc @ Y == pytest.approx(_canonical_pairing(X, Y), abs=1e-12)
 
 
 def test_omegas_constant_and_closed_by_construction():
-    sp = FlatCotangentSpace(2)
-    for axis in (1, 2, 3):
-        W = sp.omega_matrix(axis)
-        assert W is sp.omega_matrix(axis) and not W.flags.writeable
-        assert np.abs(W + W.T).max() == 0
-        assert abs(np.linalg.det(W)) == pytest.approx(1.0)
+    for n in (1, 2, 3):
+        Q = flat_structure(n)
+        for axis in (1, 2, 3):
+            W = Q.omega_matrix(axis)
+            assert W is Q.omega_matrix(axis) and not W.flags.writeable
+            assert np.array_equal(W, Q.complex_structure(axis).T)
+            assert np.abs(W + W.T).max() == 0
+            assert abs(np.linalg.det(W)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("axis", (0, -1, 4))
+def test_quotient_forms_refuse_axes_other_than_1_2_3(axis):
+    # axis 0 used to read omega_3 and pass closedness_residual at 4.6e-12
+    u = np.array([0.3, -0.2, 0.5, 0.1])
+    calls = (lambda: flat_structure(2).omega_matrix(axis),
+             lambda: CHART_TN.kahler_form(axis, u),
+             lambda: CHART_CAL.closedness_residual(axis, np.full(4, 0.3)))
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 # -- moment maps -----------------------------------------------------------------
@@ -114,15 +145,14 @@ def test_moment_equivariance():
             assert abs(before[0] - after[0]) <= 1e-12
             assert abs(before[1] - after[1]) <= 1e-12
         # the reference action is the flow of the package's generator
-        flow = partial_derivative(lambda tt: spec.space.to_real(*_act(spec, tt[0], z, w)),
-                                  np.zeros(1), 0)
-        assert np.abs(flow - spec.generator_real(spec.space.to_real(z, w))).max() <= 1e-9
+        flow = partial_derivative(lambda tt: to_real(*_act(spec, tt[0], z, w)), np.zeros(1), 0)
+        assert np.abs(flow - spec.generator_real(to_real(z, w))).max() <= 1e-9
 
 
 def _moment_gradient_defect(spec, p):
     # the rows are iota(Y) omega_a; difference the displayed moment maps against them
     def mus(q):
-        mu1, muc = spec.moment_maps(*spec.space.to_complex(q))
+        mu1, muc = spec.moment_maps(*to_complex(q))
         return np.array([mu1, muc.real, muc.imag])
 
     fd = np.column_stack([partial_derivative(mus, p, k) for k in range(p.size)])
@@ -142,7 +172,7 @@ def test_generator_preserves_kahler_forms():
     for spec in (TN, CAL):
         A = ambient_linear_part(spec.generator_real, 8)
         for axis in (1, 2, 3):
-            W = spec.space.omega_matrix(axis)
+            W = spec.structure.omega_matrix(axis)
             assert np.abs(A.T @ W + W @ A).max() <= 1e-14
 
 
@@ -167,7 +197,7 @@ def test_unknown_model_rejected():
 
 def test_taubnut_level_set_examples():
     p = CHART_TN.solve_level_set(np.array([1.0, 0.0, 1.0, 0.0]))
-    z, w = TN.space.to_complex(p)
+    z, w = to_complex(p)
     assert z[1] == pytest.approx(0.0)
     assert w[1] == pytest.approx(-1j)
     p0 = CHART_TN.solve_level_set(np.zeros(4))
@@ -187,7 +217,7 @@ def test_calabi_phase_slice():
     rng = np.random.default_rng(7)
     for _ in range(10):
         p = CHART_CAL.representative(rng.standard_normal(4))
-        z, _ = CAL.space.to_complex(p)
+        z, _ = to_complex(p)
         assert z[0].imag == pytest.approx(0.0, abs=1e-15)
         assert z[0].real > 0
 
@@ -429,8 +459,9 @@ def test_representative_jacobian_matches_inline_stencil(spec):
     rng = np.random.default_rng(19)
     for _ in range(10):
         u = 0.7 * rng.standard_normal(4)
-        J = chart._representative_jacobian(u)
+        p, J = chart._chart_map(u)
         fd = _inline_jacobian(chart, u)
+        assert np.array_equal(p, chart.representative(u))
         assert J.shape == (8, 4)
         assert np.abs(J - fd).max() <= 1e-10 * np.abs(fd).max()
 
@@ -442,16 +473,20 @@ def test_representative_jacobian_is_tangent_to_the_level_set(spec):
     rng = np.random.default_rng(23)
     for _ in range(10):
         u = 0.7 * rng.standard_normal(4)
-        rows = spec.moment_gradient_rows(chart.representative(u))
-        assert np.abs(rows @ chart._representative_jacobian(u)).max() <= 1e-12
+        p, J = chart._chart_map(u)
+        assert np.abs(spec.moment_gradient_rows(p) @ J).max() <= 1e-12
 
 
 def test_lie_derivative_matches_inline_stencil():
+    # one form at a time, each with its own stencil: the stacked pass must not
+    # move a single entry
     rng = np.random.default_rng(20)
     for spec in (TN, CAL):
         chart = QuotientChart(spec)
         u = 0.7 * rng.standard_normal(4)
         h = FD_STEP
+        L = chart.lie_derivatives(chart.rotation_ambient, u)
+        assert L.shape == (3, 4, 4)
         for axis in (1, 2, 3):
             omega_fn = lambda v: chart.kahler_form(axis, v)
             X_fn = lambda v: chart.pushdown_field(chart.rotation_ambient, v)
@@ -460,8 +495,20 @@ def test_lie_derivative_matches_inline_stencil():
             dX = np.array([_inline_richardson(X_fn, u, g, h) for g in range(4)])
             inline = np.array([[X @ dB[:, a, b] + dX[a, :] @ B[:, b] + B[a, :] @ dX[b, :]
                                 for b in range(4)] for a in range(4)])
-            assert np.array_equal(chart.lie_derivative(chart.rotation_ambient, axis, u),
-                                  inline)
+            assert np.array_equal(L[axis - 1], inline)
+
+
+def test_rotation_relations_evaluate_the_field_once_per_stencil_point():
+    # u and the 16 points of the four Richardson stencils: 17 evaluations in
+    # all, not 17 for each of the three forms
+    rng = np.random.default_rng(25)
+    for spec in (TN, CAL):
+        chart = QuotientChart(spec)
+        calls = []
+        field = chart.rotation_ambient
+        chart.rotation_ambient = lambda p: (calls.append(1), field(p))[1]
+        chart.omegas_relation_residuals(0.7 * rng.standard_normal(4))
+        assert len(calls) == 17
 
 
 def _lstsq_pushdown(chart, field, u):
@@ -493,9 +540,9 @@ def test_triholomorphic_circle_annihilates_forms():
     rng = np.random.default_rng(15)
     for _ in range(3):
         u = 0.7 * rng.standard_normal(4)
+        L = CHART_TN.lie_derivatives(CHART_TN.triholomorphic_ambient, u)
         for axis in (1, 2, 3):
-            L = CHART_TN.lie_derivative(CHART_TN.triholomorphic_ambient, axis, u)
-            assert np.abs(L).max() <= 1e-5
+            assert np.abs(L[axis - 1]).max() <= 1e-5
 
 
 def test_rotation_field_fixed_on_zero_section():
@@ -683,12 +730,11 @@ def test_representative_packing_is_bit_identical_to_to_real():
 def test_packing_is_the_float_view_of_the_complex_vector():
     rng = np.random.default_rng(21)
     for n in (1, 2, 3):
-        space = FlatCotangentSpace(n)
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        p = space.to_real(z, w)
+        p = to_real(z, w)
         assert np.array_equal(p, _sliced_to_real(z, w))
-        zz, ww = space.to_complex(p)
+        zz, ww = to_complex(p)
         assert np.array_equal(zz, z) and np.array_equal(ww, w)
         # views: they alias p
         assert np.shares_memory(zz, p) and np.shares_memory(ww, p)
@@ -699,18 +745,22 @@ def test_packing_is_the_float_view_of_the_complex_vector():
 def _shift_representatives(monkeypatch, delta):
     """Build every representative on the level shift + delta(u), not the chart's own.
 
-    The chart tangents then come from the Richardson Jacobian of the shifted
+    The chart map's Jacobian is then the Richardson Jacobian of the shifted
     representatives, so the frames follow the faulty map.
     """
-    representative = QuotientChart.representative
+    chart_map = QuotientChart._chart_map
+
+    def shifted_point(chart, u):
+        spec = chart.spec
+        moved = GroupActionSpec(spec.model, spec.level_shift + delta(u))
+        return chart_map(QuotientChart(moved), u)[0]
 
     def shifted(chart, u):
-        spec = chart.spec
-        moved = GroupActionSpec(spec.model, spec.level_shift + delta(np.asarray(u, float)))
-        return representative(QuotientChart(moved), u)
+        point = lambda v: shifted_point(chart, v)
+        return point(u), np.column_stack([_inline_richardson(point, u, k, FD_STEP)
+                                          for k in range(4)])
 
-    monkeypatch.setattr(QuotientChart, "representative", shifted)
-    monkeypatch.setattr(QuotientChart, "_representative_jacobian", _inline_jacobian)
+    monkeypatch.setattr(QuotientChart, "_chart_map", shifted)
 
 
 def test_a_shifted_level_set_fails_the_quotient_suite(monkeypatch):
@@ -750,16 +800,17 @@ def _calabi_jacobian_without_dmu(chart, u):
 def test_a_calabi_jacobian_without_its_dmu_term_fails_the_records(monkeypatch):
     # T = P J with a wrong J still projects onto horizontal vectors, so only
     # the checks that difference the pushed-down forms can see the fault
-    jacobian = QuotientChart._representative_jacobian
+    chart_map = QuotientChart._chart_map
 
     def faulty(chart, u):
+        p, J = chart_map(chart, u)
         if chart.spec.model == "calabi_circle":
-            return _calabi_jacobian_without_dmu(chart, u)
-        return jacobian(chart, u)
+            return p, _calabi_jacobian_without_dmu(chart, u)
+        return p, J
 
     for check in ("calabi-forms-closed", "calabi-beta-exactness"):
         assert _quotient_record(check).passed
-    monkeypatch.setattr(QuotientChart, "_representative_jacobian", faulty)
+    monkeypatch.setattr(QuotientChart, "_chart_map", faulty)
     for check in ("calabi-forms-closed", "calabi-beta-exactness"):
         record = _quotient_record(check)
         assert not record.passed
