@@ -67,13 +67,17 @@ class BianchiProfile:
 _CYCLIC = {1: (1, 2, 3), 2: (2, 3, 1), 3: (3, 1, 2)}
 
 
+def _cyclic(axis: int) -> tuple[int, int, int]:
+    if axis not in _CYCLIC:
+        raise ValueError("axis must be 1, 2 or 3")
+    return _CYCLIC[axis]
+
+
 def ratio(axis: int, profile: BianchiProfile, rho: float) -> float:
     """Cyclic coefficient ratio: fa/(bc), fb/(ca), fc/(ab) for axes 1, 2, 3."""
     if not profile.rho_min < rho < profile.rho_max:
         raise ValueError(f"rho = {rho} is not interior to {profile.name}")
-    if axis not in _CYCLIC:
-        raise ValueError("axis must be 1, 2 or 3")
-    i, j, k = _CYCLIC[axis]
+    i, j, k = _cyclic(axis)
     v = profile.coefficients(rho)
     return v[0] * v[i] / (v[j] * v[k])
 
@@ -84,7 +88,7 @@ class ClosednessSolution:
     This is the unique (up to scale) coefficient making phi_i closed.  Every
     queried point becomes an anchor holding (E, ratio_i) -- the cumulative
     integral E from rho_ref and the ratio there -- so sweeps that approach an
-    endpoint geometrically only ever integrate short hops, and `l2_density`
+    endpoint geometrically only ever integrate short hops, and `density`
     reads the ratio at a point it has queried without evaluating the profile.
 
     A new point rho costs one checked `ratio` evaluation plus the interior
@@ -159,29 +163,14 @@ class ClosednessSolution:
     def __call__(self, rho: float) -> float:
         return math.exp(-self.exponent_integral(rho))
 
+    def density(self, rho: float) -> float:
+        """Signed density 2 F_i^2 ratio_i of phi_i ^ *phi_i against drho^s1^s2^s3."""
+        val = math.exp(-self.exponent_integral(rho))   # F(rho), anchoring rho
+        return 2.0 * val * val * self._anchors[rho][1]
+
 
 # the name under which the acceptance test (criterion 4) builds a solution
 solve_closedness = ClosednessSolution
-
-
-def l2_density(axis: int, profile: BianchiProfile, rho: float,
-               F: ClosednessSolution) -> float:
-    """Signed density 2 F_i^2 ratio_i of phi_i ^ *phi_i against drho^s1^s2^s3.
-
-    The ratio is the one F stored at its anchor rho, so F must be the
-    closedness solution of this axis and profile.
-    """
-    if F.axis != axis or F.profile is not profile:
-        raise ValueError(f"F solves axis {F.axis} of {F.profile.name}, "
-                         f"not axis {axis} of {profile.name}")
-    val = math.exp(-F.exponent_integral(rho))   # F(rho)
-    return 2.0 * val * val * F._anchors[rho][1]
-
-
-def l2_measure_density(axis: int, profile: BianchiProfile, rho: float,
-                       F: ClosednessSolution) -> float:
-    """|phi_i|^2 against the positive measure: absolute value of the display."""
-    return abs(l2_density(axis, profile, rho, F))
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +208,8 @@ def ansatz_form_matrix(axis: int, profile: BianchiProfile, coords: np.ndarray,
                        F: ClosednessSolution) -> np.ndarray:
     """phi_i = F_i (ds_i - ratio_i drho ^ s_i) as an antisymmetric matrix."""
     rho, theta, _, psi = coords
+    _, j, k = _cyclic(axis)
     rows = coframe_rows(theta, psi)
-    _, j, k = _CYCLIC[axis]
     ds = _wedge_rows(rows[j], rows[k])
     drho_si = _wedge_rows(rows[0], rows[axis])
     return F(rho) * (ds - ratio(axis, profile, rho) * drho_si)
@@ -269,7 +258,7 @@ def wedge_density_cross_check(axis: int, profile: BianchiProfile, coords: np.nda
         s, _ = merge_sign((i, j), kl)
         coeff += -B[i, j] * B[kl[0], kl[1]] * s
     # drho^s1^s2^s3 = -sin(theta) in coordinates
-    density = l2_density(axis, profile, coords[0], F)
+    density = F.density(coords[0])
     return abs(coeff / (-math.sin(coords[1])) - density) / abs(density)
 
 
@@ -369,44 +358,41 @@ class AxisVerdict:
         return f"divergent-at-endpoint({ends})"
 
 
-def _endpoint_exponent(axis, profile, F, end: float) -> float:
-    """Fitted log-log slope of the measure density toward one endpoint."""
+def _endpoint_exponent(F: ClosednessSolution, end: float) -> float:
+    """Fitted log-log slope of the measure density |F.density| toward one endpoint."""
+    profile = F.profile
     if math.isinf(end):
         base = max(profile.rho_ref, profile.rho_min + 1.0)
         xs = np.geomspace(base + 8.0, base + 40.0, 12)
-        ys = [l2_measure_density(axis, profile, float(x), F) for x in xs]
+        ys = [abs(F.density(float(x))) for x in xs]
         return loglog_slope(xs, ys)
     sign = 1.0 if end <= profile.rho_ref else -1.0
     scale = min(1.0, abs(profile.rho_ref - end))
     deltas = np.geomspace(1e-5, 1e-2, 12) * scale
-    ys = [l2_measure_density(axis, profile, end + sign * float(d), F) for d in deltas]
+    ys = [abs(F.density(end + sign * float(d))) for d in deltas]
     return loglog_slope(deltas, ys)
 
 
-def _endpoint_quadrature_convergent(axis, profile, F, end: float) -> bool:
+def _endpoint_quadrature_convergent(F: ClosednessSolution, end: float) -> bool:
     """Truncated-integral route: do shrinking/expanding truncations converge?"""
-    dens = lambda rho: l2_measure_density(axis, profile, rho, F)
-    anchor = profile.rho_ref
+    anchor = F.profile.rho_ref
     if math.isinf(end):
-        vals = []
-        for R in (8.0, 16.0, 32.0, 64.0):
-            vals.append(adaptive_simpson(dens, anchor, anchor + R, 1e-10, rel=1e-7))
-        increments = np.diff(vals)
+        vals = [adaptive_simpson(lambda rho: abs(F.density(rho)), anchor, anchor + R,
+                                 1e-10, rel=1e-7) for R in (8.0, 16.0, 32.0, 64.0)]
     else:
         # integrate in t = log(distance to endpoint): power-law densities
         # become smooth exponentials, so truncation sweeps stay cheap
         sign = 1.0 if end <= anchor else -1.0
-        scale = min(1.0, abs(anchor - end))
         width = abs(anchor - end)
-        vals = []
-        for eps in (1e-2, 1e-3, 1e-4, 1e-5):
-            lo_t = math.log(eps * scale)
-            hi_t = math.log(width)
-            vals.append(adaptive_simpson(
-                lambda t: dens(end + sign * math.exp(t)) * math.exp(t),
-                lo_t, hi_t, 1e-10, rel=1e-7))
-        increments = np.diff(vals)
-    increments = np.abs(increments)
+        scale = min(1.0, width)
+
+        def integrand(t):
+            e = math.exp(t)
+            return abs(F.density(end + sign * e)) * e
+
+        vals = [adaptive_simpson(integrand, math.log(eps * scale), math.log(width),
+                                 1e-10, rel=1e-7) for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
+    increments = np.abs(np.diff(vals))
     if increments[0] == 0.0:
         return True
     # geometric decay of increments signals convergence of the improper integral
@@ -426,9 +412,9 @@ def classify_axis(axis: int, profile: BianchiProfile) -> AxisVerdict:
     divergent = []
     exponents = {}
     for end in (profile.rho_min, profile.rho_max):
-        slope = _endpoint_exponent(axis, profile, F, end)
+        slope = _endpoint_exponent(F, end)
         exponents[end] = slope
-        converges_quad = _endpoint_quadrature_convergent(axis, profile, F, end)
+        converges_quad = _endpoint_quadrature_convergent(F, end)
         if math.isinf(end):
             converges_fit = slope < -1.1
             diverges_fit = slope > -0.9

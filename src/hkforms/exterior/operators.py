@@ -27,6 +27,7 @@ the calling thread and no BLAS worker is woken to spin idle afterwards:
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -237,15 +238,9 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(np.square(x).sum()))
 
 
-def lie_closure_dimension(structure: QuaternionicStructure) -> LieClosure:
-    """The Lie algebra generated by {L_i, Lambda_i}, by its structure constants.
-
-    L_i, Lambda_i, sigma_c = -[L_a, Lambda_b] (cyclic) and H = [L_1, Lambda_1]
-    lie in it.  If their span has rank 10 and holds all 100 brackets among
-    them (those of shift +-4 vanish), the algebra is that span: no iteration.
-    Ranks and least-squares coefficients are taken per degree shift.  so(4,1)
-    has Killing form tr(ad_i ad_j) of signature (4 positive, 6 negative).
-    """
+def _structure_constants(structure: QuaternionicStructure) -> tuple[np.ndarray, float, list]:
+    """c[i, j, k] with [X_i, X_j] = sum_k c[i, j, k] X_k over the ten operators,
+    the largest relative residual of those fits, and each shift's singular values."""
     L, Lam = _generators(structure.algebra)
     ops = L + Lam + [_bracket(Lam[b - 1], L[a - 1]) for a, b, _ in _CYCLIC] \
         + [_bracket(L[0], Lam[0])]
@@ -255,14 +250,30 @@ def lie_closure_dimension(structure: QuaternionicStructure) -> LieClosure:
     pinvs = {s: np.linalg.pinv(B, _CLOSURE_RTOL) for s, B in bases.items()}
     constants = np.zeros((len(ops),) * 3)
     residual = 0.0
-    for i, X in enumerate(ops):
-        for j, Y in enumerate(ops):
-            shift, blocks = _bracket(X, Y)
-            v = miss = _flat(blocks)
-            if shift in bases:
-                constants[i, j, groups[shift]] = pinvs[shift] @ v
-                miss = v - bases[shift] @ constants[i, j, groups[shift]]
-            residual = max(residual, _norm(miss) / max(_norm(v), 1.0))
+    # [X_j, X_i] = -[X_i, X_j], [X_i, X_i] = 0 and pinv @ -v = -(pinv @ v) hold
+    # exactly in floating point: bracket each pair once, with the same residual
+    for i, j in itertools.combinations(range(len(ops)), 2):
+        shift, blocks = _bracket(ops[i], ops[j])
+        v = miss = _flat(blocks)
+        if shift in bases:
+            constants[i, j, groups[shift]] = pinvs[shift] @ v
+            constants[j, i, groups[shift]] = -constants[i, j, groups[shift]]
+            miss = v - bases[shift] @ constants[i, j, groups[shift]]
+        residual = max(residual, _norm(miss) / max(_norm(v), 1.0))
+    return constants, residual, singular
+
+
+def lie_closure_dimension(structure: QuaternionicStructure) -> LieClosure:
+    """The Lie algebra generated by {L_i, Lambda_i}, by its structure constants.
+
+    L_i, Lambda_i, sigma_c = -[L_a, Lambda_b] (cyclic) and H = [L_1, Lambda_1]
+    lie in it.  If their span has rank 10 and holds the brackets of all 45
+    pairs among them (those of shift +-4 vanish), the algebra is that span:
+    no iteration.  Ranks and least-squares coefficients are taken per degree
+    shift.  so(4,1) has Killing form tr(ad_i ad_j) of signature (4 positive,
+    6 negative).
+    """
+    constants, residual, singular = _structure_constants(structure)
     eigs = np.linalg.eigvalsh(np.einsum("ijk,lkj->il", constants, constants))
     cut = _CLOSURE_RTOL * np.abs(eigs).max()
     return LieClosure(sum(int((sv > _CLOSURE_RTOL * sv[0]).sum()) for sv in singular),

@@ -318,8 +318,7 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     rhos = np.geomspace(1e-3, 30.0, 40)
     F1 = bx.ClosednessSolution(1, ah)
     density_profile = {"rho_minus_pi": list(rhos),
-                       "density_axis1": [bx.l2_measure_density(1, ah, math.pi + float(r), F1)
-                                         for r in rhos]}
+                       "density_axis1": [abs(F1.density(math.pi + float(r))) for r in rhos]}
     return records, {"verdicts": verdict_records, "density_profile": density_profile,
                      "proportionality_constant": constants[0]}
 

@@ -12,9 +12,13 @@ is a knob nobody turns: make it a module constant.  A call in tests/ does not
 count, unless the default is a test's reference implementation listed in
 ALLOWED_DEFAULTS.  Calls are matched by the called identifier, as above; a
 call passes a parameter by keyword, by position, or through *args/**kwargs.
+
+Every function that perfbench's tracer wraps by name must still exist.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -161,3 +165,22 @@ def test_guard_sees_an_unset_default():
     test_only = "def test_lift():\n    assert Chart().lift(1.0, 1e-3, order=4) == 1.0\n"
     assert unset_defaults(sources, callers + [test_only]) == ["b.Chart.pack w"]
     assert unset_defaults(sources, callers) == ["b.Chart.lift order", "b.Chart.pack w"]
+
+
+def _perfbench_spans():
+    """perfbench/spans.py, loaded by path and only read: no tracer is installed."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves_to_a_callable():
+    # a rename in src/ must not leave `perfbench/run.py --trace` patching a missing name
+    spans = _perfbench_spans()
+    for prefix, module_name, path in spans.SPANNED + spans.COUNTED:
+        target = importlib.import_module(module_name)
+        for attr in path.split("."):
+            target = getattr(target, attr)
+        assert callable(target), prefix
+    assert set(spans.EVALUATED) <= {prefix for prefix, _, _ in spans.SPANNED}

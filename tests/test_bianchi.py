@@ -20,8 +20,6 @@ from hkforms.bianchi import (
     coframe_rows,
     eguchi_hanson_profile,
     euler_to_gh_chart,
-    l2_density,
-    l2_measure_density,
     metric_matrix,
     pullback_two_form,
     ratio,
@@ -99,6 +97,11 @@ def test_ratio_refuses_axes_other_than_1_2_3(axis):
         ratio(axis, EH, 1.0)
     with pytest.raises(ValueError):
         ClosednessSolution(axis, EH)
+    coords, F = np.array([2.0, 1.1, 0.4, 0.9]), ClosednessSolution(1, EH)
+    for check in (ansatz_form_matrix, closedness_residual, anti_self_duality_residual,
+                  wedge_density_cross_check):
+        with pytest.raises(ValueError, match="axis must be 1, 2 or 3"):
+            check(axis, EH, coords, F)
 
 
 # Leading coefficient behavior at both ends of each shipped profile, probed
@@ -307,7 +310,7 @@ def test_eh_closedness_solution():
     F3 = ClosednessSolution(3, EH)
     for r in (0.8, 2.0, 4.0):
         assert F3(r) == pytest.approx(1.0 / r, rel=1e-10)   # rho_ref = 2a = 1
-    assert l2_density(3, EH, 4.0, F3) == pytest.approx(2.0 * 1.0 / 4.0 ** 3, rel=1e-9)
+    assert F3.density(4.0) == pytest.approx(2.0 * 1.0 / 4.0 ** 3, rel=1e-9)
 
 
 def counted_profile(profile):
@@ -398,10 +401,9 @@ class SimpsonHopReference:
     def __call__(self, rho):
         return math.exp(-self.exponent_integral(rho))
 
-
-def reference_l2_density(axis, profile, rho, F):
-    val = F(rho)
-    return 2.0 * val * val * ratio(axis, profile, rho)
+    def density(self, rho):
+        val = self(rho)
+        return 2.0 * val * val * ratio(self.axis, self.profile, rho)
 
 
 @pytest.mark.parametrize("case", ["ah-c2", "ah-c3-other-band", "eh-bolt", "tn-nut", "reparam"])
@@ -411,7 +413,6 @@ def test_classification_matches_simpson_hop_reference(case, monkeypatch):
     profile = ORACLE_CASES[case][0]
     verdicts = classify_l2(profile)
     monkeypatch.setattr(bianchi, "ClosednessSolution", SimpsonHopReference)
-    monkeypatch.setattr(bianchi, "l2_density", reference_l2_density)
     reference = classify_l2(profile)
     for axis in (1, 2, 3):
         v, w = verdicts[axis], reference[axis]
@@ -491,11 +492,10 @@ def test_closedness_evaluation_budget(monkeypatch):
     # repeated queries and the density at an anchor read the stored record
     F.exponent_integral(1.01)
     F(1.01)
-    l2_density(1, profile, 1.01, F)
-    l2_measure_density(1, profile, 1.01, F)
+    F.density(1.01)
     assert len(calls) == 5
     # the density at a new point costs the point alone
-    l2_density(1, profile, 1.02, F)
+    F.density(1.02)
     assert len(calls) == 9 and not kronrod_calls
     # a long hop fails the first level and goes to 15-point Kronrod panels
     F.exponent_integral(30.0)
@@ -508,15 +508,6 @@ def test_classify_l2_evaluation_count():
     profile, calls = counted_profile(AH)
     classify_l2(profile)
     assert len(calls) == 12130
-
-
-def test_l2_density_refuses_another_solution():
-    F = ClosednessSolution(3, EH)
-    with pytest.raises(ValueError):
-        l2_density(1, EH, 4.0, F)
-    with pytest.raises(ValueError):
-        l2_density(3, eguchi_hanson_profile(0.5), 4.0, F)
-    assert l2_density(3, EH, 4.0, F) == pytest.approx(2.0 / 64.0, rel=1e-12)
 
 
 # -- verdicts over the benchmark's grids ----------------------------------------
@@ -574,36 +565,34 @@ def test_tn_closedness_matches_inverse_potential():
 
 def test_ah_density_near_pi_inverse_square():
     F2 = ClosednessSolution(2, AH)
-    d1 = l2_measure_density(2, AH, math.pi + 1e-4, F2)
-    d2 = l2_measure_density(2, AH, math.pi + 2e-4, F2)
+    d1 = abs(F2.density(math.pi + 1e-4))
+    d2 = abs(F2.density(math.pi + 2e-4))
     assert d1 / d2 == pytest.approx(4.0, rel=1e-2)
 
 
 def test_ah_density_exponential_at_infinity():
     F1 = ClosednessSolution(1, AH)
-    d1 = l2_measure_density(1, AH, 30.0, F1)
-    d2 = l2_measure_density(1, AH, 31.0, F1)
+    d1 = abs(F1.density(30.0))
+    d2 = abs(F1.density(31.0))
     assert d1 / d2 == pytest.approx(math.e, rel=1e-2)
 
 
 def test_eh_density_closed_form():
     F3 = ClosednessSolution(3, EH)
     for r in (0.9, 1.7, 6.0):
-        assert l2_density(3, EH, r, F3) == pytest.approx(2.0 / r ** 3, rel=1e-9)
+        assert F3.density(r) == pytest.approx(2.0 / r ** 3, rel=1e-9)
 
 
 def test_ansatz_form_bundle():
     F3 = ClosednessSolution(3, EH)
     assert F3(4.0) == pytest.approx(0.25, rel=1e-10)
-    assert l2_density(3, EH, 4.0, F3) == pytest.approx(2.0 / 64.0, rel=1e-9)
+    assert F3.density(4.0) == pytest.approx(2.0 / 64.0, rel=1e-9)
     for rho in (0.6, 1.0, 5.0):
         assert F3(rho) > 0
     # phi_3 is F_3 times the unit-coefficient form
     coords = np.array([2.0, 1.1, 0.4, 0.9])
     unit = ansatz_form_matrix(3, EH, coords, lambda rho: 1.0)
     assert np.abs(ansatz_form_matrix(3, EH, coords, F3) - F3(2.0) * unit).max() == 0.0
-    with pytest.raises(ValueError):
-        l2_density(4, EH, 4.0, F3)
 
 
 # -- coordinate model: closedness, duality, wedge cross-check -----------------
@@ -711,7 +700,7 @@ def test_classify_biaxial_taubnut():
 def test_divergent_truncation_scaling():
     # truncated integral of a 1/(rho-pi)^2 density scales like 1/eps
     F2 = ClosednessSolution(2, AH)
-    dens = lambda rho: l2_measure_density(2, AH, rho, F2)
+    dens = lambda rho: abs(F2.density(rho))
     eps = np.geomspace(1e-5, 1e-3, 5)
     vals = [adaptive_simpson(dens, math.pi + float(e), math.pi + 0.5, 1e-9, rel=1e-9)
             for e in eps]

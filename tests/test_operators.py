@@ -338,6 +338,37 @@ def test_lie_closure_matches_dense_oracle():
     assert lie_closure_dimension(bent(4)).closure_residual > 1e-2
 
 
+def all_ordered_brackets(structure):
+    """Oracle: the structure constants and closure residual from all 100 ordered
+    brackets of the ten operators, each fitted on its own."""
+    L, Lam = operators._generators(structure.algebra)
+    ops = L + Lam + [operators._bracket(Lam[b - 1], L[a - 1]) for a, b, _ in operators._CYCLIC] \
+        + [operators._bracket(L[0], Lam[0])]
+    groups = {s: [i for i, op in enumerate(ops) if op[0] == s] for s in (-2, 0, 2)}
+    bases = {s: np.column_stack([operators._flat(ops[i][1]) for i in m])
+             for s, m in groups.items()}
+    pinvs = {s: np.linalg.pinv(B, operators._CLOSURE_RTOL) for s, B in bases.items()}
+    constants = np.zeros((len(ops),) * 3)
+    residual = 0.0
+    for i, X in enumerate(ops):
+        for j, Y in enumerate(ops):
+            shift, blocks = operators._bracket(X, Y)
+            v = miss = operators._flat(blocks)
+            if shift in bases:
+                constants[i, j, groups[shift]] = pinvs[shift] @ v
+                miss = v - bases[shift] @ constants[i, j, groups[shift]]
+            residual = max(residual, operators._norm(miss) / max(operators._norm(v), 1.0))
+    return constants, residual
+
+
+@pytest.mark.parametrize("Q", [Q4, Q8, bent(4)], ids=["k1", "k2", "k1-bent"])
+def test_one_bracket_per_pair_matches_all_ordered_brackets(Q):
+    constants, residual, _ = operators._structure_constants(Q)
+    oracle_constants, oracle_residual = all_ordered_brackets(Q)
+    assert np.array_equal(constants, oracle_constants)
+    assert residual == oracle_residual
+
+
 @pytest.mark.parametrize("dim", [4, 8], ids=["k1", "k2"])
 def test_faulty_omega2_is_seen(dim):
     # bending omega_2 breaks the closure; flipping its sign keeps the generated
