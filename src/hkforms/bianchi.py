@@ -24,14 +24,12 @@ there.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .exterior.forms import merge_sign
 from .numerics import (
     adaptive_simpson,
     exterior_derivative_at,
@@ -251,12 +249,9 @@ def wedge_density_cross_check(axis: int, profile: BianchiProfile, coords: np.nda
     volume; the two agree for anti-self-dual phi.
     """
     B = ansatz_form_matrix(axis, profile, coords, F)
-    # coefficient of -phi^phi on dtheta-ordered coordinates
-    coeff = 0.0
-    for (i, j) in itertools.combinations(range(4), 2):
-        kl = tuple(sorted(set(range(4)) - {i, j}))
-        s, _ = merge_sign((i, j), kl)
-        coeff += -B[i, j] * B[kl[0], kl[1]] * s
+    # coefficient of -phi^phi on dtheta-ordered coordinates: -B_ij B_kl sgn(ijkl), i < j
+    coeff = (-B[0, 1] * B[2, 3] + B[0, 2] * B[1, 3] - B[0, 3] * B[1, 2]
+             - B[1, 2] * B[0, 3] + B[1, 3] * B[0, 2] - B[2, 3] * B[0, 1])
     # drho^s1^s2^s3 = -sin(theta) in coordinates
     density = F.density(coords[0])
     return abs(coeff / (-math.sin(coords[1])) - density) / abs(density)

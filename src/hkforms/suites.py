@@ -1,13 +1,15 @@
 """Verification suites: each runs one module's checks and returns records.
 
-Suites are deterministic given (seed, tol_scale).  Tolerances are the
-contract values scaled by tol_scale; random sampling uses a fresh
-numpy Generator seeded per suite.
+Suites are deterministic given (seed, tol_scale).  Each runner writes its
+bounds as contract values; `tol_scale` multiplies the bound of every `le`
+record, fitted slopes and exponents included, in one place (`_Records.le`).
+Random sampling uses a fresh numpy Generator seeded per suite.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +46,28 @@ class SuiteConfig:
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, not {self.seed!r}")
-        if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
-            raise ValueError("tolerance scale must be finite and positive")
+        scale = self.tol_scale
+        if isinstance(scale, bool) or not isinstance(scale, numbers.Real) \
+                or not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"tolerance scale must be finite and positive, not {scale!r}")
+
+
+class _Records(list):
+    """One suite's records: stamps the suite name, scales every `le` bound by tol_scale."""
+
+    def __init__(self, suite: str, config: SuiteConfig):
+        super().__init__()
+        self.suite = suite
+        self.tol_scale = config.tol_scale
+
+    def le(self, check: str, anchor: str, measured: float, bound: float) -> None:
+        self.append(bounded(self.suite, check, anchor, measured, bound * self.tol_scale))
+
+    def eq(self, check: str, anchor: str, measured: float, expected: float) -> None:
+        self.append(exact(self.suite, check, anchor, measured, expected))
+
+    def flag(self, check: str, anchor: str, ok: bool) -> None:
+        self.append(flag(self.suite, check, anchor, ok))
 
 
 def _random_form(rng, dim, degree):
@@ -60,8 +82,7 @@ def _random_form(rng, dim, degree):
 
 def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     rng = np.random.default_rng(config.seed)
-    ts = config.tol_scale
-    records: list[ReportRecord] = []
+    rec = _Records("algebra", config)
     details: dict = {}
 
     Q4, Q8 = QuaternionicStructure(4), QuaternionicStructure(8)
@@ -70,9 +91,8 @@ def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     # the sigma blocks that the later checks add would otherwise be alive then.
     closures = {k: lie_closure_dimension(Q) for k, Q in ((1, Q4), (2, Q8))}
     for k, Q in ((1, Q4), (2, Q8)):
-        records.append(bounded("algebra", f"so5-commutators-k{k}",
-                               "lefschetz-adjoint-su2-commutators",
-                               verify_so5(Q)["max_residual"], 1e-12 * ts))
+        rec.le(f"so5-commutators-k{k}", "lefschetz-adjoint-su2-commutators",
+               verify_so5(Q)["max_residual"], 1e-12)
 
     alg = Q4.algebra
     worst = 0.0
@@ -84,18 +104,13 @@ def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
             lhs = inner(alg.lefschetz(axis, a), b)
             rhs = inner(a, alg.lefschetz_adjoint(axis, b))
             worst = max(worst, abs(lhs - rhs))
-    records.append(bounded("algebra", "adjointness-random-pairs",
-                           "wedge-adjoint-pairing", worst, 1e-12 * ts))
+    rec.le("adjointness-random-pairs", "wedge-adjoint-pairing", worst, 1e-12)
 
     kernel1 = middle_kernel(Q4)
-    records.append(exact("algebra", "middle-kernel-dim-k1", "joint-kernel-dimension",
-                         len(kernel1), 3))
-    records.append(bounded("algebra", "middle-kernel-asd-distance-k1",
-                           "kernel-equals-anti-self-dual-forms",
-                           kernel_subspace_distance(kernel1, asd_two_form_basis(Q4)),
-                           1e-10 * ts))
-    records.append(exact("algebra", "middle-kernel-duality-k1", "duality-sign",
-                         duality_sign(kernel1, Q4), -1))
+    rec.eq("middle-kernel-dim-k1", "joint-kernel-dimension", len(kernel1), 3)
+    rec.le("middle-kernel-asd-distance-k1", "kernel-equals-anti-self-dual-forms",
+           kernel_subspace_distance(kernel1, asd_two_form_basis(Q4)), 1e-10)
+    rec.eq("middle-kernel-duality-k1", "duality-sign", duality_sign(kernel1, Q4), -1)
     worst_ann = 0.0
     type_ok = True
     for eta in kernel1:
@@ -103,39 +118,34 @@ def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
             worst_ann = max(worst_ann, alg.su2_action(axis, eta).norm(),
                             alg.lefschetz_adjoint(axis, eta).norm())
             type_ok &= [(p, q) for p, q, _ in type_components(eta, axis, Q4)] == [(1, 1)]
-    records.append(bounded("algebra", "middle-kernel-annihilation-k1",
-                           "primitive-su2-invariant", worst_ann, 1e-10 * ts))
-    records.append(flag("algebra", "middle-kernel-type-k1", "type-1-1-all-axes", type_ok))
+    rec.le("middle-kernel-annihilation-k1", "primitive-su2-invariant", worst_ann, 1e-10)
+    rec.flag("middle-kernel-type-k1", "type-1-1-all-axes", type_ok)
 
     alg8 = Q8.algebra
     kernel2 = middle_kernel(Q8)
     oracle_dim = middle_kernel_oracle_dimension(Q8)
-    records.append(exact("algebra", "middle-kernel-dim-k2", "joint-kernel-dimension",
-                         len(kernel2), oracle_dim))
-    records.append(exact("algebra", "middle-kernel-duality-k2", "duality-sign",
-                         duality_sign(kernel2, Q8), +1))
+    rec.eq("middle-kernel-dim-k2", "joint-kernel-dimension", len(kernel2), oracle_dim)
+    rec.eq("middle-kernel-duality-k2", "duality-sign", duality_sign(kernel2, Q8), +1)
     worst_ann2 = 0.0
     type_ok2 = True
     for eta in kernel2:
         for axis in (1, 2, 3):
             worst_ann2 = max(worst_ann2, alg8.su2_action(axis, eta).norm())
             type_ok2 &= [(p, q) for p, q, _ in type_components(eta, axis, Q8)] == [(2, 2)]
-    records.append(bounded("algebra", "middle-kernel-annihilation-k2",
-                           "su2-invariant", worst_ann2, 1e-10 * ts))
-    records.append(flag("algebra", "middle-kernel-type-k2", "type-2-2-all-axes", type_ok2))
+    rec.le("middle-kernel-annihilation-k2", "su2-invariant", worst_ann2, 1e-10)
+    rec.flag("middle-kernel-type-k2", "type-2-2-all-axes", type_ok2)
 
     details["lie_closure"] = {}
     for k, c in closures.items():
         positive, negative = c.killing_signature
-        records += [
-            exact("algebra", f"lie-closure-dim-k{k}", "bracket-closure-rank", c.dimension, 10),
-            bounded("algebra", f"lie-closure-residual-k{k}", "bracket-closure-residual",
-                    c.closure_residual, 1e-12 * ts),
-            exact("algebra", f"lie-closure-killing-positive-k{k}", "so41-killing", positive, 4),
-            exact("algebra", f"lie-closure-killing-negative-k{k}", "so41-killing", negative, 6)]
+        rec.eq(f"lie-closure-dim-k{k}", "bracket-closure-rank", c.dimension, 10)
+        rec.le(f"lie-closure-residual-k{k}", "bracket-closure-residual",
+               c.closure_residual, 1e-12)
+        rec.eq(f"lie-closure-killing-positive-k{k}", "so41-killing", positive, 4)
+        rec.eq(f"lie-closure-killing-negative-k{k}", "so41-killing", negative, 6)
         details["lie_closure"][f"k{k}"] = {"smallest_singular_value": c.smallest_singular_value}
     details["middle_kernel_dimensions"] = {"k1": len(kernel1), "k2": len(kernel2)}
-    return records, details
+    return rec, details
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +157,7 @@ _TAUBNUT_MASS = 1.0
 def run_taubnut(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     m = _TAUBNUT_MASS
     rng = np.random.default_rng(config.seed + 1)
-    ts = config.tol_scale
-    records: list[ReportRecord] = []
+    rec = _Records("taubnut", config)
     data = gh.GHData(m=m)
 
     points = []
@@ -158,43 +167,36 @@ def run_taubnut(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
             points.append(gh.GHPoint(x, float(rng.random())))
 
     worst_dd = max(gh.ddtheta_residual(p, data) for p in points[:25])
-    records.append(bounded("taubnut", "harmonic-form-closed", "dd-theta-finite-difference",
-                           worst_dd, 1e-6 * ts))
+    rec.le("harmonic-form-closed", "dd-theta-finite-difference", worst_dd, 1e-6)
     worst_asd = max(gh.anti_self_duality_residual(p, data) for p in points)
-    records.append(bounded("taubnut", "harmonic-form-anti-self-dual", "star-plus-identity",
-                           worst_asd, 1e-8 * ts))
+    rec.le("harmonic-form-anti-self-dual", "star-plus-identity", worst_asd, 1e-8)
     worst_density = max(abs(gh.l2_density(p, data) - gh.l2_density_from_forms(p, data))
                         for p in points)
-    records.append(bounded("taubnut", "density-two-routes", "wedge-vs-closed-form-density",
-                           worst_density, 1e-10 * ts))
+    rec.le("density-two-routes", "wedge-vs-closed-form-density", worst_density, 1e-10)
 
     north = gh.GHData(m=m, patch="north")
     south = gh.GHData(m=m, patch="south")
     worst_patch = max(abs(gh.l2_density_from_forms(p, north) - gh.l2_density_from_forms(p, south))
                       for p in points[:20])
-    records.append(bounded("taubnut", "gauge-patch-independence", "scalar-agreement-on-overlap",
-                           worst_patch, 1e-10 * ts))
+    rec.le("gauge-patch-independence", "scalar-agreement-on-overlap", worst_patch, 1e-10)
 
     value = gh.l2_norm(data)
     closed = gh.closed_form_l2_norm(data)
     rel = abs(value - closed) / closed
-    records.append(bounded("taubnut", "l2-norm-vs-closed-form", "radial-quadrature",
-                           rel, 1e-6 * ts))
+    rec.le("l2-norm-vs-closed-form", "radial-quadrature", rel, 1e-6)
 
     scaling_dev = 0.0
     for mm in (0.5, 1.0, 2.0):
         dm = gh.GHData(m=mm)
         scaling_dev = max(scaling_dev,
                           abs(gh.l2_norm(dm) / (mm * dm.tau_period) - 4.0 * math.pi))
-    records.append(bounded("taubnut", "l2-norm-mass-scaling", "norm-linear-in-mass-and-period",
-                           scaling_dev, 1e-6 * ts * 4.0 * math.pi))
+    rec.le("l2-norm-mass-scaling", "norm-linear-in-mass-and-period",
+           scaling_dev, 1e-6 * 4.0 * math.pi)
 
     shells, slope = gh.tail_decay(data)
-    records.append(bounded("taubnut", "tail-decay-slope", "shell-integral-log-slope",
-                           abs(slope + 1.0), 0.1))
+    rec.le("tail-decay-slope", "shell-integral-log-slope", abs(slope + 1.0), 0.1)
     cross = [gh.cutoff_cross_term(data, r, seed=config.seed) for r in (1e2, 1e3, 1e4)]
-    records.append(flag("taubnut", "cutoff-cross-term-decays", "annulus-estimate",
-                        cross[0] > cross[1] > cross[2]))
+    rec.flag("cutoff-cross-term-decays", "annulus-estimate", cross[0] > cross[1] > cross[2])
 
     radii = np.geomspace(0.05, 50.0, 40)
     details = {
@@ -208,7 +210,7 @@ def run_taubnut(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     profile = {"r": list(radii),
                "density": [gh.l2_density(gh.GHPoint(np.array([r, 0.0, 0.0])), data)
                            for r in radii]}
-    return records, {"record": details, "radial_profile": profile}
+    return rec, {"record": details, "radial_profile": profile}
 
 
 # ---------------------------------------------------------------------------
@@ -217,39 +219,34 @@ def run_taubnut(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
 
 def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     rng = np.random.default_rng(config.seed + 2)
-    ts = config.tol_scale
-    records: list[ReportRecord] = []
+    rec = _Records("bianchi", config)
 
     ah = bx.atiyah_hitchin_model_profile()
     eh = bx.eguchi_hanson_profile(0.5)
     tn = bx.biaxial_taubnut_profile(1.0)
 
     ah_v = bx.classify_l2(ah)
-    records.append(flag("bianchi", "two-monopole-verdicts", "only-axis-1-integrable",
-                        ah_v[1].integrable and not ah_v[2].integrable
-                        and not ah_v[3].integrable
-                        and ah_v[2].divergent_endpoints == (math.pi,)
-                        and ah_v[3].divergent_endpoints == (math.pi,)))
+    rec.flag("two-monopole-verdicts", "only-axis-1-integrable",
+             ah_v[1].integrable and not ah_v[2].integrable and not ah_v[3].integrable
+             and ah_v[2].divergent_endpoints == (math.pi,)
+             and ah_v[3].divergent_endpoints == (math.pi,))
     worst_exp = max(abs(ah_v[axis].fitted_exponents[math.pi] + 2.0) for axis in (2, 3))
-    records.append(bounded("bianchi", "two-monopole-endpoint-exponent",
-                           "inverse-square-density", worst_exp, 0.05))
+    rec.le("two-monopole-endpoint-exponent", "inverse-square-density", worst_exp, 0.05)
 
     eh_v = bx.classify_l2(eh)
-    records.append(flag("bianchi", "eguchi-hanson-verdicts", "only-axis-3-integrable",
-                        eh_v[3].integrable and not eh_v[1].integrable
-                        and not eh_v[2].integrable))
+    rec.flag("eguchi-hanson-verdicts", "only-axis-3-integrable",
+             eh_v[3].integrable and not eh_v[1].integrable and not eh_v[2].integrable)
 
     tn_v = bx.classify_l2(tn)
-    records.append(flag("bianchi", "biaxial-taubnut-verdicts",
-                        "axis-3-integrable-and-circle-invariant",
-                        tn_v[3].integrable and tn_v[3].extra_circle_invariant
-                        and not tn_v[1].extra_circle_invariant
-                        and not tn_v[1].integrable and not tn_v[2].integrable))
+    rec.flag("biaxial-taubnut-verdicts", "axis-3-integrable-and-circle-invariant",
+             tn_v[3].integrable and tn_v[3].extra_circle_invariant
+             and not tn_v[1].extra_circle_invariant
+             and not tn_v[1].integrable and not tn_v[2].integrable)
 
     other = bx.atiyah_hitchin_model_profile(band=(math.pi + 0.8, math.pi + 2.5), blend="c3")
     same = {a: v.verdict for a, v in ah_v.items()} \
         == {a: v.verdict for a, v in bx.classify_l2(other).items()}
-    records.append(flag("bianchi", "interpolant-independence", "verdicts-match", same))
+    rec.flag("interpolant-independence", "verdicts-match", same)
 
     def h(t):
         u = t - math.pi
@@ -264,7 +261,7 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     same_re = all(re_v[a].integrable == ah_v[a].integrable
                   and re_v[a].divergent_endpoints == ah_v[a].divergent_endpoints
                   for a in (1, 2, 3))
-    records.append(flag("bianchi", "reparametrization-independence", "verdicts-match", same_re))
+    rec.flag("reparametrization-independence", "verdicts-match", same_re)
 
     worst_closed = 0.0
     worst_asd = 0.0
@@ -277,10 +274,8 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
             worst_closed = max(worst_closed, bx.closedness_residual(axis, profile, coords, F))
             worst_asd = max(worst_asd, bx.anti_self_duality_residual(axis, profile, coords, F))
             worst_wedge = max(worst_wedge, bx.wedge_density_cross_check(axis, profile, coords, F))
-    records.append(bounded("bianchi", "ansatz-closed", "finite-difference-d-phi",
-                           worst_closed, 1e-6 * ts))
-    records.append(bounded("bianchi", "ansatz-anti-self-dual", "star-plus-identity",
-                           worst_asd, 1e-8 * ts))
+    rec.le("ansatz-closed", "finite-difference-d-phi", worst_closed, 1e-6)
+    rec.le("ansatz-anti-self-dual", "star-plus-identity", worst_asd, 1e-8)
 
     data = gh.GHData(m=1.0, patch="north")
     F3 = bx.ClosednessSolution(3, tn)
@@ -296,10 +291,8 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
         mask = np.abs(pulled[iu]) > 1e-8
         constants.append(float(np.median((phi3[iu][mask] / pulled[iu][mask]).real)))
     dev = max(abs(c - constants[0]) for c in constants) / abs(constants[0])
-    records.append(bounded("bianchi", "cross-module-proportionality",
-                           "invariant-form-matches-gibbons-hawking", dev, 1e-6 * ts))
-    records.append(bounded("bianchi", "density-wedge-route", "minus-phi-wedge-phi-vs-density",
-                           worst_wedge, 1e-10 * ts))
+    rec.le("cross-module-proportionality", "invariant-form-matches-gibbons-hawking", dev, 1e-6)
+    rec.le("density-wedge-route", "minus-phi-wedge-phi-vs-density", worst_wedge, 1e-10)
 
     verdict_records = []
     for name, vmap in (("two-monopole", ah_v), ("eguchi-hanson", eh_v),
@@ -319,7 +312,7 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     F1 = bx.ClosednessSolution(1, ah)
     density_profile = {"rho_minus_pi": list(rhos),
                        "density_axis1": [abs(F1.density(math.pi + float(r))) for r in rhos]}
-    return records, {"verdicts": verdict_records, "density_profile": density_profile,
+    return rec, {"verdicts": verdict_records, "density_profile": density_profile,
                      "proportionality_constant": constants[0]}
 
 
@@ -344,8 +337,7 @@ def _eguchi_hanson_deviation(chart: QuotientChart, profile: bx.BianchiProfile,
 
 def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     rng = np.random.default_rng(config.seed + 3)
-    ts = config.tol_scale
-    records: list[ReportRecord] = []
+    rec = _Records("quotient", config)
     details: dict = {}
 
     for model, shift in (("taubnut_R", 0.0), ("calabi_circle", 0.5)):
@@ -365,10 +357,8 @@ def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
                              float(np.abs(P - P.T).max()),
                              float(np.abs(P @ spec.generator_real(p)).max()),
                              float(np.abs(spec.moment_gradient_rows(p) @ P).max()))
-        records.append(bounded("quotient", f"{tag}-moment-residual", "level-set-solve",
-                               worst_moment, 1e-12 * ts))
-        records.append(bounded("quotient", f"{tag}-projector", "horizontal-projection",
-                               worst_proj, 1e-10 * ts))
+        rec.le(f"{tag}-moment-residual", "level-set-solve", worst_moment, 1e-12)
+        rec.le(f"{tag}-projector", "horizontal-projection", worst_proj, 1e-10)
 
         worst_closed = 0.0
         worst_om = 0.0
@@ -379,22 +369,16 @@ def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
                 worst_closed = max(worst_closed, chart.closedness_residual(axis, u))
             worst_om = max(worst_om, max(chart.omegas_relation_residuals(u).values()))
             worst_beta = max(worst_beta, chart.beta_exactness_residual(u))
-        records.append(bounded("quotient", f"{tag}-forms-closed", "d-omega-finite-difference",
-                               worst_closed, 1e-5 * ts))
-        records.append(bounded("quotient", f"{tag}-rotation-relations",
-                               "circle-rotates-complex-forms", worst_om, 1e-5 * ts))
-        records.append(bounded("quotient", f"{tag}-beta-exactness", "d-iota-X-omega2",
-                               worst_beta, 1e-5 * ts))
+        rec.le(f"{tag}-forms-closed", "d-omega-finite-difference", worst_closed, 1e-5)
+        rec.le(f"{tag}-rotation-relations", "circle-rotates-complex-forms", worst_om, 1e-5)
+        rec.le(f"{tag}-beta-exactness", "d-iota-X-omega2", worst_beta, 1e-5)
 
         pts = [rng.standard_normal(4) * s for s in np.linspace(0.5, 4.0, 12)]
         pts += [np.zeros(4) + np.array([0.0, 0.0, t, 0.0]) for t in (0.1, 0.2, 0.5)]
         rep = growth_check(chart, chart.rotation_ambient, np.array(pts))
-        records.append(exact("quotient", f"{tag}-growth-violations",
-                             "projection-contracts-norms", rep.violations, 0))
-        records.append(bounded("quotient", f"{tag}-growth-linear-fit",
-                               "affine-field-linear-growth",
-                               abs(rep.c1_ambient - rep.linear_part_norm),
-                               0.05 * rep.linear_part_norm))
+        rec.eq(f"{tag}-growth-violations", "projection-contracts-norms", rep.violations, 0)
+        rec.le(f"{tag}-growth-linear-fit", "affine-field-linear-growth",
+               abs(rep.c1_ambient - rep.linear_part_norm), 0.05 * rep.linear_part_norm)
         details[tag] = {
             "model": model,
             "grid": len(grid),
@@ -409,8 +393,7 @@ def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     for _ in range(2):
         L = chart.lie_derivatives(chart.triholomorphic_ambient, 0.7 * rng.standard_normal(4))
         worst_tri = max(worst_tri, float(np.abs(L).max()))
-    records.append(bounded("quotient", "taubnut-triholomorphic-circle",
-                           "all-forms-invariant", worst_tri, 1e-5 * ts))
+    rec.le("taubnut-triholomorphic-circle", "all-forms-invariant", worst_tri, 1e-5)
 
     chart = QuotientChart(GroupActionSpec("calabi_circle", level_shift=0.5))
     worst_orbit = 0.0
@@ -418,50 +401,45 @@ def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
         d = calabi_orbit_data(chart, t)
         worst_orbit = max(worst_orbit, abs(d["A_sq"] - d["B_sq"]), d["cross_max"],
                           d["radial_cross"])
-    records.append(bounded("quotient", "calabi-orbit-biaxial", "su2-orbit-metric-biaxial",
-                           worst_orbit, 1e-10 * ts))
+    rec.le("calabi-orbit-biaxial", "su2-orbit-metric-biaxial", worst_orbit, 1e-10)
     # the bolt radius A(0) = 1/2 fixes the Eguchi-Hanson parameter
     eh = bx.eguchi_hanson_profile(math.sqrt(calabi_orbit_data(chart, 0.0)["A_sq"]))
     worst_eh = max(_eguchi_hanson_deviation(chart, eh, t) for t in (0.25, 0.5, 0.9, 1.4, 2.0))
-    records.append(bounded("quotient", "calabi-is-eguchi-hanson", "orbit-metric-matches-profile",
-                           worst_eh, 1e-8 * ts))
-    return records, details
+    rec.le("calabi-is-eguchi-hanson", "orbit-metric-matches-profile", worst_eh, 1e-8)
+    return rec, details
 
 
 # ---------------------------------------------------------------------------
 # nahm
 # ---------------------------------------------------------------------------
 
-def _euler_record(rho: np.ndarray, ts: float) -> tuple[ReportRecord, list[float]]:
-    """Distance of the Euler exponents of rho from {-2, -1 (x3), 0 (x3), 1 (x5)}."""
+def _euler_record(rec: _Records, rho: np.ndarray) -> list[float]:
+    """Record the distance of rho's Euler exponents from {-2, -1 (x3), 0 (x3), 1 (x5)}."""
     lam = nahm.euler_exponents(rho)
     distance = float(np.abs(lam - np.array(nahm.EULER_EXPONENTS)).max())
-    return (bounded("nahm", "euler-exponents", "integer-pole-exponents", distance, 1e-10 * ts),
-            [float(x) for x in lam])
+    rec.le("euler-exponents", "integer-pole-exponents", distance, 1e-10)
+    return [float(x) for x in lam]
 
 
 def run_nahm(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
-    ts = config.tol_scale
-    records: list[ReportRecord] = []
+    rec = _Records("nahm", config)
     eta = 1j * np.array([[0.1, 0.4 - 0.2j], [0.4 + 0.2j, -0.1]])
     xi = 1j * np.array([[0.3, 0.2 + 0.1j], [0.2 - 0.1j, -0.3]])
 
     state = nahm.one_pole_state(0.1, 1.0, 2000)
     res_value = nahm.nahm_residual(state)
-    records.append(bounded("nahm", "one-pole-residual", "exact-solution-on-grid",
-                           res_value, 1e-8 * ts))
+    rec.le("one-pole-residual", "exact-solution-on-grid", res_value, 1e-8)
 
     g, g_prime = nahm.bump_gauge_path(state, xi)
     transformed = nahm.gauge_transform(state, g, g_prime)
-    records.append(bounded("nahm", "gauge-invariance", "residual-under-unitary-path",
-                           abs(nahm.nahm_residual(transformed) - res_value), 1e-8 * ts))
+    rec.le("gauge-invariance", "residual-under-unitary-path",
+           abs(nahm.nahm_residual(transformed) - res_value), 1e-8)
 
     shifted = nahm.translation_action(state, np.array([0.3, -0.5, 0.2]))
-    records.append(bounded("nahm", "translation-invariance", "central-shift-symmetry",
-                           abs(nahm.nahm_residual(shifted) - res_value), 1e-10 * ts))
+    rec.le("translation-invariance", "central-shift-symmetry",
+           abs(nahm.nahm_residual(shifted) - res_value), 1e-10)
 
-    euler, exponents = _euler_record(state.residues.rho, ts)
-    records.append(euler)
+    exponents = _euler_record(rec, state.residues.rho)
 
     big = nahm.one_pole_state(1e-3, 1.0, 20001)
     psi, psi_prime = nahm.bumped_psi(big, eta)
@@ -469,42 +447,35 @@ def run_nahm(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     a = nahm.ivp_tangent(big, np.array([0.1, 0.2, 0.3]), seed=config.seed)
     b = nahm.ivp_tangent(big, np.array([-0.4, 0.5, 0.1]), seed=config.seed + 1)
     anti = abs(nahm.symplectic_form(a, b) + nahm.symplectic_form(b, a))
-    records.append(bounded("nahm", "symplectic-antisymmetry", "pairing-skew",
-                           anti, 1e-12 * ts * max(1.0, abs(nahm.symplectic_form(a, b)))))
+    rec.le("symplectic-antisymmetry", "pairing-skew",
+           anti, 1e-12 * max(1.0, abs(nahm.symplectic_form(a, b))))
 
     translation = nahm.translation_tangent(big, np.array([0.7, -0.3, 1.1]))
     rep_tr = nahm.contraction_identity(big, translation, psi, psi_prime)
-    records.append(bounded("nahm", "contraction-translation-tangent",
-                           "trace-free-residue-cancellation", rep_tr.rel_err, 1e-10 * ts))
+    rec.le("contraction-translation-tangent", "trace-free-residue-cancellation",
+           rep_tr.rel_err, 1e-10)
 
     tangent = nahm.ivp_tangent(big, np.array([0.4, -0.2, 0.6]), seed=config.seed + 2)
     rep_main = nahm.contraction_identity(big, tangent, psi, psi_prime)
-    records.append(bounded("nahm", "contraction-identity", "rotation-pairing-vs-trace-integral",
-                           rep_main.rel_err, 1e-4 * ts))
+    rec.le("contraction-identity", "rotation-pairing-vs-trace-integral", rep_main.rel_err, 1e-4)
 
-    boundary_values = []
-    for eps in (1e-2, 5e-3, 2.5e-3):
-        st = nahm.one_pole_state(eps, 1.0, 8001)
+    def sweep_contraction(eps, nodes):
+        st = nahm.one_pole_state(eps, 1.0, nodes)
         tg = nahm.ivp_tangent(st, np.array([0.4, -0.2, 0.6]), seed=config.seed + 2)
-        rep = nahm.contraction_identity(st, tg, *nahm.bumped_psi(st, eta))
-        boundary_values.append(abs(rep.boundary_left))
+        return nahm.contraction_identity(st, tg, *nahm.bumped_psi(st, eta))
+
+    boundary_values = [abs(sweep_contraction(eps, 8001).boundary_left)
+                       for eps in (1e-2, 5e-3, 2.5e-3)]
     eps_orders = np.log2(np.array(boundary_values[:-1]) / np.array(boundary_values[1:]))
-    records.append(flag("nahm", "boundary-term-decreasing", "pole-end-scalar-limit",
-                        boundary_values[0] > boundary_values[1] > boundary_values[2]))
-    records.append(bounded("nahm", "boundary-epsilon-order", "linear-vanishing",
-                           float(1.0 - eps_orders.min()), 0.1))
+    rec.flag("boundary-term-decreasing", "pole-end-scalar-limit",
+             boundary_values[0] > boundary_values[1] > boundary_values[2])
+    rec.le("boundary-epsilon-order", "linear-vanishing", float(1.0 - eps_orders.min()), 0.1)
 
-    h_errs = []
-    for nodes in (501, 1001, 2001):
-        st = nahm.one_pole_state(1e-2, 1.0, nodes)
-        tg = nahm.ivp_tangent(st, np.array([0.4, -0.2, 0.6]), seed=config.seed + 2)
-        rep = nahm.contraction_identity(st, tg, *nahm.bumped_psi(st, eta))
-        h_errs.append(rep.rel_err)
+    h_errs = [sweep_contraction(1e-2, nodes).rel_err for nodes in (501, 1001, 2001)]
     h_orders = np.log2(np.array(h_errs[:-1]) / np.array(h_errs[1:]))
-    records.append(flag("nahm", "grid-halving-decreasing", "quadrature-convergence",
-                        h_errs[0] > h_errs[1] > h_errs[2]))
-    records.append(flag("nahm", "grid-halving-order", "observed-order-at-least-2",
-                        bool(np.all(h_orders >= 2.0))))
+    rec.flag("grid-halving-decreasing", "quadrature-convergence",
+             h_errs[0] > h_errs[1] > h_errs[2])
+    rec.flag("grid-halving-order", "observed-order-at-least-2", bool(np.all(h_orders >= 2.0)))
 
     for name, tangent, bound in (
             ("translation", nahm.translation_tangent(state, np.array([0.7, -0.3, 1.1])), 1e-10),
@@ -512,8 +483,8 @@ def run_nahm(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
             ("pole-shift", nahm.pole_shift_tangent(state), 1e-6),
             ("ivp", nahm.ivp_tangent(state, np.array([0.4, -0.2, 0.6]), seed=config.seed + 2),
              1e-9)):
-        records.append(bounded("nahm", f"linearized-{name}", "linearized-nahm-equation",
-                               nahm.linearized_residual(tangent, state), bound * ts))
+        rec.le(f"linearized-{name}", "linearized-nahm-equation",
+               nahm.linearized_residual(tangent, state), bound)
 
     details = {
         "epsilon": big.eps,
@@ -534,7 +505,7 @@ def run_nahm(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
             for col in range(2):
                 state_csv[f"B{i}_{row}{col}_re"] = list(matrices[:, row, col].real)
                 state_csv[f"B{i}_{row}{col}_im"] = list(matrices[:, row, col].imag)
-    return records, {"record": details, "state_profile": state_csv}
+    return rec, {"record": details, "state_profile": state_csv}
 
 
 _RUNNERS = {

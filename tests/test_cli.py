@@ -109,6 +109,20 @@ def test_cli_tol_scale_tightening_can_fail(tmp_path, capsys):
     assert code == 1
 
 
+def test_every_le_bound_follows_tol_scale():
+    # fitted slopes and exponents included: doubling tol_scale doubles each bound
+    base, _ = run_suite("all", SuiteConfig(seed=7, tol_scale=1.0))
+    doubled, _ = run_suite("all", SuiteConfig(seed=7, tol_scale=2.0))
+    assert [(r.suite, r.check, r.mode, r.measured) for r in base] \
+        == [(r.suite, r.check, r.mode, r.measured) for r in doubled]
+    assert "suite-error" not in {r.check for r in base}
+    for r1, r2 in zip(base, doubled):
+        if r1.mode == "le":
+            assert r2.expected == 2.0 * r1.expected, r1.check
+        else:
+            assert r2 == r1
+
+
 def test_algebra_suite_schema():
     records, details = run_suite("algebra", SuiteConfig(seed=7))
     assert all(r.passed for r in records)
@@ -188,6 +202,10 @@ def test_taubnut_suite_schema():
 def test_suite_config_validation():
     with pytest.raises(ValueError):
         SuiteConfig(tol_scale=0.0)
+    # a tolerance scale must be a finite positive real, not a bool or a string
+    for scale in (True, False, "1"):
+        with pytest.raises(ValueError, match=re.escape(f"not {scale!r}")):
+            SuiteConfig(tol_scale=scale)
     # a seed must be a non-negative int; the message names it
     for seed in (-1, -3, True, 1.5, "7"):
         with pytest.raises(ValueError, match=re.escape(f"not {seed!r}")):

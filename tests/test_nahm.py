@@ -401,7 +401,9 @@ def test_euler_exponents_are_integers():
     lam = euler_exponents(RHO)
     assert lam.dtype == float
     assert np.abs(lam - np.array(EULER_EXPONENTS)).max() <= 1e-12
-    record, exponents = suites._euler_record(RHO, 1.0)
+    rec = suites._Records("nahm", suites.SuiteConfig())
+    exponents = suites._euler_record(rec, RHO)
+    (record,) = rec
     assert record.passed and record.measured <= 1e-12
     assert exponents == [float(x) for x in lam]
 
@@ -411,7 +413,9 @@ def test_euler_exponents_record_fails_for_negated_residues():
     negated = -RHO
     lam = euler_exponents(negated)
     assert np.abs(lam + np.array(EULER_EXPONENTS[::-1])).max() <= 1e-12
-    record, _ = suites._euler_record(negated, 1.0)
+    rec = suites._Records("nahm", suites.SuiteConfig())
+    suites._euler_record(rec, negated)
+    (record,) = rec
     assert not record.passed
     assert record.measured >= 0.5
 
