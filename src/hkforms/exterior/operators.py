@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import nullspace, subspace_distance
+from ..numerics import CYCLIC_AXES, cyclic_axes, nullspace, subspace_distance
 from .forms import FormVector, _basis, _basis_position, form_gram, hodge_star, merge_sign
-from .quaternionic import QuaternionicStructure, _check_axis
+from .quaternionic import QuaternionicStructure
 
 
 def wedge_operator_matrix(two_form: FormVector, degree: int) -> np.ndarray:
@@ -107,7 +107,7 @@ class LefschetzAlgebra:
     def L_matrix(self, axis: int, degree: int) -> np.ndarray:
         key = (axis, degree)
         if key not in self._L:
-            _check_axis(axis)   # on a miss only: L_matrix is hot
+            cyclic_axes(axis)   # refuses a bad axis, on a miss only: L_matrix is hot
             self._L[key] = wedge_operator_matrix(self._omegas[axis - 1], degree)
         return self._L[key]
 
@@ -132,7 +132,7 @@ class LefschetzAlgebra:
     def sigma_matrix(self, axis: int, degree: int) -> np.ndarray:
         key = (axis, degree)
         if key not in self._sigma:
-            _check_axis(axis)
+            cyclic_axes(axis)   # refuses any other axis
             I = self._complex_structures[axis - 1]
             self._sigma[key] = derivation_matrix(-I.T, degree)
         return self._sigma[key]
@@ -164,7 +164,6 @@ class LefschetzAlgebra:
 # brackets on degree blocks: commutator residuals and the Lie closure
 # ---------------------------------------------------------------------------
 
-_CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 _CLOSURE_RTOL = 1e-8
 
 
@@ -207,7 +206,7 @@ def verify_so5(structure: QuaternionicStructure) -> dict:
 
     report: dict = {"per_identity": {}, "grading": {}}
     identities = report["per_identity"]
-    for (a, b, c) in _CYCLIC:
+    for (a, b, c) in CYCLIC_AXES:
         minus_sigma = [-alg.sigma_matrix(c, p) for p in degrees]
         identities[f"[L{a},Lam{b}]+sigma{c}"] = residuals(L[a - 1], Lam[b - 1], minus_sigma)
         identities[f"[Lam{a},L{b}]+sigma{c}"] = residuals(Lam[a - 1], L[b - 1], minus_sigma)
@@ -242,7 +241,7 @@ def _structure_constants(structure: QuaternionicStructure) -> tuple[np.ndarray, 
     """c[i, j, k] with [X_i, X_j] = sum_k c[i, j, k] X_k over the ten operators,
     the largest relative residual of those fits, and each shift's singular values."""
     L, Lam = _generators(structure.algebra)
-    ops = L + Lam + [_bracket(Lam[b - 1], L[a - 1]) for a, b, _ in _CYCLIC] \
+    ops = L + Lam + [_bracket(Lam[b - 1], L[a - 1]) for a, b, _ in CYCLIC_AXES] \
         + [_bracket(L[0], Lam[0])]
     groups = {s: [i for i, op in enumerate(ops) if op[0] == s] for s in (-2, 0, 2)}
     bases = {s: np.column_stack([_flat(ops[i][1]) for i in m]) for s, m in groups.items()}

@@ -22,17 +22,12 @@ from functools import cached_property
 
 import numpy as np
 
+from ..numerics import cyclic_axes
 from .forms import FormVector
 
 _I4 = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
 _J4 = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
 _K4 = np.array([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=float)
-
-
-def _check_axis(axis: int) -> None:
-    """Refuse an axis other than 1, 2 or 3, which would otherwise index from the end."""
-    if axis not in (1, 2, 3):
-        raise ValueError("axis must be 1, 2 or 3")
 
 
 def _block_repeat(M: np.ndarray, copies: int) -> np.ndarray:
@@ -84,7 +79,7 @@ class QuaternionicStructure:
 
     def complex_structure(self, axis: int) -> np.ndarray:
         """The matrix I, J or K for axis 1, 2 or 3."""
-        _check_axis(axis)
+        cyclic_axes(axis)   # refuses any other axis
         return (self.I, self.J, self.K)[axis - 1]
 
     def omega(self, axis: int) -> FormVector:
@@ -106,7 +101,7 @@ class QuaternionicStructure:
 
     def omega_matrix(self, axis: int) -> np.ndarray:
         """Antisymmetric coefficient matrix of omega_i, built once and read-only."""
-        _check_axis(axis)
+        cyclic_axes(axis)   # refuses any other axis
         return self._omega_matrices[axis - 1]
 
     def _validate(self):

@@ -6,7 +6,7 @@ partial derivatives, the exterior derivative of a form field given by its
 coefficient arrays, adaptive Simpson quadrature with endpoint substitutions for
 improper integrals, adaptive Gauss-Kronrod 7-15 quadrature, SVD nullspaces and
 subspace distances, pointwise Hodge duality for 2-forms on 4-dimensional
-coordinate patches, and the su(2) basis.
+coordinate patches, the su(2) basis and the cyclic triples of axes 1, 2, 3.
 """
 
 from __future__ import annotations
@@ -23,6 +23,17 @@ _SU2 = 0.5j * np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]],
                         [[1.0, 0.0], [0.0, -1.0]]], dtype=complex)
 _SU2.flags.writeable = False
 SU2_BASIS = tuple(_SU2)
+
+# (i, j, k) cyclic from axis i: ds_i = s_j ^ s_k (Bianchi IX), [L_i, Lambda_j] = -sigma_k
+CYCLIC_AXES = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+
+
+def cyclic_axes(axis: int) -> tuple[int, int, int]:
+    """The cyclic triple (axis, j, k); an axis other than 1, 2 or 3 raises ValueError."""
+    if axis not in (1, 2, 3):
+        raise ValueError("axis must be 1, 2 or 3")
+    return CYCLIC_AXES[axis - 1]
+
 
 # step of every Richardson-extrapolated finite difference
 FD_STEP = 1e-4

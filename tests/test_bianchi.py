@@ -503,11 +503,43 @@ def test_closedness_evaluation_budget(monkeypatch):
     assert len(calls) - 9 > 4 and (len(calls) - 9 - 4) % 15 == 0
 
 
-def test_classify_l2_evaluation_count():
-    # the parent's anchor hops made 21,886 coefficients calls here
+def test_classify_l2_evaluation_count(monkeypatch):
+    # adaptive Simpson per anchor hop made 21,886 coefficients calls here, and
+    # 12,130 while the route toward infinity still integrated |density| by it
+    simpson_calls = []
+
+    def counted_simpson(*args, **kwargs):
+        simpson_calls.append(args)
+        return adaptive_simpson(*args, **kwargs)
+
+    monkeypatch.setattr(bianchi, "adaptive_simpson", counted_simpson)
     profile, calls = counted_profile(AH)
     classify_l2(profile)
-    assert len(calls) == 12130
+    assert len(calls) == 6009
+    # four truncations toward the finite end pi per axis, none toward infinity
+    assert len(simpson_calls) == 12
+
+
+@pytest.mark.parametrize("case", ["ah-c2", "ah-c3-other-band", "eh-bolt", "tn-nut", "reparam"])
+def test_truncations_toward_infinity_match_quad(case):
+    # the route toward infinity reads |1 - F(rho_ref + R)^2| for the integral of
+    # |density| over [rho_ref, rho_ref + R]; this holds while ratio_i keeps the
+    # sign it has at rho_ref, which every quad node (an anchor of F) checks
+    from scipy.integrate import quad
+
+    profile = ORACLE_CASES[case][0]
+    anchor = profile.rho_ref
+    for axis in (1, 2, 3):
+        F = ClosednessSolution(axis, profile)
+        for R in (8.0, 16.0, 32.0, 64.0):
+            exact = abs(1.0 - F(anchor + R) ** 2)
+            reference = quad(lambda rho: abs(F.density(rho)), anchor, anchor + R,
+                             epsabs=0.0, epsrel=1e-12, limit=500)[0]
+            assert exact == pytest.approx(reference, rel=1e-9, abs=0), (axis, R)
+        sign = math.copysign(1.0, ratio(axis, profile, anchor))
+        beyond = [r for rho, (_, r) in F._anchors.items() if rho > anchor]
+        assert len(beyond) > 100
+        assert all(math.copysign(1.0, r) == sign for r in beyond), axis
 
 
 # -- verdicts over the benchmark's grids ----------------------------------------
@@ -539,6 +571,16 @@ def verdict_table():
     for case in ("ah-c2", "ah-c3-other-band", "reparam"):
         yield pytest.param(lambda case=case: ORACLE_CASES[case][0], TWO_MONOPOLE,
                            id=f"suite-{case}")
+    # Eguchi-Hanson on (0, 1): infinity becomes a finite upper end (sign -1)
+    for a in (0.5, 1.0, 2.0):
+        marks = [pytest.mark.xfail(strict=True, raises=ArithmeticError,
+                                   reason="ROADMAP item 1")] if a == 0.5 else []
+        yield pytest.param(lambda a=a: reparametrize(eguchi_hanson_profile(a),
+                                                     lambda t: a + t / (1.0 - t),
+                                                     lambda t: 1.0 / (1.0 - t) ** 2,
+                                                     0.0, 1.0, a / (1.0 + a)),
+                           ("divergent-at-endpoint(0)",) * 2 + ("integrable",),
+                           id=f"eh-{a}-on-unit-interval", marks=marks)
 
 
 @pytest.mark.parametrize("make_profile,expected", verdict_table())

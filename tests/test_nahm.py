@@ -581,6 +581,24 @@ def test_contraction_boundary_epsilon_order():
     assert values[0] > values[1] > values[2]
 
 
+def test_boundary_epsilon_order_record_sees_a_quadratic_boundary_term(monkeypatch):
+    # A_1 scaled by eps at the first node makes the pole-end boundary term
+    # tr(A_1 psi) O(eps^2): the observed orders become 2, which the record must
+    # refuse (|1 - order| = 1 against the bound 0.1), not only orders below 1
+    def flattened(state, scalars, seed=0):
+        tangent = ivp_tangent(state, scalars, seed=seed)
+        A = [a.copy() for a in tangent.A]
+        A[1][0] *= state.eps
+        return TangentState(tangent.s, tuple(A))
+
+    monkeypatch.setattr(suites.nahm, "ivp_tangent", flattened)
+    records, details = suites.run_nahm(suites.SuiteConfig(seed=7))
+    (record,) = [r for r in records if r.check == "boundary-epsilon-order"]
+    assert details["record"]["epsilon_orders"] == pytest.approx([2.0, 2.0], abs=1e-9)
+    assert record.measured == pytest.approx(1.0, abs=1e-9)
+    assert not record.passed
+
+
 def test_contraction_h_order():
     errs = []
     for nodes in (501, 1001, 2001):

@@ -29,7 +29,7 @@ from hkforms.exterior import (
 from hkforms.exterior import operators
 from hkforms.exterior.forms import merge_sign
 from hkforms.exterior.operators import derivation_matrix
-from hkforms.numerics import nullspace, subspace_distance
+from hkforms.numerics import CYCLIC_AXES, nullspace, subspace_distance
 
 Q4 = QuaternionicStructure(4)
 Q8 = QuaternionicStructure(8)
@@ -342,7 +342,7 @@ def all_ordered_brackets(structure):
     """Oracle: the structure constants and closure residual from all 100 ordered
     brackets of the ten operators, each fitted on its own."""
     L, Lam = operators._generators(structure.algebra)
-    ops = L + Lam + [operators._bracket(Lam[b - 1], L[a - 1]) for a, b, _ in operators._CYCLIC] \
+    ops = L + Lam + [operators._bracket(Lam[b - 1], L[a - 1]) for a, b, _ in CYCLIC_AXES] \
         + [operators._bracket(L[0], Lam[0])]
     groups = {s: [i for i, op in enumerate(ops) if op[0] == s] for s in (-2, 0, 2)}
     bases = {s: np.column_stack([operators._flat(ops[i][1]) for i in m])
