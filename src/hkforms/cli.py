@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="random seed for sampled checks (default 7)")
     parser.add_argument("--out", type=Path, default=None,
                         help="output directory for reports (default: no files)")
-    parser.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None,
+    parser.add_argument("--format", choices=["json", "csv"], default=None,
                         help="report format (profiles are always CSV)")
     parser.add_argument("--tol-scale", type=float, default=None,
                         help="multiply all tolerances by this factor (default 1)")
@@ -42,10 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _CONFIG_TYPES = {"suite": str, "seed": int, "tol_scale": (int, float), "out": str, "format": str}
+_CONFIG_DEFAULTS = {"suite": "all", "seed": 7, "tol_scale": 1.0, "out": None, "format": "json"}
 
 
 def load_config(args: argparse.Namespace) -> tuple[str, SuiteConfig, Path | None, str]:
-    """Merge the config file under the flags; a bad file or value raises ValueError."""
+    """Merge flag over config file over default; a bad file or value raises ValueError."""
     file_cfg: dict = {}
     if args.config is not None:
         try:
@@ -58,18 +59,16 @@ def load_config(args: argparse.Namespace) -> tuple[str, SuiteConfig, Path | None
         for key, value in file_cfg.items():   # JSON true and false load as bool, an int
             if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
                 raise ValueError(f"config {args.config}: {key} has the wrong JSON type: {value!r}")
-    suite = args.suite if args.suite is not None else file_cfg.get("suite", "all")
-    seed = args.seed if args.seed is not None else file_cfg.get("seed", 7)
-    tol_scale = args.tol_scale if args.tol_scale is not None \
-        else float(file_cfg.get("tol_scale", 1.0))
-    out = args.out if args.out is not None else (
-        Path(file_cfg["out"]) if "out" in file_cfg else None)
-    fmt = args.fmt if args.fmt is not None else file_cfg.get("format", "json")
+    flags = {key: value for key, value in vars(args).items()
+             if key in _CONFIG_DEFAULTS and value is not None}
+    cfg = {**_CONFIG_DEFAULTS, **file_cfg, **flags}
+    out = None if cfg["out"] is None else Path(cfg["out"])
+    fmt = cfg["format"]
     if fmt not in ("json", "csv"):
         raise ValueError(f"format must be json or csv, not {fmt!r}")
     if out is not None and out.exists() and not out.is_dir():
         raise ValueError(f"output path {out} exists and is not a directory")
-    return suite, SuiteConfig(seed=seed, tol_scale=tol_scale), out, fmt
+    return cfg["suite"], SuiteConfig(seed=cfg["seed"], tol_scale=cfg["tol_scale"]), out, fmt
 
 
 def _write_outputs(out: Path, fmt: str, payload: dict, records, details: dict) -> None:

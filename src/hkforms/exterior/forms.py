@@ -189,13 +189,12 @@ def _hodge_table(dim: int, degree: int) -> tuple[tuple[MultiIndex, int], ...]:
     return tuple(table)
 
 
-def hodge_star(a: FormVector, metric: np.ndarray | None = None,
-               orientation: int = 1) -> FormVector:
+def hodge_star(a: FormVector, metric: np.ndarray | None = None) -> FormVector:
     """Hodge dual of a pure-degree form: alpha ^ *beta = <alpha, beta> vol."""
     p = a.degree()
     n = a.dim
     g = np.eye(n) if metric is None else np.asarray(metric, dtype=float)
-    vol_scale = orientation * math.sqrt(np.linalg.det(g))
+    vol_scale = math.sqrt(np.linalg.det(g))
     gp = form_gram(g, p) if metric is not None else None
     va = a.to_vector(p)
     weighted = va if gp is None else gp @ va

@@ -377,7 +377,7 @@ def duality_sign(forms: list[FormVector], structure: QuaternionicStructure) -> i
     """+1 if every form is self-dual, -1 if anti-self-dual; raises otherwise."""
     signs = set()
     for f in forms:
-        s = hodge_star(f, orientation=structure.orientation)
+        s = hodge_star(f)
         if (s - f).norm() <= 1e-10 * f.norm():
             signs.add(+1)
         elif (s + f).norm() <= 1e-10 * f.norm():

@@ -39,11 +39,10 @@ def _block_repeat(M: np.ndarray, copies: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuaternionicStructure:
-    """Metric, orientation and a quaternionic triple I, J, K on R^{4k}."""
+    """Metric and a quaternionic triple I, J, K on R^{4k}."""
 
     dim: int
     metric: np.ndarray = None
-    orientation: int = 1
     I: np.ndarray = None
     J: np.ndarray = None
     K: np.ndarray = None
@@ -63,8 +62,6 @@ class QuaternionicStructure:
             M = np.array(getattr(self, name), dtype=float)
             M.flags.writeable = False
             object.__setattr__(self, name, M)
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
         self._validate()
 
     @property

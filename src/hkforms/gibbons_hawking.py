@@ -226,7 +226,7 @@ def shell_volume(d: GHData, r: float) -> float:
     return d.tau_period * 4.0 * math.pi * (7.0 * r ** 3 / 3.0 + 1.5 * d.m * r ** 2)
 
 
-def cutoff_cross_term(d: GHData, r: float, seed: int = 0) -> float:
+def cutoff_cross_term(d: GHData, r: float, seed: int) -> float:
     """Numeric surrogate for the annulus cross-term in the cutoff argument.
 
     sup over _CUTOFF_SAMPLES random shell points of (K/|x|) (c1 |x| + c0)

@@ -320,7 +320,7 @@ def euler_exponents(rho: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_euler_operator(rho))
 
 
-def ivp_tangent(state: NahmState, scalars: np.ndarray, seed: int = 0) -> TangentState:
+def ivp_tangent(state: NahmState, scalars: np.ndarray, seed: int) -> TangentState:
     """Linearized solution from the left end of a one-pole state, in closed form.
 
     Initial data A_i(eps) = scalars_i * i * Id + eps * eta_i with random

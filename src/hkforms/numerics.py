@@ -161,7 +161,7 @@ def _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, depth):
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-10, rel: float = 0.0) -> float:
+                     tol: float, rel: float = 0.0) -> float:
     """Adaptive Simpson quadrature with the usual Richardson correction.
 
     `tol` is absolute; when `rel` is nonzero the effective tolerance is
@@ -229,8 +229,8 @@ def gauss_kronrod(f: Callable[[float], float], a: float, b: float, tol: float) -
     return _kronrod_recurse(f, a, b, tol, 48)
 
 
-def integrate_to_infinity(f: Callable[[float], float], a: float, scale: float = 1.0,
-                          tol: float = 1e-10) -> float:
+def integrate_to_infinity(f: Callable[[float], float], a: float, scale: float,
+                          tol: float) -> float:
     """Integrate f over (a, inf) via the rational substitution x = a + s*u/(1-u)."""
     # adaptive_simpson samples g on [0, 1 - 1e-14] only, so 1 - u never vanishes
     def g(u):
@@ -298,7 +298,7 @@ for _perm in itertools.permutations(range(4)):
     _EPS4[_perm] = (-1.0) ** sum(a > b for a, b in itertools.combinations(_perm, 2))
 
 
-def hodge_star_2form(beta: np.ndarray, g: np.ndarray, orientation: float = 1.0) -> np.ndarray:
+def hodge_star_2form(beta: np.ndarray, g: np.ndarray, orientation: float) -> np.ndarray:
     """Hodge dual of a 2-form (antisymmetric 4x4 coefficient matrix).
 
     `g` is the metric in the same coordinates; `orientation` is the sign of

@@ -23,8 +23,7 @@ class ReportRecord:
 
     `anchor` names the mathematical identity or quantity being checked (or
     "plumbing" for infrastructure checks); `mode` is how `measured` relates
-    to `expected`: "le" bounds, "eq" exact equality, "approx" closeness
-    already folded into the pass flag.
+    to `expected`: "le" bounds, "eq" exact equality.
     """
 
     suite: str
@@ -36,22 +35,30 @@ class ReportRecord:
     passed: bool
 
 
-def bounded(suite: str, check: str, anchor: str, measured: float, bound: float) -> ReportRecord:
-    return ReportRecord(suite, check, anchor, "le", float(measured), float(bound),
-                        bool(measured <= bound))
+class Records(list):
+    """One suite's records: stamps the suite name, scales every `le` bound by tol_scale."""
 
+    def __init__(self, suite: str, tol_scale: float):
+        super().__init__()
+        self.suite = suite
+        self.tol_scale = tol_scale
 
-def exact(suite: str, check: str, anchor: str, measured: float, expected: float) -> ReportRecord:
-    return ReportRecord(suite, check, anchor, "eq", float(measured), float(expected),
-                        bool(measured == expected))
+    def le(self, check: str, anchor: str, measured: float, bound: float) -> None:
+        bound = bound * self.tol_scale
+        self.append(ReportRecord(self.suite, check, anchor, "le", float(measured),
+                                 float(bound), bool(measured <= bound)))
 
+    def eq(self, check: str, anchor: str, measured: float, expected: float) -> None:
+        self.append(ReportRecord(self.suite, check, anchor, "eq", float(measured),
+                                 float(expected), bool(measured == expected)))
 
-def flag(suite: str, check: str, anchor: str, ok: bool) -> ReportRecord:
-    return ReportRecord(suite, check, anchor, "eq", float(bool(ok)), 1.0, bool(ok))
+    def flag(self, check: str, anchor: str, ok: bool) -> None:
+        self.append(ReportRecord(self.suite, check, anchor, "eq", float(bool(ok)), 1.0,
+                                 bool(ok)))
 
 
 def report_payload(records: list[ReportRecord], *, suite: str, seed: int,
-                   tol_scale: float, details: dict | None = None) -> dict:
+                   tol_scale: float, details: dict) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "suite": suite,
@@ -61,7 +68,7 @@ def report_payload(records: list[ReportRecord], *, suite: str, seed: int,
         "counts": {"total": len(records),
                    "failed": sum(0 if r.passed else 1 for r in records)},
         "records": [asdict(r) for r in records],
-        "details": details or {},
+        "details": details,
     }
 
 
@@ -87,32 +94,28 @@ def emit_json(payload: dict, path: Path) -> bytes:
     return data
 
 
-def emit_csv(records: list[ReportRecord], path: Path) -> bytes:
-    lines = [",".join(CSV_FIELDS)]
-    for r in records:
-        d = asdict(r)
-        cells = []
-        for f in CSV_FIELDS:
-            v = d[f]
-            if isinstance(v, float):
-                cells.append("%.17g" % v)
-            elif isinstance(v, bool):
-                cells.append("true" if v else "false")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+def _cell(value) -> str:
+    """The one CSV cell rule: 17 significant digits, true/false, or str."""
+    if isinstance(value, float):
+        return "%.17g" % value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _write_table(header, rows, path: Path) -> bytes:
+    """One CSV file: a header line, then one line of cells per row."""
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
     data = ("\n".join(lines) + "\n").encode()
     path.write_bytes(data)
     return data
+
+
+def emit_csv(records: list[ReportRecord], path: Path) -> bytes:
+    return _write_table(CSV_FIELDS, ([getattr(r, f) for f in CSV_FIELDS] for r in records), path)
 
 
 def emit_profile_csv(columns: dict[str, list], path: Path) -> bytes:
     """Plot-ready numeric table with 17-significant-digit formatting."""
-    names = list(columns.keys())
-    rows = zip(*(columns[n] for n in names))
-    lines = [",".join(names)]
-    for row in rows:
-        lines.append(",".join("%.17g" % float(v) for v in row))
-    data = ("\n".join(lines) + "\n").encode()
-    path.write_bytes(data)
-    return data
+    return _write_table(columns, zip(*([float(v) for v in col] for col in columns.values())),
+                        path)

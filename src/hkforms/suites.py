@@ -2,7 +2,7 @@
 
 Suites are deterministic given (seed, tol_scale).  Each runner writes its
 bounds as contract values; `tol_scale` multiplies the bound of every `le`
-record, fitted slopes and exponents included, in one place (`_Records.le`).
+record, fitted slopes and exponents included, in one place (`report.Records.le`).
 Random sampling uses a fresh numpy Generator seeded per suite.
 """
 
@@ -33,9 +33,7 @@ from .exterior import (
 )
 from .numerics import partial_derivative
 from .quotient import GroupActionSpec, QuotientChart, calabi_orbit_data, growth_check
-from .report import ReportRecord, bounded, exact, flag
-
-SUITE_NAMES = ("algebra", "taubnut", "bianchi", "quotient", "nahm")
+from .report import Records, ReportRecord
 
 
 @dataclass(frozen=True)
@@ -47,27 +45,13 @@ class SuiteConfig:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, not {self.seed!r}")
         scale = self.tol_scale
-        if isinstance(scale, bool) or not isinstance(scale, numbers.Real) \
-                or not (math.isfinite(scale) and scale > 0):
+        try:    # math.isfinite overflows on an int past the float range
+            ok = not isinstance(scale, bool) and isinstance(scale, numbers.Real) \
+                and math.isfinite(scale) and scale > 0
+        except OverflowError:
+            ok = False
+        if not ok:
             raise ValueError(f"tolerance scale must be finite and positive, not {scale!r}")
-
-
-class _Records(list):
-    """One suite's records: stamps the suite name, scales every `le` bound by tol_scale."""
-
-    def __init__(self, suite: str, config: SuiteConfig):
-        super().__init__()
-        self.suite = suite
-        self.tol_scale = config.tol_scale
-
-    def le(self, check: str, anchor: str, measured: float, bound: float) -> None:
-        self.append(bounded(self.suite, check, anchor, measured, bound * self.tol_scale))
-
-    def eq(self, check: str, anchor: str, measured: float, expected: float) -> None:
-        self.append(exact(self.suite, check, anchor, measured, expected))
-
-    def flag(self, check: str, anchor: str, ok: bool) -> None:
-        self.append(flag(self.suite, check, anchor, ok))
 
 
 def _random_form(rng, dim, degree):
@@ -82,7 +66,7 @@ def _random_form(rng, dim, degree):
 
 def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     rng = np.random.default_rng(config.seed)
-    rec = _Records("algebra", config)
+    rec = Records("algebra", config.tol_scale)
     details: dict = {}
 
     Q4, Q8 = QuaternionicStructure(4), QuaternionicStructure(8)
@@ -157,7 +141,7 @@ _TAUBNUT_MASS = 1.0
 def run_taubnut(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     m = _TAUBNUT_MASS
     rng = np.random.default_rng(config.seed + 1)
-    rec = _Records("taubnut", config)
+    rec = Records("taubnut", config.tol_scale)
     data = gh.GHData(m=m)
 
     points = []
@@ -219,7 +203,7 @@ def run_taubnut(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
 
 def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     rng = np.random.default_rng(config.seed + 2)
-    rec = _Records("bianchi", config)
+    rec = Records("bianchi", config.tol_scale)
 
     ah = bx.atiyah_hitchin_model_profile()
     eh = bx.eguchi_hanson_profile(0.5)
@@ -337,7 +321,7 @@ def _eguchi_hanson_deviation(chart: QuotientChart, profile: bx.BianchiProfile,
 
 def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     rng = np.random.default_rng(config.seed + 3)
-    rec = _Records("quotient", config)
+    rec = Records("quotient", config.tol_scale)
     details: dict = {}
 
     for model, shift in (("taubnut_R", 0.0), ("calabi_circle", 0.5)):
@@ -413,7 +397,7 @@ def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
 # nahm
 # ---------------------------------------------------------------------------
 
-def _euler_record(rec: _Records, rho: np.ndarray) -> list[float]:
+def _euler_record(rec: Records, rho: np.ndarray) -> list[float]:
     """Record the distance of rho's Euler exponents from {-2, -1 (x3), 0 (x3), 1 (x5)}."""
     lam = nahm.euler_exponents(rho)
     distance = float(np.abs(lam - np.array(nahm.EULER_EXPONENTS)).max())
@@ -422,7 +406,7 @@ def _euler_record(rec: _Records, rho: np.ndarray) -> list[float]:
 
 
 def run_nahm(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
-    rec = _Records("nahm", config)
+    rec = Records("nahm", config.tol_scale)
     eta = 1j * np.array([[0.1, 0.4 - 0.2j], [0.4 + 0.2j, -0.1]])
     xi = 1j * np.array([[0.3, 0.2 + 0.1j], [0.2 - 0.1j, -0.3]])
 
@@ -516,6 +500,7 @@ _RUNNERS = {
     "quotient": run_quotient,
     "nahm": run_nahm,
 }
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 # numerical faults a suite may raise; each becomes one failed record
@@ -526,8 +511,9 @@ def _run_isolated(suite: str, config: SuiteConfig) -> tuple[list[ReportRecord], 
     try:
         return _RUNNERS[suite](config)
     except SUITE_FAULTS as exc:
-        return ([flag(suite, "suite-error", "plumbing", False)],
-                {"error": f"{type(exc).__name__}: {exc}"})
+        rec = Records(suite, config.tol_scale)
+        rec.flag("suite-error", "plumbing", False)
+        return rec, {"error": f"{type(exc).__name__}: {exc}"}
 
 
 def run_suite(name: str, config: SuiteConfig) -> tuple[list[ReportRecord], dict]:

@@ -10,8 +10,10 @@ called `norm` counts as used wherever any `.norm` is read.
 A default that no call in src/ or perfbench/ (the program's traffic) passes
 is a knob nobody turns: make it a module constant.  A call in tests/ does not
 count, unless the default is a test's reference implementation listed in
-ALLOWED_DEFAULTS.  Calls are matched by the called identifier, as above; a
-call passes a parameter by keyword, by position, or through *args/**kwargs.
+ALLOWED_DEFAULTS.  A default that every call of the traffic passes is a value
+the program never uses: make the parameter required.  Calls are matched by
+the called identifier, as above; a call passes a parameter by keyword, by
+position, or through *args/**kwargs.
 
 Every function that perfbench's tracer wraps by name must still exist.
 """
@@ -111,9 +113,9 @@ def _passes(call: ast.Call, name: str, position: int | None) -> bool:
     return position is not None and len(call.args) > position
 
 
-def unset_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
-    """`module.function parameter` for each default of a public function in
-    `sources` that no call in `callers` (texts) passes."""
+def _default_passes(sources: dict[str, str], callers: list[str]):
+    """(`module.function parameter`, whether each call in `callers` (texts) passes
+    it) for each default of a public function in `sources`."""
     calls: dict[str, list[ast.Call]] = {}
     for text in callers:
         for node in ast.walk(ast.parse(text)):
@@ -122,7 +124,6 @@ def unset_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
                 name = func.id if isinstance(func, ast.Name) else \
                     func.attr if isinstance(func, ast.Attribute) else None
                 calls.setdefault(name, []).append(node)
-    out = []
     for module, text in sources.items():
         for qualified, definition in _public_definitions(module, ast.parse(text)):
             if not isinstance(definition, ast.FunctionDef):
@@ -132,9 +133,19 @@ def unset_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
                 isinstance(d, ast.Name) and d.id == "staticmethod"
                 for d in definition.decorator_list)
             for name, position in _defaults(definition, bound):
-                if not any(_passes(call, name, position) for call in calls.get(definition.name, [])):
-                    out.append(f"{qualified} {name}")
-    return out
+                yield f"{qualified} {name}", [_passes(call, name, position)
+                                              for call in calls.get(definition.name, [])]
+
+
+def unset_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Each default that no call in `callers` passes."""
+    return [default for default, passed in _default_passes(sources, callers) if not any(passed)]
+
+
+def overridden_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Each default that some call in `callers` passes, and every call does."""
+    return [default for default, passed in _default_passes(sources, callers)
+            if passed and all(passed)]
 
 
 def _traffic(sources: dict[str, str]) -> list[str]:
@@ -165,6 +176,27 @@ def test_guard_sees_an_unset_default():
     test_only = "def test_lift():\n    assert Chart().lift(1.0, 1e-3, order=4) == 1.0\n"
     assert unset_defaults(sources, callers + [test_only]) == ["b.Chart.pack w"]
     assert unset_defaults(sources, callers) == ["b.Chart.lift order", "b.Chart.pack w"]
+
+
+def test_no_default_is_passed_by_every_call():
+    sources = _src_sources()
+    assert overridden_defaults(sources, _traffic(sources)) == []
+
+
+def test_guard_sees_a_default_that_every_call_passes():
+    sources = {
+        "a": "def solve(u, tol=1e-12, *, steps=3, seed=0):\n    return u\n",
+        "b": "class Chart:\n    def lift(self, u, h=1e-4):\n        return u\n",
+    }
+    callers = list(sources.values()) + [
+        "solve(1.0, 1e-9, seed=1)\nsolve(2.0, tol=1e-6, seed=2)\nChart().lift(1.0, 1e-3)\n"]
+    # steps is passed by no call: unset, not overridden
+    assert overridden_defaults(sources, callers) == ["a.solve tol", "a.solve seed",
+                                                     "b.Chart.lift h"]
+    assert unset_defaults(sources, callers) == ["a.solve steps"]
+    # one call that keeps a default clears it
+    assert overridden_defaults(sources, callers + ["solve(3.0, seed=3)\n"]) == [
+        "a.solve seed", "b.Chart.lift h"]
 
 
 def _perfbench_spans():

@@ -3,35 +3,53 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hkforms import bianchi as bx
 from hkforms import suites
-from hkforms.cli import main
+from hkforms.cli import build_parser, load_config, main
 from hkforms.report import (
     CSV_FIELDS,
+    Records,
     ReportRecord,
-    bounded,
     emit_csv,
     emit_json,
     emit_profile_csv,
-    flag,
     report_payload,
 )
 from hkforms.suites import SuiteConfig, run_suite
 
 
 def test_bounded_record_pass_fail():
-    assert bounded("s", "c", "a", 1e-13, 1e-12).passed
-    assert not bounded("s", "c", "a", 1e-11, 1e-12).passed
+    rec = Records("s", 1.0)
+    rec.le("c", "a", 1e-13, 1e-12)
+    rec.le("c", "a", 1e-11, 1e-12)
+    assert [r.passed for r in rec] == [True, False]
+    # the scale multiplies the bound before the comparison
+    scaled = Records("s", 100.0)
+    scaled.le("c", "a", 1e-11, 1e-12)
+    assert scaled == [ReportRecord("s", "c", "a", "le", 1e-11, 1e-12 * 100.0, True)]
+
+
+def test_exact_and_flag_records_ignore_the_scale():
+    rec = Records("s", 1e-6)
+    rec.eq("e", "a", 3, 3)
+    rec.eq("e", "a", 2, 3)
+    rec.flag("f", "a", np.bool_(False))
+    assert rec == [ReportRecord("s", "e", "a", "eq", 3.0, 3.0, True),
+                   ReportRecord("s", "e", "a", "eq", 2.0, 3.0, False),
+                   ReportRecord("s", "f", "a", "eq", 0.0, 1.0, False)]
+    assert all(type(r.measured) is float and type(r.passed) is bool for r in rec)
 
 
 def test_json_roundtrip(tmp_path):
-    records = [bounded("s", "c1", "a", 0.5, 1.0),
-               ReportRecord("s", "c2", "plumbing", "eq", 3.0, 3.0, True)]
-    payload = report_payload(records, suite="s", seed=1, tol_scale=1.0)
+    records = Records("s", 1.0)
+    records.le("c1", "a", 0.5, 1.0)
+    records.eq("c2", "plumbing", 3.0, 3.0)
+    payload = report_payload(records, suite="s", seed=1, tol_scale=1.0, details={})
     data = emit_json(payload, tmp_path / "r.json")
     parsed = json.loads(data)
     assert parsed == payload
@@ -40,7 +58,9 @@ def test_json_roundtrip(tmp_path):
 
 
 def test_csv_stable_columns(tmp_path):
-    records = [bounded("s", f"c{i}", "a", float(i), 10.0) for i in range(5)]
+    records = Records("s", 1.0)
+    for i in range(5):
+        records.le(f"c{i}", "a", float(i), 10.0)
     data = emit_csv(records, tmp_path / "r.csv").decode()
     lines = data.strip().split("\n")
     assert lines[0] == ",".join(CSV_FIELDS)
@@ -101,6 +121,34 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "override" / "report.json").read_text())
     assert report["seed"] == 12
+
+
+# key: (its flag, the flag's value, a config-file value, the default)
+_MERGE_CASES = {
+    "suite": (["--suite", "algebra"], "algebra", "taubnut", "all"),
+    "seed": (["--seed", "12"], 12, 11, 7),
+    "tol_scale": (["--tol-scale", "0.5"], 0.5, 2.5, 1.0),
+    "out": (["--out", "flag_out"], Path("flag_out"), "file_out", None),
+    "format": (["--format", "json"], "json", "csv", "json"),
+}
+
+
+def _merged(argv: list[str], key: str):
+    suite, config, out, fmt = load_config(build_parser().parse_args(argv))
+    return {"suite": suite, "seed": config.seed, "tol_scale": config.tol_scale,
+            "out": out, "format": fmt}[key]
+
+
+@pytest.mark.parametrize("key", list(_MERGE_CASES))
+def test_load_config_takes_flag_over_file_over_default(tmp_path, monkeypatch, key):
+    monkeypatch.chdir(tmp_path)
+    argv, flag_value, file_value, default = _MERGE_CASES[key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: file_value}))
+    assert _merged([], key) == default
+    assert _merged(["--config", str(cfg)], key) == (Path(file_value) if key == "out"
+                                                    else file_value)
+    assert _merged(["--config", str(cfg)] + argv, key) == flag_value
 
 
 def test_cli_tol_scale_tightening_can_fail(tmp_path, capsys):
@@ -211,6 +259,10 @@ def test_suite_config_validation():
         with pytest.raises(ValueError, match=re.escape(f"not {seed!r}")):
             SuiteConfig(seed=seed)
     assert SuiteConfig(seed=0).seed == 0
+    # an int past the float range is refused like inf, not with an OverflowError
+    with pytest.raises(ValueError, match=re.escape(f"finite and positive, not {10 ** 400}")):
+        SuiteConfig(tol_scale=10 ** 400)
+    assert SuiteConfig(tol_scale=2).tol_scale == 2
 
 
 @pytest.mark.parametrize("flag", [["--tol-scale", "nan"], ["--tol-scale", "inf"],
@@ -229,7 +281,9 @@ def _raise(exc):
 
 def _passing(name):
     def runner(config):
-        return [flag(name, "ran", "plumbing", True)], {"ran": True}
+        rec = Records(name, config.tol_scale)
+        rec.flag("ran", "plumbing", True)
+        return rec, {"ran": True}
     return runner
 
 
@@ -302,6 +356,17 @@ def test_cli_refuses_a_config_value_of_the_wrong_json_type(tmp_path, monkeypatch
         f"error: config {cfg}: {key} has the wrong JSON type: {value!r}\n"
 
 
+def test_cli_refuses_a_config_tol_scale_past_the_float_range(tmp_path, monkeypatch, capsys):
+    _no_suite_may_run(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"suite": "taubnut", "tol_scale": 1' + "0" * 400 + "}")
+    out = tmp_path / "report"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == \
+        f"error: tolerance scale must be finite and positive, not {10 ** 400}\n"
+
+
 def test_cli_refuses_an_out_that_is_a_file_before_any_suite_runs(tmp_path, monkeypatch,
                                                                   capsys):
     _no_suite_may_run(monkeypatch)
@@ -329,8 +394,9 @@ def _reject_constant(name):
 
 
 def test_json_non_finite_values_are_strict(tmp_path):
-    records = [bounded("s", "nan", "a", math.nan, 1.0),
-               ReportRecord("s", "inf", "a", "eq", math.inf, -math.inf, False)]
+    records = Records("s", 1.0)
+    records.le("nan", "a", math.nan, 1.0)
+    records.append(ReportRecord("s", "inf", "a", "eq", math.inf, -math.inf, False))
     assert not records[0].passed
     payload = report_payload(records, suite="s", seed=1, tol_scale=1.0,
                              details={"values": [1.5, math.nan, np.float64(-math.inf)],
@@ -346,7 +412,9 @@ def test_json_non_finite_values_are_strict(tmp_path):
 
 
 def test_json_finite_output_unchanged(tmp_path):
-    records = [bounded("s", "c", "a", 1.0 / 3.0, 1e-300), flag("s", "f", "a", True)]
+    records = Records("s", 1.0)
+    records.le("c", "a", 1.0 / 3.0, 1e-300)
+    records.flag("f", "a", True)
     payload = report_payload(records, suite="s", seed=1, tol_scale=0.5,
                              details={"xs": [0.1, -2.5e-17, 1e308], "n": 3, "t": (1.0, "a")})
     data = emit_json(payload, tmp_path / "r.json")

@@ -91,11 +91,6 @@ def test_hodge_star_mixed_degree_rejected():
         hodge_star(mixed)
 
 
-def test_hodge_orientation_flip():
-    a = FormVector(4, {(0, 1): 1.0})
-    assert (hodge_star(a, orientation=-1) + hodge_star(a)).norm() <= 1e-15
-
-
 def test_inner_product_orthonormal():
     a = FormVector(4, {(0, 1): 2.0, (2, 3): 1.0j})
     assert inner(a, a) == pytest.approx(5.0)
@@ -184,11 +179,11 @@ def from_vector_oracle(dim, degree, v):
     return FormVector(dim, {b: v[i] for i, b in enumerate(basis) if v[i] != 0})
 
 
-def hodge_star_oracle(a, metric=None, orientation=1):
+def hodge_star_oracle(a, metric=None):
     p = a.degree()
     n = a.dim
     g = np.eye(n) if metric is None else np.asarray(metric, dtype=float)
-    vol_scale = orientation * math.sqrt(np.linalg.det(g))
+    vol_scale = math.sqrt(np.linalg.det(g))
     gp = form_gram(g, p) if metric is not None else None
     va = to_vector_oracle(a, p)
     weighted = va if gp is None else gp @ va
@@ -235,8 +230,7 @@ def test_vector_round_trip_matches_the_dense_loops(dim, data):
 def test_hodge_star_matches_the_complement_loop(dim, data):
     a = draw_form(data, dim, data.draw(st.integers(0, dim)))
     metric = draw_metric(data, dim)
-    orientation = data.draw(st.sampled_from((1, -1)))
-    assert same(hodge_star(a, metric, orientation), hodge_star_oracle(a, metric, orientation))
+    assert same(hodge_star(a, metric), hodge_star_oracle(a, metric))
 
 
 def test_from_vector_refuses_a_vector_of_the_wrong_length():

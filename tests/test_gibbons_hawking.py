@@ -185,7 +185,7 @@ def test_shell_integral_positive():
 
 
 def test_cutoff_cross_term_decays():
-    vals = [cutoff_cross_term(D1, r) for r in (1e2, 1e3, 1e4, 1e5)]
+    vals = [cutoff_cross_term(D1, r, seed=0) for r in (1e2, 1e3, 1e4, 1e5)]
     assert vals[0] > vals[1] > vals[2] > vals[3]
     # the estimate scales like r^{-1/2}
     assert vals[2] / vals[0] <= 0.2
@@ -299,7 +299,7 @@ def test_cutoff_cross_term_matches_the_per_sample_loop():
 def test_cutoff_cross_term_refuses_a_nonpositive_radius():
     for r in (0.0, -10.0):
         with pytest.raises(ValueError):
-            cutoff_cross_term(D1, r)
+            cutoff_cross_term(D1, r, seed=0)
 
 
 def test_stacked_norm_equals_per_matrix_calls():

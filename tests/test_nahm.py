@@ -29,6 +29,7 @@ from hkforms.nahm import (
     translation_tangent,
 )
 from hkforms.numerics import SU2_BASIS
+from hkforms.report import Records
 
 XI = 1j * np.array([[0.3, 0.2 + 0.1j], [0.2 - 0.1j, -0.3]])
 ETA = 1j * np.array([[0.1, 0.4 - 0.2j], [0.4 + 0.2j, -0.1]])
@@ -401,7 +402,7 @@ def test_euler_exponents_are_integers():
     lam = euler_exponents(RHO)
     assert lam.dtype == float
     assert np.abs(lam - np.array(EULER_EXPONENTS)).max() <= 1e-12
-    rec = suites._Records("nahm", suites.SuiteConfig())
+    rec = Records("nahm", 1.0)
     exponents = suites._euler_record(rec, RHO)
     (record,) = rec
     assert record.passed and record.measured <= 1e-12
@@ -413,7 +414,7 @@ def test_euler_exponents_record_fails_for_negated_residues():
     negated = -RHO
     lam = euler_exponents(negated)
     assert np.abs(lam + np.array(EULER_EXPONENTS[::-1])).max() <= 1e-12
-    rec = suites._Records("nahm", suites.SuiteConfig())
+    rec = Records("nahm", 1.0)
     suites._euler_record(rec, negated)
     (record,) = rec
     assert not record.passed

@@ -235,9 +235,9 @@ def test_gauss_kronrod_matches_scipy_quad(f, a, b):
 
 
 def test_integrate_to_infinity():
-    val = integrate_to_infinity(lambda x: math.exp(-x), 0.0)
+    val = integrate_to_infinity(lambda x: math.exp(-x), 0.0, 1.0, 1e-10)
     assert val == pytest.approx(1.0, rel=1e-9)
-    val = integrate_to_infinity(lambda x: 1.0 / (1.0 + x) ** 2, 0.0)
+    val = integrate_to_infinity(lambda x: 1.0 / (1.0 + x) ** 2, 0.0, 1.0, 1e-10)
     assert val == pytest.approx(1.0, rel=1e-9)
 
 
@@ -295,12 +295,12 @@ def test_hodge_star_flat_two_form():
     g = np.eye(4)
     B = np.zeros((4, 4))
     B[0, 1], B[1, 0] = 1.0, -1.0
-    star = hodge_star_2form(B, g)
+    star = hodge_star_2form(B, g, 1.0)
     expected = np.zeros((4, 4))
     expected[2, 3], expected[3, 2] = 1.0, -1.0
     assert np.abs(star - expected).max() <= 1e-14
     # involution on 2-forms in four dimensions
-    assert np.abs(hodge_star_2form(star, g) - B).max() <= 1e-14
+    assert np.abs(hodge_star_2form(star, g, 1.0) - B).max() <= 1e-14
 
 
 def test_hodge_star_2form_matches_form_star():
@@ -311,7 +311,7 @@ def test_hodge_star_2form_matches_form_star():
     B = M - M.T
     A = rng.standard_normal((4, 4))
     g = A @ A.T + 4.0 * np.eye(4)
-    star = hodge_star_2form(B, g)
+    star = hodge_star_2form(B, g, 1.0)
     form = hodge_star(FormVector(4, {(a, b): B[a, b] for a in range(4) for b in range(a + 1, 4)}),
                       metric=g)
     for (a, b), c in form.coeffs.items():
