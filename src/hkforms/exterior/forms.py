@@ -190,14 +190,17 @@ def _hodge_table(dim: int, degree: int) -> tuple[tuple[MultiIndex, int], ...]:
 
 
 def hodge_star(a: FormVector, metric: np.ndarray | None = None) -> FormVector:
-    """Hodge dual of a pure-degree form: alpha ^ *beta = <alpha, beta> vol."""
+    """Hodge dual of a pure-degree form: alpha ^ *beta = <alpha, beta> vol.
+
+    An exactly flat metric skips `form_gram`, which is then the identity.
+    """
     p = a.degree()
     n = a.dim
     g = np.eye(n) if metric is None else np.asarray(metric, dtype=float)
     vol_scale = math.sqrt(np.linalg.det(g))
-    gp = form_gram(g, p) if metric is not None else None
+    flat = metric is None or np.array_equal(g, np.eye(n))
     va = a.to_vector(p)
-    weighted = va if gp is None else gp @ va
+    weighted = va if flat else form_gram(g, p) @ va
     out: dict = {}
     for (comp, s), w in zip(_hodge_table(n, p), weighted):
         if w != 0:

@@ -374,10 +374,11 @@ def asd_two_form_basis(structure: QuaternionicStructure) -> list[FormVector]:
 
 
 def duality_sign(forms: list[FormVector], structure: QuaternionicStructure) -> int:
-    """+1 if every form is self-dual, -1 if anti-self-dual; raises otherwise."""
+    """+1 if every form is self-dual, -1 if anti-self-dual under the structure's metric;
+    raises otherwise."""
     signs = set()
     for f in forms:
-        s = hodge_star(f)
+        s = hodge_star(f, structure.metric)
         if (s - f).norm() <= 1e-10 * f.norm():
             signs.add(+1)
         elif (s + f).norm() <= 1e-10 * f.norm():

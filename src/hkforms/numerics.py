@@ -100,20 +100,38 @@ def grid_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+# the signed steps of one Richardson difference, in the order it takes them
+_RICHARDSON_STEPS = np.array([[FD_STEP], [-FD_STEP], [FD_STEP / 2.0], [-FD_STEP / 2.0]])
+
+
+def _axis_stencil(x: np.ndarray, axis: int) -> np.ndarray:
+    """x + h e, x - h e, x + h/2 e, x - h/2 e for e the unit vector along axis, as rows."""
+    e = np.zeros_like(x, dtype=float)
+    e[axis] = 1.0
+    return x + _RICHARDSON_STEPS * e
+
+
+def richardson_stencil(x: np.ndarray) -> np.ndarray:
+    """Every point `partial_derivative` queries about x, bit for bit, as rows.
+
+    Row 0 is x; rows 1 + 4k to 4 + 4k are the four points along axis k, so an
+    (n,) point gives a (1 + 4n, n) stencil: 17 rows on a 4-dimensional chart.
+    """
+    x = np.asarray(x, dtype=float)
+    # _axis_stencil's offsets, with e running over the rows of the identity
+    offsets = _RICHARDSON_STEPS * np.eye(x.size)[:, None, :]
+    return np.vstack([x, (x + offsets).reshape(-1, x.size)])
+
+
 def partial_derivative(f: Callable[[np.ndarray], float | np.ndarray], x: np.ndarray,
                        axis: int) -> float | np.ndarray:
     """Richardson-extrapolated central difference (4 D(h/2) - D(h)) / 3, h = FD_STEP.
 
     `f` may return a scalar or an array; arrays are differenced entrywise.
     """
-    e = np.zeros_like(x, dtype=float)
-    e[axis] = 1.0
-
-    def central(step):
-        return (f(x + step * e) - f(x - step * e)) / (2.0 * step)
-
-    d1 = central(FD_STEP)
-    d2 = central(FD_STEP / 2.0)
+    plus, minus, plus_half, minus_half = _axis_stencil(x, axis)
+    d1 = (f(plus) - f(minus)) / (2.0 * FD_STEP)
+    d2 = (f(plus_half) - f(minus_half)) / (2.0 * (FD_STEP / 2.0))
     return (4.0 * d2 - d1) / 3.0
 
 

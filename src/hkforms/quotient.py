@@ -33,7 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .exterior import QuaternionicStructure
-from .numerics import SU2_BASIS, exterior_derivative_at, partial_derivative
+from .numerics import (SU2_BASIS, exterior_derivative_at, partial_derivative,
+                       richardson_stencil)
 
 # d(u_0 + i u_1) and d(u_2 + i u_3) along the four chart directions
 _DU01 = np.array([1.0, 1.0j, 0.0, 0.0])
@@ -54,15 +55,18 @@ def _chart_point(u: np.ndarray) -> np.ndarray:
 
 
 def to_real(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Pack (z, w) in C^n x C^n as the float view of the complex vector (z, w)."""
-    return np.concatenate((z, w), dtype=complex).view(float)
+    """Pack (z, w) in C^n x C^n as the float view of the complex vector (z, w).
+
+    Stacks of points, (..., n) each, pack along the last axis.
+    """
+    return np.ascontiguousarray(np.concatenate((z, w), axis=-1, dtype=complex)).view(float)
 
 
 def to_complex(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(z, w) as views of p; callers only read them."""
+    """(z, w) as views of p, one point or a stack of them; callers only read them."""
     c = np.ascontiguousarray(p, dtype=float).view(complex)
-    n = c.size // 2
-    return c[:n], c[n:]
+    n = c.shape[-1] // 2
+    return c[..., :n], c[..., n:]
 
 
 @lru_cache(maxsize=None)
@@ -95,9 +99,14 @@ class GroupActionSpec:
     # -- the infinitesimal action ---------------------------------------------
 
     def generator(self, z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Y at (z, w), or at each of a stack of points, (..., 2) each."""
+        z, w = np.asarray(z, complex), np.asarray(w, complex)
         if self.model == "taubnut_R":
-            return np.array([1j * z[0], 1.0 + 0j]), np.array([-1j * w[0], 0.0 + 0j])
-        return 1j * np.asarray(z, complex), -1j * np.asarray(w, complex)
+            dz, dw = np.zeros_like(z), np.zeros_like(w)
+            dz[..., 0], dz[..., 1] = 1j * z[..., 0], 1.0
+            dw[..., 0] = -1j * w[..., 0]
+            return dz, dw
+        return 1j * z, -1j * w
 
     def generator_real(self, p: np.ndarray) -> np.ndarray:
         return to_real(*self.generator(*to_complex(p)))
@@ -119,9 +128,12 @@ class GroupActionSpec:
         return max(abs(mu1), abs(muc))
 
     def moment_gradient_rows(self, p: np.ndarray) -> np.ndarray:
-        """Real gradients of (mu_1, Re mu^c, Im mu^c) as rows: d mu_a = iota(Y) omega_a."""
+        """Real gradients of (mu_1, Re mu^c, Im mu^c) as rows: d mu_a = iota(Y) omega_a.
+
+        A stack of points, (n, 8), gives a stack of row triples, (n, 3, 8).
+        """
         Y = self.generator_real(p)
-        return np.vstack([Y @ self.structure.omega_matrix(axis) for axis in (1, 2, 3)])
+        return np.stack([Y @ self.structure.omega_matrix(axis) for axis in (1, 2, 3)], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +157,13 @@ class QuotientChart:
     by hand from the same intermediates, and the projector P is written out
     from the orthogonal frame (Y, IY, JY, KY) of the vertical space.  P
     itself is not kept: T+ P = T+, so a pushed-down field is T+ applied to
-    the ambient one.  Each frame is built once and kept in a memo on the
-    instance, keyed by the exact bytes of u, because the finite-difference
-    stencils of the checks revisit the same 17 points (u, u +- h e_k,
-    u +- h/2 e_k).  `chart_tangents`, `pushdown_field` and `kahler_form`
-    read from it.  The memo lives as long as the chart, is cleared once it holds
+    the ambient one.  Frames are kept in a memo on the instance, keyed by
+    the exact bytes of u, and the memo is filled one stencil at a time: a
+    miss at u builds, in one stacked pass, the frames of all 17 points that
+    the checks' finite differences visit about u (u, u +- h e_k,
+    u +- h/2 e_k; numerics.richardson_stencil).  `chart_tangents`,
+    `pushdown_field` and `kahler_form` read from it.  The memo lives as long
+    as the chart, is cleared before a stencil would take it past
     _FRAME_MEMO_SIZE frames, and its arrays are read-only.  Every finite
     difference on the chart uses the step numerics.FD_STEP.
     """
@@ -160,47 +174,65 @@ class QuotientChart:
 
     # -- the chart map --------------------------------------------------------------
 
-    def _chart_map(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The representative p at u and its 8 x 4 real Jacobian, differentiated by hand.
+    def _chart_map(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Representatives, (n, 8), and real 8 x 4 Jacobians, (n, 8, 4), at chart points U, (n, 4).
 
-        Along the four chart directions Re(conj(x) dx) is (u_0, u_1, 0, 0) for
-        x = u_0 + i u_1 and (0, 0, u_2, u_3) for x = u_2 + i u_3.
+        The Jacobians are differentiated by hand.  Along the four chart
+        directions Re(conj(x) dx) is (u_0, u_1, 0, 0) for x = u_0 + i u_1 and
+        (0, 0, u_2, u_3) for x = u_2 + i u_3.  U[0] is the point asked for: if
+        it lies outside the Calabi level-set domain this raises ValueError,
+        while any later row outside it (a stencil neighbour past the edge)
+        comes back as NaN.  Every row is rounded, bit for bit, as numpy's
+        scalar arithmetic rounds the same formulas at that one point: |x|^2
+        is libm's pow(|x|, 2) (an array `**` squares instead), and
+        w_2 = -i z_1 w_1 is written out in reals (numpy's array complex
+        product rounds otherwise).
         """
         spec = self.spec
+        u0, u1, u2, u3 = U.T
+        sq = lambda a, b: np.float_power(np.hypot(a, b), 2)
         if spec.model == "taubnut_R":
-            z1 = u[0] + 1j * u[1]
-            w1 = u[2] + 1j * u[3]
-            z = np.array([z1, 1j * (0.5 * (abs(z1) ** 2 - abs(w1) ** 2) - spec.level_shift)])
-            w = np.array([w1, -1j * z1 * w1])
+            z1 = u0 + 1j * u1
+            w1 = u2 + 1j * u3
+            z2 = 1j * (0.5 * (sq(u0, u1) - sq(u2, u3)) - spec.level_shift)
+            t = -1j * z1    # w2 = t w1 = -i z1 w1
+            w2 = np.empty_like(z1)
+            w2.real = t.real * w1.real - t.imag * w1.imag
+            w2.imag = t.real * w1.imag + t.imag * w1.real
+            z, w = np.array([z1, z2]).T, np.array([w1, w2]).T
             dz1, dw1 = _DU01, _DU23
-            dz2 = 1j * u * np.array([1.0, 1.0, -1.0, -1.0])   # i (Re(z1* dz1) - Re(w1* dw1))
-            rows = (dz1, dz2, dw1, -1j * (dz1 * w1 + z1 * dw1))
+            dz2 = 1j * U * np.array([1.0, 1.0, -1.0, -1.0])   # i (Re(z1* dz1) - Re(w1* dw1))
+            rows = (dz1, dz2, dw1, -1j * (dz1 * w1[:, None] + z1[:, None] * dw1))
         else:
-            zeta = u[0] + 1j * u[1]
-            eta = u[2] + 1j * u[3]
+            zeta = u0 + 1j * u1
+            eta = u2 + 1j * u3
             dzeta, deta = _DU01, _DU23
             level = 2.0 * spec.level_shift  # mu_1 = 0 <=> |z|^2 - |w|^2 = 2 shift
-            denom = 1.0 + abs(zeta) ** 2
-            mu_sq = abs(eta) ** 2 + level / denom
-            if mu_sq <= 0:
+            denom = 1.0 + sq(u0, u1)
+            mu_sq = sq(u2, u3) + level / denom
+            if mu_sq[0] <= 0:
                 raise ValueError("chart parameter outside the level-set domain")
-            mu = math.sqrt(mu_sq)
-            z = mu * np.array([1.0, zeta])
-            w = eta * np.array([-zeta, 1.0])
+            mu = np.sqrt(np.where(mu_sq > 0, mu_sq, np.nan))
+            one = np.ones(len(U))
+            z = mu[:, None] * np.array([one, zeta]).T
+            w = eta[:, None] * np.array([-zeta, one]).T
             # mu dmu = Re(eta* deta) - level Re(zeta* dzeta) / denom^2
-            c = -level / denom ** 2
-            dmu = u * np.array([c, c, 1.0, 1.0]) / mu
+            c = -level / np.float_power(denom, 2)
+            dmu = U * np.array([c, c, one, one]).T / mu[:, None]
+            zeta, eta, mu = zeta[:, None], eta[:, None], mu[:, None]
             rows = (dmu, dmu * zeta + mu * dzeta, -(deta * zeta + eta * dzeta), deta)
         # complex rows (dz_1, dz_2, dw_1, dw_2), one column per chart direction,
         # split into (Re, Im) row pairs as to_real packs them
-        C = np.array(rows, dtype=complex)
-        J = np.empty((8, 4))
-        J[0::2] = C.real
-        J[1::2] = C.imag
+        C = np.empty((len(U), 4, 4), dtype=complex)
+        for k, row in enumerate(rows):
+            C[:, k] = row
+        J = np.empty((len(U), 8, 4))
+        J[:, 0::2] = C.real
+        J[:, 1::2] = C.imag
         return to_real(z, w), J
 
     def representative(self, u: np.ndarray) -> np.ndarray:
-        return self._chart_map(_chart_point(u))[0]
+        return self._chart_map(_chart_point(u)[None])[0][0]
 
     def solve_level_set(self, u: np.ndarray) -> np.ndarray:
         """Representative with a Newton polish; residual must meet _LEVEL_SET_TOL."""
@@ -225,28 +257,38 @@ class QuotientChart:
         The moment-gradient rows IY, JY, KY and the generator Y span the
         vertical space; on flat space the four are mutually orthogonal with
         norm |Y|, so the projector is I - R^T R / |Y|^2 for R stacking them.
+        A stack of points, (n, 8), gives a stack of projectors, (n, 8, 8).
         """
         Y = self.spec.generator_real(p)
-        R = np.vstack([self.spec.moment_gradient_rows(p), Y])
-        return np.eye(Y.size) - R.T @ R / (Y @ Y)
+        R = np.concatenate([self.spec.moment_gradient_rows(p), Y[..., None, :]], axis=-2)
+        return np.eye(Y.shape[-1]) - np.swapaxes(R, -1, -2) @ R / (Y[..., None, :] @ Y[..., None])
 
     def _frame(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(p, T, T+) at u: representative, tangent columns T = P J and the
-        left inverse T+ = (T^T T)^{-1} T^T."""
+        left inverse T+ = (T^T T)^{-1} T^T.
+
+        A miss builds the frames of u's whole Richardson stencil in one stacked
+        pass and keeps every one of them except a neighbour's NaN frame.
+        """
         u = _chart_point(u)
         key = u.tobytes()
         frame = self._frames.get(key)
         if frame is not None:
             return frame
-        p, J = self._chart_map(u)
+        stencil = richardson_stencil(u)
+        p, J = self._chart_map(stencil)
         T = self.projector(p) @ J
-        frame = (p, T, np.linalg.solve(T.T @ T, T.T))
-        for arr in frame:
+        Tt = np.swapaxes(T, -1, -2)
+        T_pinv = np.linalg.solve(Tt @ T, Tt)
+        for arr in (p, T, T_pinv):
             arr.flags.writeable = False
-        if len(self._frames) >= _FRAME_MEMO_SIZE:
+        if len(self._frames) + len(stencil) > _FRAME_MEMO_SIZE:
             self._frames.clear()
-        self._frames[key] = frame
-        return frame
+        keep = ~np.isnan(p).any(axis=1)
+        keep[0] = True    # u itself, whatever its frame
+        for i in np.flatnonzero(keep):
+            self._frames[stencil[i].tobytes()] = (p[i], T[i], T_pinv[i])
+        return self._frames[key]
 
     def chart_tangents(self, u: np.ndarray) -> np.ndarray:
         """Horizontal lifts of the chart-coordinate directions (as columns)."""

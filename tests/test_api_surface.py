@@ -37,7 +37,6 @@ ALLOWED = {
 ALLOWED_DEFAULTS = {
     "exterior.forms.inner metric": "the reference pairing of the non-flat adjointness "
                                    "check in test_operators.py",
-    "exterior.forms.hodge_star metric": "the oracle of test_hodge_star_2form_matches_form_star",
 }
 
 

@@ -38,7 +38,7 @@ print(workers() - start)
 sys.exit(code)
 """
 
-SUITES = ["algebra", "nahm"]
+SUITES = ["algebra", "nahm", "quotient"]
 
 
 @pytest.fixture(scope="module")

@@ -233,6 +233,15 @@ def test_hodge_star_matches_the_complement_loop(dim, data):
     assert same(hodge_star(a, metric), hodge_star_oracle(a, metric))
 
 
+def test_an_identity_metric_stars_as_form_gram_of_the_identity():
+    # an exactly flat metric skips form_gram, which is then the identity
+    rng = np.random.default_rng(26)
+    for n, p in [(4, 0), (4, 1), (4, 2), (4, 3), (8, 2), (8, 3)]:
+        a = random_form(rng, n, p)
+        assert same(hodge_star(a, np.eye(n)), hodge_star_oracle(a, np.eye(n)))
+        assert same(hodge_star(a, np.eye(n)), hodge_star(a))
+
+
 def test_from_vector_refuses_a_vector_of_the_wrong_length():
     with pytest.raises(ValueError):
         FormVector.from_vector(4, 2, np.ones(5))

@@ -11,6 +11,7 @@ import pytest
 from hkforms.bianchi import ClosednessSolution, ansatz_form_matrix, eguchi_hanson_profile
 from hkforms.gibbons_hawking import GHData, GHPoint, dtheta
 from hkforms.numerics import (
+    FD_STEP,
     adaptive_simpson,
     composite_simpson,
     exterior_derivative_at,
@@ -22,6 +23,7 @@ from hkforms.numerics import (
     loglog_slope,
     nullspace,
     partial_derivative,
+    richardson_stencil,
     smoothstep_c2,
     smoothstep_c3,
     subspace_distance,
@@ -66,6 +68,23 @@ def test_partial_derivative_richardson():
     x = np.array([0.7, 1.3])
     assert partial_derivative(f, x, 0) == pytest.approx(math.cos(0.7) * 1.3 ** 2, abs=1e-10)
     assert partial_derivative(f, x, 1) == pytest.approx(math.sin(0.7) * 2.6, abs=1e-10)
+
+
+def test_richardson_stencil_is_every_point_partial_derivative_queries():
+    # bit for bit, in order, signed zeros too: x + h e, x - h e, x + h/2 e, x - h/2 e
+    rng = np.random.default_rng(28)
+    for x in (np.array([0.7]), rng.standard_normal(4), np.array([-0.0, 0.0, -1.5, 2.0])):
+        queried, inline = [], []
+        for axis in range(x.size):
+            partial_derivative(lambda p: queried.append(p.tobytes()) or 0.0, x, axis)
+            e = np.zeros(x.size)
+            e[axis] = 1.0
+            for step in (FD_STEP, FD_STEP / 2.0):
+                inline += [(x + step * e).tobytes(), (x - step * e).tobytes()]
+        stencil = richardson_stencil(x)
+        assert stencil.shape == (1 + 4 * x.size, x.size)
+        assert stencil[0].tobytes() == x.tobytes()
+        assert [row.tobytes() for row in stencil[1:]] == queried == inline
 
 
 def test_exterior_derivative_of_exact_form_vanishes():

@@ -394,6 +394,17 @@ def test_middle_kernel_k1():
     assert kernel_subspace_distance(kernel, asd_two_form_basis(Q4)) <= 1e-10
 
 
+def test_duality_sign_stars_with_the_structure_metric():
+    # Q4 pulled back by a random frame: its kernel is anti-self-dual for the
+    # pulled-back metric, not for the flat one
+    Q = random_frame_structure(0)
+    kernel = middle_kernel(Q)
+    assert len(kernel) == 3
+    assert max((hodge_star(f, Q.metric) + f).norm() for f in kernel) <= 1e-12
+    assert min((hodge_star(f) + f).norm() for f in kernel) > 1e-3
+    assert duality_sign(kernel, Q) == -1
+
+
 def test_middle_kernel_k1_primitive_type_11():
     for eta in middle_kernel(Q4):
         for axis in (1, 2, 3):

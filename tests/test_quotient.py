@@ -356,12 +356,13 @@ def _stencil(u, h):
     return pts
 
 
-def _count_frames(chart):
-    # every frame the chart builds calls its projector exactly once
-    calls = []
-    projector = chart.projector
-    chart.projector = lambda p: (calls.append(1), projector(p))[1]
-    return calls
+def _count_batches(chart):
+    # the number of chart points of every stacked chart-map call: one batch of
+    # frames each, since the residuals never ask for a bare representative
+    batches = []
+    chart_map = chart._chart_map
+    chart._chart_map = lambda U: (batches.append(len(U)), chart_map(U))[1]
+    return batches
 
 
 def test_frame_memo_matches_fresh_chart():
@@ -413,19 +414,94 @@ def test_frame_memo_is_bounded():
 
 
 def test_residuals_build_one_frame_per_stencil_point():
+    # 17 frames, all built in one batch, per check point
     rng = np.random.default_rng(18)
     for spec in (TN, CAL):
         u = 0.7 * rng.standard_normal(4)
         chart = QuotientChart(spec)
-        calls = _count_frames(chart)
+        batches = _count_batches(chart)
         chart.omegas_relation_residuals(u)
-        assert len(calls) == 17
+        assert batches == [17]
+        assert len(chart._frames) == 17
         chart = QuotientChart(spec)
-        calls = _count_frames(chart)
+        batches = _count_batches(chart)
         for axis in (1, 2, 3):
             chart.closedness_residual(axis, u)
         chart.beta_exactness_residual(u)
-        assert len(calls) == 17
+        assert batches == [17]
+        assert len(chart._frames) == 17
+
+
+def _scalar_chart_map(spec, u):
+    """The representative and its Jacobian at one point, written out with numpy
+    scalars and packed slice by slice apart from to_real: the reference for the
+    stacked chart map."""
+    if spec.model == "taubnut_R":
+        z1 = u[0] + 1j * u[1]
+        w1 = u[2] + 1j * u[3]
+        z = np.array([z1, 1j * (0.5 * (abs(z1) ** 2 - abs(w1) ** 2) - spec.level_shift)])
+        w = np.array([w1, -1j * z1 * w1])
+        dz1, dw1 = np.array([1.0, 1j, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 1j])
+        dz2 = 1j * u * np.array([1.0, 1.0, -1.0, -1.0])
+        rows = (dz1, dz2, dw1, -1j * (dz1 * w1 + z1 * dw1))
+    else:
+        zeta = u[0] + 1j * u[1]
+        eta = u[2] + 1j * u[3]
+        dzeta, deta = np.array([1.0, 1j, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 1j])
+        level = 2.0 * spec.level_shift
+        denom = 1.0 + abs(zeta) ** 2
+        mu = math.sqrt(abs(eta) ** 2 + level / denom)
+        z = mu * np.array([1.0, zeta])
+        w = eta * np.array([-zeta, 1.0])
+        c = -level / denom ** 2
+        dmu = u * np.array([c, c, 1.0, 1.0]) / mu
+        rows = (dmu, dmu * zeta + mu * dzeta, -(deta * zeta + eta * dzeta), deta)
+    C = np.array(rows, dtype=complex)
+    return _sliced_to_real(z, w), np.column_stack([_sliced_to_real(C[:2, k], C[2:, k])
+                                                   for k in range(4)])
+
+
+def _scalar_frame(spec, u):
+    """(p, T, T+) at one point: the projector from the vertical rows one point at a time."""
+    p, J = _scalar_chart_map(spec, u)
+    Y = to_real(*spec.generator(*to_complex(p)))
+    R = np.vstack([Y @ spec.structure.omega_matrix(axis) for axis in (1, 2, 3)] + [Y])
+    T = (np.eye(8) - R.T @ R / (Y @ Y)) @ J
+    return p, T, np.linalg.solve(T.T @ T, T.T)
+
+
+@pytest.mark.parametrize("spec", [TN, GroupActionSpec("taubnut_R", -0.4), CAL,
+                                  GroupActionSpec("calabi_circle", 0.9)],
+                         ids=lambda s: f"{s.model}-{s.level_shift}")
+def test_batched_frames_match_the_point_by_point_oracle(spec):
+    # every frame of a stencil batch, the neighbours' too, against its own point
+    rng = np.random.default_rng(27)
+    for _ in range(50):
+        chart = QuotientChart(spec)
+        u = 0.7 * rng.standard_normal(4)
+        chart._frame(u)
+        for v in _stencil(u, FD_STEP):
+            for got, want in zip(chart._frame(v), _scalar_frame(spec, v), strict=True):
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert len(chart._frames) == 17
+
+
+def test_a_stencil_reaching_past_the_calabi_domain_keeps_its_centre():
+    # level |z|^2 - |w|^2 = -1: mu^2 = |eta|^2 - 1 / (1 + |zeta|^2) at eta real, so
+    # u is inside by 4e-5 while its two stencil points at eta - h, eta - h/2 are outside
+    chart = QuotientChart(GroupActionSpec("calabi_circle", -0.5))
+    u = np.array([0.0, 0.0, 1.0 + 2e-5, 0.0])
+    outside = [v for v in _stencil(u, FD_STEP) if abs(v[2]) ** 2 - 1.0 / (1.0 + v[0] ** 2) <= 0]
+    assert len(outside) == 2
+    omega = chart.kahler_form(1, u)
+    assert np.isfinite(omega).all()
+    assert np.array_equal(omega, QuotientChart(chart.spec).kahler_form(1, u))
+    assert len(chart._frames) == 15
+    for v in outside:
+        # a point outside the domain raises, whether or not a batch reached it
+        for ask in (chart.representative, lambda v: chart.kahler_form(1, v)):
+            with pytest.raises(ValueError, match="outside the level-set domain"):
+                ask(v)
 
 
 # -- the shared Richardson difference --------------------------------------------
@@ -459,7 +535,7 @@ def test_representative_jacobian_matches_inline_stencil(spec):
     rng = np.random.default_rng(19)
     for _ in range(10):
         u = 0.7 * rng.standard_normal(4)
-        p, J = chart._chart_map(u)
+        (p,), (J,) = chart._chart_map(u[None])
         fd = _inline_jacobian(chart, u)
         assert np.array_equal(p, chart.representative(u))
         assert J.shape == (8, 4)
@@ -473,7 +549,7 @@ def test_representative_jacobian_is_tangent_to_the_level_set(spec):
     rng = np.random.default_rng(23)
     for _ in range(10):
         u = 0.7 * rng.standard_normal(4)
-        p, J = chart._chart_map(u)
+        (p,), (J,) = chart._chart_map(u[None])
         assert np.abs(spec.moment_gradient_rows(p) @ J).max() <= 1e-12
 
 
@@ -704,27 +780,12 @@ def _sliced_to_real(z, w):
     return out
 
 
-def _representative_oracle(chart, u):
-    """The representative written out and packed slice by slice, apart from to_real."""
-    spec = chart.spec
-    if spec.model == "taubnut_R":
-        z1 = u[0] + 1j * u[1]
-        w1 = u[2] + 1j * u[3]
-        w2 = -1j * z1 * w1
-        z2 = 1j * (0.5 * (abs(z1) ** 2 - abs(w1) ** 2) - spec.level_shift)
-        return _sliced_to_real(np.array([z1, z2]), np.array([w1, w2]))
-    zeta = u[0] + 1j * u[1]
-    eta = u[2] + 1j * u[3]
-    mu = math.sqrt(abs(eta) ** 2 + 2.0 * spec.level_shift / (1.0 + abs(zeta) ** 2))
-    return _sliced_to_real(mu * np.array([1.0, zeta]), eta * np.array([-zeta, 1.0]))
-
-
 def test_representative_packing_is_bit_identical_to_to_real():
     rng = np.random.default_rng(17)
     for chart in (CHART_TN, CHART_CAL, QuotientChart(GroupActionSpec("taubnut_R", 0.3))):
         for _ in range(50):
             u = rng.uniform(-1.0, 1.0, 4)
-            assert np.array_equal(chart.representative(u), _representative_oracle(chart, u))
+            assert np.array_equal(chart.representative(u), _scalar_chart_map(chart.spec, u)[0])
 
 
 def test_packing_is_the_float_view_of_the_complex_vector():
@@ -745,20 +806,21 @@ def test_packing_is_the_float_view_of_the_complex_vector():
 def _shift_representatives(monkeypatch, delta):
     """Build every representative on the level shift + delta(u), not the chart's own.
 
-    The chart map's Jacobian is then the Richardson Jacobian of the shifted
-    representatives, so the frames follow the faulty map.
+    The chart map's Jacobian at each point of a stack is then the Richardson
+    Jacobian of the shifted representatives, so the frames follow the faulty map.
     """
     chart_map = QuotientChart._chart_map
 
     def shifted_point(chart, u):
         spec = chart.spec
         moved = GroupActionSpec(spec.model, spec.level_shift + delta(u))
-        return chart_map(QuotientChart(moved), u)[0]
+        return chart_map(QuotientChart(moved), u[None])[0][0]
 
-    def shifted(chart, u):
+    def shifted(chart, U):
         point = lambda v: shifted_point(chart, v)
-        return point(u), np.column_stack([_inline_richardson(point, u, k, FD_STEP)
-                                          for k in range(4)])
+        return (np.array([point(u) for u in U]),
+                np.array([np.column_stack([_inline_richardson(point, u, k, FD_STEP)
+                                           for k in range(4)]) for u in U]))
 
     monkeypatch.setattr(QuotientChart, "_chart_map", shifted)
 
@@ -802,10 +864,10 @@ def test_a_calabi_jacobian_without_its_dmu_term_fails_the_records(monkeypatch):
     # the checks that difference the pushed-down forms can see the fault
     chart_map = QuotientChart._chart_map
 
-    def faulty(chart, u):
-        p, J = chart_map(chart, u)
+    def faulty(chart, U):
+        p, J = chart_map(chart, U)
         if chart.spec.model == "calabi_circle":
-            return p, _calabi_jacobian_without_dmu(chart, u)
+            return p, np.array([_calabi_jacobian_without_dmu(chart, u) for u in U])
         return p, J
 
     for check in ("calabi-forms-closed", "calabi-beta-exactness"):
