@@ -37,6 +37,7 @@ from .numerics import (
     gauss_kronrod,
     hodge_star_2form,
     loglog_slope,
+    once_per_point,
     smoothstep_c2,
     smoothstep_c3,
 )
@@ -207,8 +208,8 @@ def ansatz_form_matrix(axis: int, profile: BianchiProfile, coords: np.ndarray,
 def closedness_residual(axis: int, profile: BianchiProfile, coords: np.ndarray,
                         F: ClosednessSolution) -> float:
     """Max finite-difference coefficient of d(phi_i); zero when F solves the ODE."""
-    out = exterior_derivative_at(lambda c: ansatz_form_matrix(axis, profile, c, F),
-                                 np.asarray(coords, float))
+    field = once_per_point(lambda c: ansatz_form_matrix(axis, profile, c, F))
+    out = exterior_derivative_at(field, np.asarray(coords, float))
     return max(abs(v) for v in out.values())
 
 

@@ -26,6 +26,7 @@ from .numerics import (
     hodge_star_2form,
     integrate_to_infinity,
     loglog_slope,
+    once_per_point,
 )
 
 _AXIS_TOL = 1e-13
@@ -43,8 +44,8 @@ class GHData:
     patch: str = "north"
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError("mass must be positive")
+        if not 0 < self.m < math.inf:    # NaN fails too
+            raise ValueError("mass must be positive and finite")
         if self.patch not in ("north", "south"):
             raise ValueError("patch must be 'north' or 'south'")
 
@@ -66,6 +67,8 @@ class GHPoint:
         if x.shape != (3,):
             raise ValueError("x must be a 3-vector")
         object.__setattr__(self, "x", x)
+        if not (np.isfinite(x).all() and math.isfinite(self.tau)):
+            raise ValueError("point coordinates must be finite")
         if self.r <= 0:
             raise ValueError("the NUT at the origin is excluded")
 
@@ -158,7 +161,7 @@ def two_form_norm_sq(B: np.ndarray, g: np.ndarray) -> float | np.ndarray:
 def ddtheta_residual(p: GHPoint, d: GHData) -> float:
     """Max finite-difference coefficient of d(dtheta); zero for a closed form."""
     # the stencil's points go straight to the float kernel, with GHPoint's r
-    field = lambda c: _dtheta(c[:3].tolist(), float(np.linalg.norm(c[:3])), d)
+    field = once_per_point(lambda c: _dtheta(c[:3].tolist(), float(np.linalg.norm(c[:3])), d))
     three_form = exterior_derivative_at(field, np.append(p.x, p.tau))
     return max(abs(v) for v in three_form.values())
 
@@ -201,8 +204,8 @@ def closed_form_l2_norm(d: GHData) -> float:
 
 def shell_integral(d: GHData, r: float) -> float:
     """Integral of |dtheta|^2 over the shell r <= |x| <= 2r (times tau-period)."""
-    if r <= 0:
-        raise ValueError("shell radius must be positive")
+    if not 0 < r < math.inf:    # NaN fails too
+        raise ValueError("shell radius must be positive and finite")
     return d.tau_period * adaptive_simpson(lambda s: _radial_density(s, d), r, 2.0 * r, 1e-10)
 
 
@@ -236,8 +239,8 @@ def cutoff_cross_term(d: GHData, r: float, seed: int) -> float:
     s in [r, 2r) from the seeded generator; dtheta and g of all samples are
     stacked and normed by one `two_form_norm_sq` call.
     """
-    if r <= 0:
-        raise ValueError("shell radius must be positive")
+    if not 0 < r < math.inf:    # NaN fails too
+        raise ValueError("shell radius must be positive and finite")
     K, c1, c0 = _CUTOFF_K, _CUTOFF_C1, _CUTOFF_C0
     rng = np.random.default_rng(seed)
     radii, forms, metrics = [], [], []

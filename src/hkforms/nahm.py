@@ -172,13 +172,12 @@ def _max_norm(X: np.ndarray) -> float:
 
 def nahm_residual(state: NahmState) -> float:
     """Max over the grid and the three equations of |B_i' + [B_0,B_i] - [B_j,B_k]|."""
-    h = state.h
     B0 = state.B[0]
+    dB = grid_derivative(np.stack(state.B[1:], axis=1), state.h)   # (nodes, 3, 4)
     worst = 0.0
     for i, j, k in _CYCLIC:
         Bi, Bj, Bk = state.B[i + 1], state.B[j + 1], state.B[k + 1]
-        worst = max(worst, _max_norm(grid_derivative(Bi, h) + _bracket(B0, Bi)
-                                     - _bracket(Bj, Bk)))
+        worst = max(worst, _max_norm(dB[:, i] + _bracket(B0, Bi) - _bracket(Bj, Bk)))
     return worst
 
 
@@ -242,13 +241,13 @@ def linearized_residual(tangent: TangentState, state: NahmState) -> float:
     """Residual of A_i' + [A_0,B_i] + [B_0,A_i] = [A_j,B_k] + [B_j,A_k]."""
     if tangent.s.shape != state.s.shape or np.abs(tangent.s - state.s).max() > 1e-12:
         raise ValueError("tangent and state must share a grid")
-    h = state.h
     A0, B0 = tangent.A[0], state.B[0]
+    dA = grid_derivative(np.stack(tangent.A[1:], axis=1), state.h)   # (nodes, 3, 4)
     worst = 0.0
     for i, j, k in _CYCLIC:
         Ai, Aj, Ak = tangent.A[i + 1], tangent.A[j + 1], tangent.A[k + 1]
         Bi, Bj, Bk = state.B[i + 1], state.B[j + 1], state.B[k + 1]
-        worst = max(worst, _max_norm(grid_derivative(Ai, h) + _bracket(A0, Bi)
+        worst = max(worst, _max_norm(dA[:, i] + _bracket(A0, Bi)
                                      + _bracket(B0, Ai) - _bracket(Aj, Bk) - _bracket(Bj, Ak)))
     return worst
 

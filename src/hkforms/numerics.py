@@ -3,10 +3,12 @@
 Everything here is dimension-agnostic plumbing used by the geometry modules:
 high-order finite-difference stencils (Fornberg weights), Richardson-extrapolated
 partial derivatives, the exterior derivative of a form field given by its
-coefficient arrays, adaptive Simpson quadrature with endpoint substitutions for
-improper integrals, adaptive Gauss-Kronrod 7-15 quadrature, SVD nullspaces and
-subspace distances, pointwise Hodge duality for 2-forms on 4-dimensional
-coordinate patches, the su(2) basis and the cyclic triples of axes 1, 2, 3.
+coefficient arrays (every point from one Richardson stencil; `once_per_point`
+builds a field once per stencil point), adaptive Simpson quadrature with
+endpoint substitutions for improper integrals, adaptive Gauss-Kronrod 7-15
+quadrature, SVD nullspaces and subspace distances, pointwise Hodge duality for
+2-forms on 4-dimensional coordinate patches, the su(2) basis and the cyclic
+triples of axes 1, 2, 3.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ def grid_derivative(values: np.ndarray, h: float) -> np.ndarray:
 
     Uses centered order-6 stencils in the interior and skewed stencils of the
     same width near the edges, so the error is O(h^6) uniformly.  Works on
-    arrays of matrices (derivative taken entrywise).
+    arrays of matrices (derivative taken entrywise), so several fields on one
+    grid can be stacked along axis 1 and share the seven weight vectors.
     """
     npts = values.shape[0]
     width = 7
@@ -85,12 +88,13 @@ def grid_derivative(values: np.ndarray, h: float) -> np.ndarray:
         raise ValueError(f"grid too coarse: need at least {width} nodes")
     half = 3
     out = np.zeros_like(values)
-    # interior: centered stencil applied by shifted slices
+    # interior: centered stencil applied by shifted slices, summed in place
+    # into out, so a stack of fields needs one term buffer beside it
     w = fd_weights(0.0, np.arange(-half, half + 1) * h, 1)
-    acc = np.zeros_like(values[half:npts - half])
+    acc = out[half:npts - half]
+    term = np.empty_like(acc)
     for j, wj in enumerate(w):
-        acc = acc + wj * values[j:npts - 2 * half + j]
-    out[half:npts - half] = acc
+        acc += np.multiply(wj, values[j:npts - 2 * half + j], out=term)
     # edges: skewed stencils of the same width
     for i in range(half):
         w = fd_weights(i * h, np.arange(width) * h, 1)
@@ -104,23 +108,23 @@ def grid_derivative(values: np.ndarray, h: float) -> np.ndarray:
 _RICHARDSON_STEPS = np.array([[FD_STEP], [-FD_STEP], [FD_STEP / 2.0], [-FD_STEP / 2.0]])
 
 
-def _axis_stencil(x: np.ndarray, axis: int) -> np.ndarray:
-    """x + h e, x - h e, x + h/2 e, x - h/2 e for e the unit vector along axis, as rows."""
-    e = np.zeros_like(x, dtype=float)
-    e[axis] = 1.0
-    return x + _RICHARDSON_STEPS * e
-
-
 def richardson_stencil(x: np.ndarray) -> np.ndarray:
-    """Every point `partial_derivative` queries about x, bit for bit, as rows.
+    """Every point the Richardson differences about x query, bit for bit, as rows.
 
-    Row 0 is x; rows 1 + 4k to 4 + 4k are the four points along axis k, so an
-    (n,) point gives a (1 + 4n, n) stencil: 17 rows on a 4-dimensional chart.
+    Row 0 is x; rows 1 + 4k to 4 + 4k are x + h e, x - h e, x + h/2 e and
+    x - h/2 e for e the unit vector along axis k, so an (n,) point gives a
+    (1 + 4n, n) stencil: 17 rows on a 4-dimensional chart.
     """
     x = np.asarray(x, dtype=float)
-    # _axis_stencil's offsets, with e running over the rows of the identity
     offsets = _RICHARDSON_STEPS * np.eye(x.size)[:, None, :]
     return np.vstack([x, (x + offsets).reshape(-1, x.size)])
+
+
+def _richardson(f_plus, f_minus, f_plus_half, f_minus_half):
+    """(4 D(h/2) - D(h)) / 3 from f at x + h e, x - h e, x + h/2 e, x - h/2 e, h = FD_STEP."""
+    d1 = (f_plus - f_minus) / (2.0 * FD_STEP)
+    d2 = (f_plus_half - f_minus_half) / (2.0 * (FD_STEP / 2.0))
+    return (4.0 * d2 - d1) / 3.0
 
 
 def partial_derivative(f: Callable[[np.ndarray], float | np.ndarray], x: np.ndarray,
@@ -129,10 +133,7 @@ def partial_derivative(f: Callable[[np.ndarray], float | np.ndarray], x: np.ndar
 
     `f` may return a scalar or an array; arrays are differenced entrywise.
     """
-    plus, minus, plus_half, minus_half = _axis_stencil(x, axis)
-    d1 = (f(plus) - f(minus)) / (2.0 * FD_STEP)
-    d2 = (f(plus_half) - f(minus_half)) / (2.0 * (FD_STEP / 2.0))
-    return (4.0 * d2 - d1) / 3.0
+    return _richardson(*(f(p) for p in richardson_stencil(x)[1 + 4 * axis:5 + 4 * axis]))
 
 
 def exterior_derivative_at(components: Callable[[np.ndarray], np.ndarray],
@@ -142,20 +143,46 @@ def exterior_derivative_at(components: Callable[[np.ndarray], np.ndarray],
     `components` maps a point to the form's coefficient array: a vector for a
     1-form, an antisymmetric matrix for a 2-form; the degree is its `ndim`.
     Returns the (p+1)-form components at x as {sorted index tuple: value},
-    each partial Richardson-extrapolated.
+    each partial Richardson-extrapolated.  Every point comes from the one
+    `richardson_stencil(x)`, but `components` is called once at x and four
+    times per partial, each call read for one coefficient: 49 calls at 17
+    distinct points for a 2-form on R^4.  A field that is costly to build
+    should reach this through `once_per_point`.
     """
     x = np.asarray(x, dtype=float)
+    stencil = richardson_stencil(x)
     degree = np.ndim(components(x))
     out: dict = {}
     for key in itertools.combinations(range(x.size), degree):
         for mu in range(x.size):
             if mu in key:
                 continue
-            dmu = partial_derivative(lambda p, k=key: components(p)[k], x, mu)
+            dmu = _richardson(*(components(p)[key] for p in stencil[1 + 4 * mu:5 + 4 * mu]))
             pos = sum(1 for idx in key if idx < mu)
             merged = tuple(sorted(key + (mu,)))
             out[merged] = out.get(merged, 0.0) + (-1.0) ** pos * dmu
     return out
+
+
+def once_per_point(field: Callable[[np.ndarray], np.ndarray]
+                   ) -> Callable[[np.ndarray], np.ndarray]:
+    """`field`, evaluated at most once per point: later calls at the same point
+    return the first value, the same object.
+
+    The values are kept in a dict keyed by each point's bytes, which lives as
+    long as the returned function; wrap a field for one finite-difference
+    check, so that `exterior_derivative_at` builds it once per stencil point.
+    """
+    values: dict[bytes, np.ndarray] = {}
+
+    def field_once(x: np.ndarray) -> np.ndarray:
+        key = x.tobytes()
+        value = values.get(key)
+        if value is None:
+            value = values[key] = field(x)
+        return value
+
+    return field_once
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +197,9 @@ def _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, depth):
     flm, frm = f(lm), f(rm)
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0:
+    # a NaN or inf estimate fails every tolerance test; bisecting it would
+    # run to full depth, so it is returned as it is
+    if depth <= 0 or not math.isfinite(left + right):
         return left + right
     if abs(left + right - whole) <= 15.0 * tol:
         return left + right + (left + right - whole) / 15.0
@@ -184,7 +213,8 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
 
     `tol` is absolute; when `rel` is nonzero the effective tolerance is
     floored at rel * |initial estimate| so that large integrals do not force
-    full-depth recursion.  Bisection stops at depth 48.
+    full-depth recursion.  Bisection stops at depth 48, and at a panel whose
+    estimate is NaN or infinite, which is returned as it is.
     """
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
@@ -227,7 +257,7 @@ def _kronrod_panel(f, a, b):
 
 def _kronrod_recurse(f, a, b, tol, depth):
     kronrod, gauss = _kronrod_panel(f, a, b)
-    if depth <= 0 or abs(kronrod - gauss) <= tol:
+    if depth <= 0 or not math.isfinite(kronrod) or abs(kronrod - gauss) <= tol:
         return kronrod
     m = 0.5 * (a + b)
     return (_kronrod_recurse(f, a, m, tol / 2.0, depth - 1)
@@ -240,9 +270,10 @@ def gauss_kronrod(f: Callable[[float], float], a: float, b: float, tol: float) -
     A panel is accepted when its 15-point Kronrod and 7-point Gauss estimates
     differ by at most its share of `tol` (halved at each bisection), and its
     Kronrod value is returned; the Kronrod rule is exact for polynomials of
-    degree 22.  Bisection stops at depth 48, as in `adaptive_simpson`.  One
-    panel costs 15 evaluations, none shared with its neighbours, so the rule
-    pays off on long smooth intervals, where Simpson would bisect many times.
+    degree 22.  Bisection stops at depth 48 and at a non-finite panel, as in
+    `adaptive_simpson`.  One panel costs 15 evaluations, none shared with its
+    neighbours, so the rule pays off on long smooth intervals, where Simpson
+    would bisect many times.
     """
     return _kronrod_recurse(f, a, b, tol, 48)
 

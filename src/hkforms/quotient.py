@@ -33,8 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .exterior import QuaternionicStructure
-from .numerics import (SU2_BASIS, exterior_derivative_at, partial_derivative,
-                       richardson_stencil)
+from .numerics import (SU2_BASIS, exterior_derivative_at, once_per_point,
+                       partial_derivative, richardson_stencil)
 
 # d(u_0 + i u_1) and d(u_2 + i u_3) along the four chart directions
 _DU01 = np.array([1.0, 1.0j, 0.0, 0.0])
@@ -95,6 +95,8 @@ class GroupActionSpec:
     def __post_init__(self):
         if self.model not in ("taubnut_R", "calabi_circle"):
             raise ValueError(f"unknown model {self.model!r}")
+        if not math.isfinite(self.level_shift):
+            raise ValueError("level shift must be finite")
 
     # -- the infinitesimal action ---------------------------------------------
 
@@ -301,9 +303,10 @@ class QuotientChart:
 
     def closedness_residual(self, axis: int, u: np.ndarray) -> float:
         """Finite-difference d(omega_axis) on the chart."""
-        out = exterior_derivative_at(lambda v: self.kahler_form(axis, v),
-                                     np.asarray(u, float))
-        scale = max(np.abs(self.kahler_form(axis, u)).max(), 1e-300)
+        u = np.asarray(u, float)
+        omega = once_per_point(lambda v: self.kahler_form(axis, v))
+        out = exterior_derivative_at(omega, u)
+        scale = max(np.abs(omega(u)).max(), 1e-300)
         return max(abs(v) for v in out.values()) / scale
 
     # -- distinguished vector fields -----------------------------------------------
@@ -366,7 +369,7 @@ class QuotientChart:
             X = self.pushdown_field(self.rotation_ambient, v)
             return X @ self.kahler_form(2, v)     # beta_a = omega_2(X, e_a)
 
-        dbeta = exterior_derivative_at(beta_fn, np.asarray(u, float))
+        dbeta = exterior_derivative_at(once_per_point(beta_fn), np.asarray(u, float))
         target = self.kahler_form(3, u)
         scale = max(np.abs(target).max(), 1e-300)
         worst = 0.0

@@ -711,6 +711,18 @@ def test_closedness_residual_sees_perturbed_solution(profile, rho_lo):
             assert exact <= 1e-6 < off, (axis, exact, off)
 
 
+def test_closedness_residual_builds_the_form_once_per_stencil_point(monkeypatch):
+    calls = []
+    form = bianchi.ansatz_form_matrix
+    monkeypatch.setattr(bianchi, "ansatz_form_matrix",
+                        lambda *args: (calls.append(None), form(*args))[1])
+    coords = sample_coords(np.random.default_rng(29), 0.7)
+    for axis in (1, 2, 3):
+        calls.clear()
+        closedness_residual(axis, EH, coords, ClosednessSolution(axis, EH))
+        assert len(calls) == 17
+
+
 # -- classification ------------------------------------------------------------
 
 def test_classify_atiyah_hitchin():

@@ -38,7 +38,7 @@ print(workers() - start)
 sys.exit(code)
 """
 
-SUITES = ["algebra", "nahm", "quotient"]
+SUITES = ["algebra", "taubnut", "bianchi", "quotient", "nahm"]
 
 
 @pytest.fixture(scope="module")

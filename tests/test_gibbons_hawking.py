@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hkforms import gibbons_hawking
 from hkforms.gibbons_hawking import (
     GHData,
     GHPoint,
@@ -37,8 +38,9 @@ def random_points(seed, count, spread=3.0):
 
 
 def test_data_validation():
-    with pytest.raises(ValueError):
-        GHData(m=-1.0)
+    for m in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            GHData(m=m)
     with pytest.raises(ValueError):
         GHData(m=1.0, patch="east")
     # the period is derived from the mass, never set
@@ -53,6 +55,11 @@ def test_data_validation():
 def test_point_validation():
     with pytest.raises(ValueError):
         GHPoint(np.zeros(3))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            GHPoint(np.array([bad, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            GHPoint(np.array([0.5, 0.0, 1.0]), bad)
     with pytest.raises(ValueError):
         metric_at(GHPoint(np.array([0.0, 0.0, -2.0])), GHData(m=1.0, patch="north"))
     with pytest.raises(ValueError):
@@ -297,9 +304,25 @@ def test_cutoff_cross_term_matches_the_per_sample_loop():
 
 
 def test_cutoff_cross_term_refuses_a_nonpositive_radius():
-    for r in (0.0, -10.0):
+    # the shell integral too, and NaN and inf: a NaN radius passed `r <= 0`
+    # and hung the shell quadrature
+    for r in (0.0, -10.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             cutoff_cross_term(D1, r, seed=0)
+        with pytest.raises(ValueError):
+            shell_integral(D1, r)
+
+
+def test_ddtheta_residual_builds_dtheta_once_per_stencil_point(monkeypatch):
+    calls = []
+    kernel = gibbons_hawking._dtheta
+    monkeypatch.setattr(gibbons_hawking, "_dtheta",
+                        lambda *args: (calls.append(None), kernel(*args))[1])
+    for p in random_points(31, 3):
+        for d in (D1, GHData(m=1.7, patch="south")):
+            calls.clear()
+            ddtheta_residual(p, d)
+            assert len(calls) == 17
 
 
 def test_stacked_norm_equals_per_matrix_calls():

@@ -28,7 +28,7 @@ from hkforms.nahm import (
     translation_action,
     translation_tangent,
 )
-from hkforms.numerics import SU2_BASIS
+from hkforms.numerics import SU2_BASIS, grid_derivative
 from hkforms.report import Records
 
 XI = 1j * np.array([[0.3, 0.2 + 0.1j], [0.2 - 0.1j, -0.3]])
@@ -268,6 +268,36 @@ def test_translation_tangent_constant_norm():
 
 
 # -- linearized equation ---------------------------------------------------------------
+
+def _per_component_residuals(tangent, state):
+    """Both residuals with one grid_derivative call per component, the oracle
+    for the stacked derivative of nahm_residual and linearized_residual."""
+    h, A, B = state.h, tangent.A, state.B
+    flow = linear = 0.0
+    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        flow = max(flow, nahm._max_norm(grid_derivative(B[i], h) + nahm._bracket(B[0], B[i])
+                                        - nahm._bracket(B[j], B[k])))
+        linear = max(linear, nahm._max_norm(
+            grid_derivative(A[i], h) + nahm._bracket(A[0], B[i]) + nahm._bracket(B[0], A[i])
+            - nahm._bracket(A[j], B[k]) - nahm._bracket(B[j], A[k])))
+    return flow, linear
+
+
+@pytest.mark.parametrize("nodes", [7, 11, 501, 2001])
+def test_residuals_match_the_per_component_oracle_bit_for_bit(nodes):
+    rng = np.random.default_rng(nodes)
+    state = one_pole_state(0.1, 1.0, nodes)
+    moved = gauge_transform(state, *bump_gauge_path(state, XI))
+    random = NahmState(state.s, tuple(rng.standard_normal((4, nodes, 4))))
+    for base in (state, moved, random):
+        tangents = (translation_tangent(base, np.array([0.7, -0.3, 1.1])),
+                    gauge_tangent(base, XI),
+                    TangentState(base.s, tuple(rng.standard_normal((4, nodes, 4)))))
+        for tangent in tangents:
+            flow, linear = _per_component_residuals(tangent, base)
+            assert nahm_residual(base) == flow
+            assert linearized_residual(tangent, base) == linear
+
 
 def test_translation_tangent_linearized():
     state = one_pole_state(0.1, 1.0, 2000)

@@ -22,6 +22,7 @@ from hkforms.numerics import (
     integrate_to_infinity,
     loglog_slope,
     nullspace,
+    once_per_point,
     partial_derivative,
     richardson_stencil,
     smoothstep_c2,
@@ -147,7 +148,8 @@ def _form_fields():
 @pytest.mark.parametrize("field, points", list(_form_fields()))
 def test_exterior_derivative_matches_dict_route_bit_for_bit(field, points):
     # the array route differences the same components in the same order as the
-    # dict route, so every coefficient and the evaluation count agree exactly
+    # dict route, so every coefficient and the evaluation count agree exactly;
+    # through once_per_point the field itself is built once per stencil point
     def counted(fn, calls):
         def wrapped(x):
             calls.append(None)
@@ -159,12 +161,39 @@ def test_exterior_derivative_matches_dict_route_bit_for_bit(field, points):
         return {k: B[k] for k in itertools.combinations(range(4), B.ndim)}
 
     for x in points:
-        array_calls, dict_calls = [], []
+        array_calls, dict_calls, outer_calls, inner_calls = [], [], [], []
         got = exterior_derivative_at(counted(field, array_calls), x)
         want = _dict_exterior_derivative(counted(as_dict, dict_calls), x, 4)
-        assert list(got) == list(want)
-        assert all(got[k] == want[k] for k in want)
-        assert len(array_calls) == len(dict_calls) == 49
+        once = exterior_derivative_at(
+            counted(once_per_point(counted(field, inner_calls)), outer_calls), x)
+        assert list(got) == list(want) == list(once)
+        assert all(got[k] == want[k] == once[k] for k in want)
+        assert len(array_calls) == len(dict_calls) == len(outer_calls) == 49
+        assert len(inner_calls) == 17
+
+
+def test_once_per_point_keys_on_the_exact_bytes_of_a_point():
+    calls = []
+    field = once_per_point(lambda x: calls.append(x.tobytes()) or np.array([x.sum()]))
+    x = np.array([0.1, -0.2])
+    first = field(x)
+    assert field(x.copy()) is first and len(calls) == 1
+    # signed zeros and a one-ulp move are other points
+    for y in (np.array([0.0, 0.0]), np.array([-0.0, 0.0]), np.nextafter(x, 1.0)):
+        field(y)
+    assert len(calls) == 4 and len(set(calls)) == 4
+    # each wrapped field keeps its own values
+    assert once_per_point(lambda x: np.array([7.0]))(x)[0] == 7.0
+
+
+@pytest.mark.parametrize("nodes", [7, 8, 13, 101, 501, 2001, 3000])
+def test_stacked_grid_derivative_equals_the_per_component_calls(nodes):
+    rng = np.random.default_rng(nodes)
+    values = rng.standard_normal((nodes, 3, 4))
+    h = float(rng.random()) + 1e-3
+    stacked = grid_derivative(values, h)
+    for i in range(3):
+        assert np.array_equal(stacked[:, i], grid_derivative(values[:, i].copy(), h))
 
 
 def test_adaptive_simpson_smooth():
@@ -251,6 +280,33 @@ def test_gauss_kronrod_matches_scipy_quad(f, a, b):
     from scipy.integrate import quad
     reference = quad(f, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
     assert gauss_kronrod(f, a, b, 1e-13) == pytest.approx(reference, abs=1e-13)
+
+
+def capped(f, limit=2000):
+    """f that raises once it has been called `limit` times."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        if len(calls) > limit:
+            raise RuntimeError(f"more than {limit} evaluations")
+        return f(x)
+    return g
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("rule", ["simpson", "kronrod"])
+def test_a_non_finite_integrand_value_returns_at_once(rule, bad):
+    # a NaN or inf fails every tolerance test; bisecting it ran toward depth
+    # 48, still running after 200,000 evaluations
+    f = capped(lambda x: x if x <= 0.7 else bad)
+    if rule == "simpson":
+        value = adaptive_simpson(f, 0.0, 1.0, 1e-10)
+    else:
+        value = gauss_kronrod(f, 0.0, 1.0, 1e-10)
+    assert math.isnan(value) if math.isnan(bad) else not math.isfinite(value)
+    # through the substitution toward infinity as well
+    assert not math.isfinite(integrate_to_infinity(capped(lambda x: bad), 0.0, 1.0, 1e-10))
 
 
 def test_integrate_to_infinity():

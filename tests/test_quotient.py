@@ -193,6 +193,13 @@ def test_unknown_model_rejected():
         GroupActionSpec("torus")
 
 
+@pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+def test_non_finite_level_shift_rejected(shift):
+    for model in ("taubnut_R", "calabi_circle"):
+        with pytest.raises(ValueError, match="finite"):
+            GroupActionSpec(model, level_shift=shift)
+
+
 # -- level sets and horizontal geometry -------------------------------------------
 
 def test_taubnut_level_set_examples():
@@ -585,6 +592,30 @@ def test_rotation_relations_evaluate_the_field_once_per_stencil_point():
         chart.rotation_ambient = lambda p: (calls.append(1), field(p))[1]
         chart.omegas_relation_residuals(0.7 * rng.standard_normal(4))
         assert len(calls) == 17
+
+
+def test_closedness_and_beta_checks_build_each_field_once_per_stencil_point(monkeypatch):
+    # 17 forms per closedness call (the scale at u included) and 17 beta per
+    # exactness call, each beta one pushed-down field; 49 reads of each
+    kahler, pushdown = [], []
+    form, field = QuotientChart.kahler_form, QuotientChart.pushdown_field
+    monkeypatch.setattr(QuotientChart, "kahler_form",
+                        lambda self, *args: (kahler.append(None), form(self, *args))[1])
+    monkeypatch.setattr(QuotientChart, "pushdown_field",
+                        lambda self, *args: (pushdown.append(None), field(self, *args))[1])
+    rng = np.random.default_rng(29)
+    for spec in (TN, CAL):
+        chart = QuotientChart(spec)
+        u = 0.7 * rng.standard_normal(4)
+        for axis in (1, 2, 3):
+            kahler.clear()
+            chart.closedness_residual(axis, u)
+            assert len(kahler) == 17
+        kahler.clear()
+        chart.beta_exactness_residual(u)
+        assert len(pushdown) == 17
+        assert len(kahler) == 17 + 1     # and the target omega_3 at u
+        pushdown.clear()
 
 
 def _lstsq_pushdown(chart, field, u):
