@@ -22,11 +22,11 @@ import numpy as np
 
 from .numerics import (
     adaptive_simpson,
-    exterior_derivative_at,
+    exterior_derivative_on_stencil,
     hodge_star_2form,
     integrate_to_infinity,
     loglog_slope,
-    once_per_point,
+    richardson_stencil,
 )
 
 _AXIS_TOL = 1e-13
@@ -159,11 +159,11 @@ def two_form_norm_sq(B: np.ndarray, g: np.ndarray) -> float | np.ndarray:
 
 
 def ddtheta_residual(p: GHPoint, d: GHData) -> float:
-    """Max finite-difference coefficient of d(dtheta); zero for a closed form."""
+    """Max finite-difference coefficient of d(dtheta); zero for a closed form, NaN if any is."""
     # the stencil's points go straight to the float kernel, with GHPoint's r
-    field = once_per_point(lambda c: _dtheta(c[:3].tolist(), float(np.linalg.norm(c[:3])), d))
-    three_form = exterior_derivative_at(field, np.append(p.x, p.tau))
-    return max(abs(v) for v in three_form.values())
+    x = np.append(p.x, p.tau)
+    rows = [_dtheta(c[:3].tolist(), float(np.linalg.norm(c[:3])), d) for c in richardson_stencil(x)]
+    return np.abs(list(exterior_derivative_on_stencil(rows, x).values())).max()
 
 
 def anti_self_duality_residual(p: GHPoint, d: GHData) -> float:

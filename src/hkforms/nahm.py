@@ -171,14 +171,14 @@ def _max_norm(X: np.ndarray) -> float:
 
 
 def nahm_residual(state: NahmState) -> float:
-    """Max over the grid and the three equations of |B_i' + [B_0,B_i] - [B_j,B_k]|."""
+    """Max over the grid and the three equations of |B_i' + [B_0,B_i] - [B_j,B_k]|, or NaN."""
     B0 = state.B[0]
     dB = grid_derivative(np.stack(state.B[1:], axis=1), state.h)   # (nodes, 3, 4)
     worst = 0.0
     for i, j, k in _CYCLIC:
         Bi, Bj, Bk = state.B[i + 1], state.B[j + 1], state.B[k + 1]
-        worst = max(worst, _max_norm(dB[:, i] + _bracket(B0, Bi) - _bracket(Bj, Bk)))
-    return worst
+        worst = np.maximum(worst, _max_norm(dB[:, i] + _bracket(B0, Bi) - _bracket(Bj, Bk)))
+    return float(worst)
 
 
 def gauge_transform(state: NahmState, R: np.ndarray, c: np.ndarray) -> NahmState:
@@ -238,7 +238,7 @@ def translation_action(state: NahmState, x: np.ndarray) -> NahmState:
 
 
 def linearized_residual(tangent: TangentState, state: NahmState) -> float:
-    """Residual of A_i' + [A_0,B_i] + [B_0,A_i] = [A_j,B_k] + [B_j,A_k]."""
+    """Residual of A_i' + [A_0,B_i] + [B_0,A_i] = [A_j,B_k] + [B_j,A_k]; NaN if any entry is."""
     if tangent.s.shape != state.s.shape or np.abs(tangent.s - state.s).max() > 1e-12:
         raise ValueError("tangent and state must share a grid")
     A0, B0 = tangent.A[0], state.B[0]
@@ -247,9 +247,9 @@ def linearized_residual(tangent: TangentState, state: NahmState) -> float:
     for i, j, k in _CYCLIC:
         Ai, Aj, Ak = tangent.A[i + 1], tangent.A[j + 1], tangent.A[k + 1]
         Bi, Bj, Bk = state.B[i + 1], state.B[j + 1], state.B[k + 1]
-        worst = max(worst, _max_norm(dA[:, i] + _bracket(A0, Bi)
-                                     + _bracket(B0, Ai) - _bracket(Aj, Bk) - _bracket(Bj, Ak)))
-    return worst
+        worst = np.maximum(worst, _max_norm(dA[:, i] + _bracket(A0, Bi) + _bracket(B0, Ai)
+                                            - _bracket(Aj, Bk) - _bracket(Bj, Ak)))
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Everything here is dimension-agnostic plumbing used by the geometry modules:
 high-order finite-difference stencils (Fornberg weights), Richardson-extrapolated
 partial derivatives, the exterior derivative of a form field given by its
-coefficient arrays (every point from one Richardson stencil; `once_per_point`
-builds a field once per stencil point), adaptive Simpson quadrature with
+coefficient arrays (every point from one Richardson stencil, on which a field
+is built once as a (17, ...) stack on R^4), adaptive Simpson quadrature with
 endpoint substitutions for improper integrals, adaptive Gauss-Kronrod 7-15
 quadrature, SVD nullspaces and subspace distances, pointwise Hodge duality for
 2-forms on 4-dimensional coordinate patches, the su(2) basis and the cyclic
@@ -46,13 +46,18 @@ FD_STEP = 1e-4
 # ---------------------------------------------------------------------------
 
 def fd_weights(x0: float, xs: Sequence[float], m: int) -> np.ndarray:
-    """Fornberg weights for the m-th derivative at x0 from nodes xs."""
-    xs = np.asarray(xs, dtype=float)
+    """Fornberg weights for the m-th derivative at x0 from nodes xs.
+
+    The recurrence runs on Python floats and lists: numpy scalars would round
+    the same way, at twice the cost per call.
+    """
+    xs = np.asarray(xs, dtype=float).tolist()
+    x0 = float(x0)
     n = len(xs)
     if m >= n:
         raise ValueError("need more nodes than derivative order")
-    c = np.zeros((n, m + 1))
-    c[0, 0] = 1.0
+    c = [[0.0] * (m + 1) for _ in range(n)]
+    c[0][0] = 1.0
     c1 = 1.0
     c4 = xs[0] - x0
     for i in range(1, n):
@@ -65,13 +70,15 @@ def fd_weights(x0: float, xs: Sequence[float], m: int) -> np.ndarray:
             c2 *= c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    c[i][k] = c1 * (k * c[i - 1][k - 1] - c5 * c[i - 1][k]) / c2
+                c[i][0] = -c1 * c5 * c[i - 1][0] / c2
             for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                c[j][k] = (c4 * c[j][k] - k * c[j][k - 1]) / c3
+            c[j][0] = c4 * c[j][0] / c3
         c1 = c2
-    return c[:, m]
+    # a column view, as the weights always were: grid_derivative's edge
+    # tensordot rounds a strided vector otherwise than a contiguous one
+    return np.array(c)[:, m]
 
 
 def grid_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -146,8 +153,9 @@ def exterior_derivative_at(components: Callable[[np.ndarray], np.ndarray],
     each partial Richardson-extrapolated.  Every point comes from the one
     `richardson_stencil(x)`, but `components` is called once at x and four
     times per partial, each call read for one coefficient: 49 calls at 17
-    distinct points for a 2-form on R^4.  A field that is costly to build
-    should reach this through `once_per_point`.
+    distinct points for a 2-form on R^4.  A field that is costly to build is
+    built once on the stencil and read back through
+    `exterior_derivative_on_stencil`.
     """
     x = np.asarray(x, dtype=float)
     stencil = richardson_stencil(x)
@@ -164,25 +172,16 @@ def exterior_derivative_at(components: Callable[[np.ndarray], np.ndarray],
     return out
 
 
-def once_per_point(field: Callable[[np.ndarray], np.ndarray]
-                   ) -> Callable[[np.ndarray], np.ndarray]:
-    """`field`, evaluated at most once per point: later calls at the same point
-    return the first value, the same object.
+def exterior_derivative_on_stencil(values: Sequence[np.ndarray], x: np.ndarray) -> dict:
+    """`exterior_derivative_at` of a field already evaluated on `richardson_stencil(x)`.
 
-    The values are kept in a dict keyed by each point's bytes, which lives as
-    long as the returned function; wrap a field for one finite-difference
-    check, so that `exterior_derivative_at` builds it once per stencil point.
+    values[i] is the field's coefficient array at stencil row i: a stacked
+    field is called once on the stencil, and `components` is a lookup into
+    those rows by each point's bytes, still read 49 times on R^4.
     """
-    values: dict[bytes, np.ndarray] = {}
-
-    def field_once(x: np.ndarray) -> np.ndarray:
-        key = x.tobytes()
-        value = values.get(key)
-        if value is None:
-            value = values[key] = field(x)
-        return value
-
-    return field_once
+    x = np.asarray(x, dtype=float)
+    rows = {p.tobytes(): v for p, v in zip(richardson_stencil(x), values, strict=True)}
+    return exterior_derivative_at(lambda p: rows[p.tobytes()], x)
 
 
 # ---------------------------------------------------------------------------

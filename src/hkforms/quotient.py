@@ -33,15 +33,12 @@ from typing import Callable
 import numpy as np
 
 from .exterior import QuaternionicStructure
-from .numerics import (SU2_BASIS, exterior_derivative_at, once_per_point,
-                       partial_derivative, richardson_stencil)
+from .numerics import (SU2_BASIS, _richardson, exterior_derivative_on_stencil,
+                       richardson_stencil)
 
 # d(u_0 + i u_1) and d(u_2 + i u_3) along the four chart directions
 _DU01 = np.array([1.0, 1.0j, 0.0, 0.0])
 _DU23 = np.array([0.0, 0.0, 1.0, 1.0j])
-
-# frames a QuotientChart keeps before its memo is cleared
-_FRAME_MEMO_SIZE = 256
 
 # moment residual a solve_level_set representative must meet
 _LEVEL_SET_TOL = 1e-12
@@ -159,20 +156,17 @@ class QuotientChart:
     by hand from the same intermediates, and the projector P is written out
     from the orthogonal frame (Y, IY, JY, KY) of the vertical space.  P
     itself is not kept: T+ P = T+, so a pushed-down field is T+ applied to
-    the ambient one.  Frames are kept in a memo on the instance, keyed by
-    the exact bytes of u, and the memo is filled one stencil at a time: a
-    miss at u builds, in one stacked pass, the frames of all 17 points that
-    the checks' finite differences visit about u (u, u +- h e_k,
-    u +- h/2 e_k; numerics.richardson_stencil).  `chart_tangents`,
-    `pushdown_field` and `kahler_form` read from it.  The memo lives as long
-    as the chart, is cleared before a stencil would take it past
-    _FRAME_MEMO_SIZE frames, and its arrays are read-only.  Every finite
-    difference on the chart uses the step numerics.FD_STEP.
+    the ambient one.  The chart keeps nothing but its spec.  Each
+    finite-difference check about u builds, in one stacked pass, the frames
+    of the 17 points its differences visit (u, u +- h e_k, u +- h/2 e_k;
+    numerics.richardson_stencil), and reads off them every field it
+    differences: the pushed-down forms T^T omega T and fields T+ X, row by
+    row, with row 0 the value at u.  Every finite difference on the chart
+    uses the step numerics.FD_STEP.
     """
 
     def __init__(self, spec: GroupActionSpec):
         self.spec = spec
-        self._frames: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- the chart map --------------------------------------------------------------
 
@@ -181,10 +175,9 @@ class QuotientChart:
 
         The Jacobians are differentiated by hand.  Along the four chart
         directions Re(conj(x) dx) is (u_0, u_1, 0, 0) for x = u_0 + i u_1 and
-        (0, 0, u_2, u_3) for x = u_2 + i u_3.  U[0] is the point asked for: if
-        it lies outside the Calabi level-set domain this raises ValueError,
-        while any later row outside it (a stencil neighbour past the edge)
-        comes back as NaN.  Every row is rounded, bit for bit, as numpy's
+        (0, 0, u_2, u_3) for x = u_2 + i u_3.  If any row lies outside the
+        Calabi level-set domain, a stencil neighbour past the edge included,
+        this raises ValueError.  Every row is rounded, bit for bit, as numpy's
         scalar arithmetic rounds the same formulas at that one point: |x|^2
         is libm's pow(|x|, 2) (an array `**` squares instead), and
         w_2 = -i z_1 w_1 is written out in reals (numpy's array complex
@@ -212,9 +205,9 @@ class QuotientChart:
             level = 2.0 * spec.level_shift  # mu_1 = 0 <=> |z|^2 - |w|^2 = 2 shift
             denom = 1.0 + sq(u0, u1)
             mu_sq = sq(u2, u3) + level / denom
-            if mu_sq[0] <= 0:
+            if (mu_sq <= 0).any():
                 raise ValueError("chart parameter outside the level-set domain")
-            mu = np.sqrt(np.where(mu_sq > 0, mu_sq, np.nan))
+            mu = np.sqrt(mu_sq)
             one = np.ones(len(U))
             z = mu[:, None] * np.array([one, zeta]).T
             w = eta[:, None] * np.array([-zeta, one]).T
@@ -265,117 +258,107 @@ class QuotientChart:
         R = np.concatenate([self.spec.moment_gradient_rows(p), Y[..., None, :]], axis=-2)
         return np.eye(Y.shape[-1]) - np.swapaxes(R, -1, -2) @ R / (Y[..., None, :] @ Y[..., None])
 
-    def _frame(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(p, T, T+) at u: representative, tangent columns T = P J and the
-        left inverse T+ = (T^T T)^{-1} T^T.
+    def chart_tangents(self, p: np.ndarray, J: np.ndarray) -> np.ndarray:
+        """Horizontal lifts T = P J of the chart-coordinate directions (as columns).
 
-        A miss builds the frames of u's whole Richardson stencil in one stacked
-        pass and keeps every one of them except a neighbour's NaN frame.
+        J is the Jacobian of the representatives p, as `_chart_map` returns
+        them: stacks, (m, 8) and (m, 8, 4), give a stack, (m, 8, 4).
         """
-        u = _chart_point(u)
-        key = u.tobytes()
-        frame = self._frames.get(key)
-        if frame is not None:
-            return frame
-        stencil = richardson_stencil(u)
-        p, J = self._chart_map(stencil)
-        T = self.projector(p) @ J
+        return self.projector(p) @ J
+
+    def _horizontal_frames(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(p, T, T+) at chart points U, (m, 4): representatives, tangent columns
+        T = P J and their left inverses T+ = (T^T T)^{-1} T^T, stacked."""
+        p, J = self._chart_map(U)
+        T = self.chart_tangents(p, J)
         Tt = np.swapaxes(T, -1, -2)
-        T_pinv = np.linalg.solve(Tt @ T, Tt)
-        for arr in (p, T, T_pinv):
-            arr.flags.writeable = False
-        if len(self._frames) + len(stencil) > _FRAME_MEMO_SIZE:
-            self._frames.clear()
-        keep = ~np.isnan(p).any(axis=1)
-        keep[0] = True    # u itself, whatever its frame
-        for i in np.flatnonzero(keep):
-            self._frames[stencil[i].tobytes()] = (p[i], T[i], T_pinv[i])
-        return self._frames[key]
+        return p, T, np.linalg.solve(Tt @ T, Tt)
 
-    def chart_tangents(self, u: np.ndarray) -> np.ndarray:
-        """Horizontal lifts of the chart-coordinate directions (as columns)."""
-        return self._frame(u)[1]
-
-    def kahler_form(self, axis: int, u: np.ndarray) -> np.ndarray:
-        """Pushed-down omega_axis as an antisymmetric chart matrix."""
-        T = self.chart_tangents(u)
-        return T.T @ self.spec.structure.omega_matrix(axis) @ T
+    def _stencil_forms(self, u: np.ndarray, axes) -> tuple[np.ndarray, ...]:
+        """The frames on richardson_stencil(u), and the pushed-down omega_axis,
+        T^T omega T, on every row for each of `axes`: (17, 4, 4) each."""
+        p, T, T_pinv = self._horizontal_frames(richardson_stencil(_chart_point(u)))
+        Tt = np.swapaxes(T, -1, -2)
+        omega = self.spec.structure.omega_matrix
+        return (p, T_pinv) + tuple(Tt @ omega(axis) @ T for axis in axes)
 
     def closedness_residual(self, axis: int, u: np.ndarray) -> float:
-        """Finite-difference d(omega_axis) on the chart."""
-        u = np.asarray(u, float)
-        omega = once_per_point(lambda v: self.kahler_form(axis, v))
-        out = exterior_derivative_at(omega, u)
-        scale = max(np.abs(omega(u)).max(), 1e-300)
-        return max(abs(v) for v in out.values()) / scale
+        """Finite-difference d(omega_axis) on the chart; NaN if any coefficient is."""
+        _, _, omega = self._stencil_forms(u, (axis,))
+        out = exterior_derivative_on_stencil(omega, u)
+        scale = max(np.abs(omega[0]).max(), 1e-300)
+        return np.abs(list(out.values())).max() / scale
 
     # -- distinguished vector fields -----------------------------------------------
 
-    def pushdown_field(self, ambient_field: Callable[[np.ndarray], np.ndarray],
-                       u: np.ndarray) -> np.ndarray:
-        """Chart components of the projection of an ambient field.
+    @staticmethod
+    def _pushdown(ambient_field: Callable[[np.ndarray], np.ndarray], p: np.ndarray,
+                  T_pinv: np.ndarray) -> np.ndarray:
+        """Chart components T+ X of an ambient field at each row of p, (m, 4).
 
-        The least-squares coefficients of P X in the columns of T, read as
-        T+ X: T = P J with P symmetric and idempotent gives T+ P = T+.
+        They are the least-squares coefficients of P X in the columns of T:
+        T = P J with P symmetric and idempotent gives T+ P = T+.
         """
-        p, _, T_pinv = self._frame(u)
-        return T_pinv @ ambient_field(p)
+        return (T_pinv @ ambient_field(p)[..., None])[..., 0]
 
     def rotation_ambient(self, p: np.ndarray) -> np.ndarray:
-        """Generator of w -> e^{-i t} w, the circle rotating omega_2 into omega_3."""
+        """Generator of w -> e^{-i t} w, the circle rotating omega_2 into omega_3.
+
+        A stack of points, (m, 8), gives the field at each, (m, 8).
+        """
         z, w = to_complex(p)
         return to_real(np.zeros_like(z), -1j * w)
 
     def triholomorphic_ambient(self, p: np.ndarray) -> np.ndarray:
-        """Generator of (e^{i t} z_1, e^{-i t} w_1), defined for the taubnut model."""
+        """Generator of (e^{i t} z_1, e^{-i t} w_1), defined for the taubnut model.
+
+        A stack of points, (m, 8), gives the field at each, (m, 8).
+        """
         z, w = to_complex(p)
         dz = np.zeros_like(z)
         dw = np.zeros_like(w)
-        dz[0] = 1j * z[0]
-        dw[0] = -1j * w[0]
+        dz[..., 0] = 1j * z[..., 0]
+        dw[..., 0] = -1j * w[..., 0]
         return to_real(dz, dw)
 
-    def lie_derivatives(self, ambient_field, u: np.ndarray) -> np.ndarray:
-        """(L_X omega_a) on the chart for a = 1, 2, 3, stacked, by finite differences.
+    def lie_derivatives(self, ambient_field, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(L_X omega_a) on the chart for a = 1, 2, 3, by finite differences, and
+        the three forms omega_a at u: two (3, 4, 4) stacks.
 
-        The pushed-down field and the three forms are each differenced once;
-        every entry is the sum X . dB_iab + dX_a . B_i[:, b] + B_ia . dX_b.
+        The pushed-down field and the three forms are each differenced once,
+        on the rows of one stencil; every entry is the sum
+        X . dB_iab + dX_a . B_i[:, b] + B_ia . dX_b.
         """
-        u = np.asarray(u, dtype=float)
-        omegas_fn = lambda v: np.array([self.kahler_form(axis, v) for axis in (1, 2, 3)])
-        X_fn = lambda v: self.pushdown_field(ambient_field, v)
-        X, B = X_fn(u), omegas_fn(u)
-        dB = np.array([partial_derivative(omegas_fn, u, g) for g in range(4)])
-        dX = np.array([partial_derivative(X_fn, u, g) for g in range(4)])
+        p, T_pinv, *forms = self._stencil_forms(u, (1, 2, 3))
+        B = np.stack(forms, axis=1)
+        X = self._pushdown(ambient_field, p, T_pinv)
+        dB, dX = (np.array([_richardson(*rows[1 + 4 * g:5 + 4 * g]) for g in range(4)])
+                  for rows in (B, X))
+        X, B = X[0], B[0]
         out = np.zeros((3, 4, 4))
         for i, a, b in np.ndindex(out.shape):
             out[i, a, b] = X @ dB[:, i, a, b] + dX[a] @ B[i, :, b] + B[i, a] @ dX[b]
-        return out
+        return out, B
 
     def omegas_relation_residuals(self, u: np.ndarray) -> dict:
         """Residuals of L_X omega_1 = 0, L_X omega_2 = omega_3, L_X omega_3 = -omega_2."""
-        B2 = self.kahler_form(2, u)
+        (L1, L2, L3), (_, B2, B3) = self.lie_derivatives(self.rotation_ambient, u)
         scale = max(np.abs(B2).max(), 1e-300)
-        L1, L2, L3 = self.lie_derivatives(self.rotation_ambient, u)
         return {
             "L_X omega1": float(np.abs(L1).max()) / scale,
-            "L_X omega2 - omega3": float(np.abs(L2 - self.kahler_form(3, u)).max()) / scale,
+            "L_X omega2 - omega3": float(np.abs(L2 - B3).max()) / scale,
             "L_X omega3 + omega2": float(np.abs(L3 + B2).max()) / scale,
         }
 
     def beta_exactness_residual(self, u: np.ndarray) -> float:
-        """d(iota(X) omega_2) = omega_3, checked by finite differences."""
-        def beta_fn(v: np.ndarray) -> np.ndarray:
-            X = self.pushdown_field(self.rotation_ambient, v)
-            return X @ self.kahler_form(2, v)     # beta_a = omega_2(X, e_a)
-
-        dbeta = exterior_derivative_at(once_per_point(beta_fn), np.asarray(u, float))
-        target = self.kahler_form(3, u)
+        """d(iota(X) omega_2) = omega_3, checked by finite differences; NaN if any entry is."""
+        p, T_pinv, omega2, omega3 = self._stencil_forms(u, (2, 3))
+        X = self._pushdown(self.rotation_ambient, p, T_pinv)
+        beta = (X[:, None, :] @ omega2)[:, 0]     # beta_a = omega_2(X, e_a)
+        dbeta = exterior_derivative_on_stencil(beta, u)
+        target = omega3[0]
         scale = max(np.abs(target).max(), 1e-300)
-        worst = 0.0
-        for (a, b), val in dbeta.items():
-            worst = max(worst, abs(val - target[a, b]))
-        return worst / scale
+        return np.abs([val - target[a, b] for (a, b), val in dbeta.items()]).max() / scale
 
 
 # ---------------------------------------------------------------------------

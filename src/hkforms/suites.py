@@ -3,7 +3,9 @@
 Suites are deterministic given (seed, tol_scale).  Each runner writes its
 bounds as contract values; `tol_scale` multiplies the bound of every `le`
 record, fitted slopes and exponents included, in one place (`report.Records.le`).
-Random sampling uses a fresh numpy Generator seeded per suite.
+Random sampling uses a fresh numpy Generator seeded per suite.  A record's
+worst case over its sample points is taken with numpy's max, which returns NaN
+when any sample is NaN; Python's max keeps an earlier value instead.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
         for axis in (1, 2, 3):
             lhs = inner(alg.lefschetz(axis, a), b)
             rhs = inner(a, alg.lefschetz_adjoint(axis, b))
-            worst = max(worst, abs(lhs - rhs))
+            worst = np.maximum(worst, abs(lhs - rhs))
     rec.le("adjointness-random-pairs", "wedge-adjoint-pairing", worst, 1e-12)
 
     kernel1 = middle_kernel(Q4)
@@ -99,8 +101,8 @@ def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     type_ok = True
     for eta in kernel1:
         for axis in (1, 2, 3):
-            worst_ann = max(worst_ann, alg.su2_action(axis, eta).norm(),
-                            alg.lefschetz_adjoint(axis, eta).norm())
+            worst_ann = np.max([worst_ann, alg.su2_action(axis, eta).norm(),
+                                alg.lefschetz_adjoint(axis, eta).norm()])
             type_ok &= [(p, q) for p, q, _ in type_components(eta, axis, Q4)] == [(1, 1)]
     rec.le("middle-kernel-annihilation-k1", "primitive-su2-invariant", worst_ann, 1e-10)
     rec.flag("middle-kernel-type-k1", "type-1-1-all-axes", type_ok)
@@ -114,7 +116,7 @@ def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     type_ok2 = True
     for eta in kernel2:
         for axis in (1, 2, 3):
-            worst_ann2 = max(worst_ann2, alg8.su2_action(axis, eta).norm())
+            worst_ann2 = np.maximum(worst_ann2, alg8.su2_action(axis, eta).norm())
             type_ok2 &= [(p, q) for p, q, _ in type_components(eta, axis, Q8)] == [(2, 2)]
     rec.le("middle-kernel-annihilation-k2", "su2-invariant", worst_ann2, 1e-10)
     rec.flag("middle-kernel-type-k2", "type-2-2-all-axes", type_ok2)
@@ -150,18 +152,18 @@ def run_taubnut(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
         if np.linalg.norm(x) > 1e-2:
             points.append(gh.GHPoint(x, float(rng.random())))
 
-    worst_dd = max(gh.ddtheta_residual(p, data) for p in points[:25])
+    worst_dd = np.max([gh.ddtheta_residual(p, data) for p in points[:25]])
     rec.le("harmonic-form-closed", "dd-theta-finite-difference", worst_dd, 1e-6)
-    worst_asd = max(gh.anti_self_duality_residual(p, data) for p in points)
+    worst_asd = np.max([gh.anti_self_duality_residual(p, data) for p in points])
     rec.le("harmonic-form-anti-self-dual", "star-plus-identity", worst_asd, 1e-8)
-    worst_density = max(abs(gh.l2_density(p, data) - gh.l2_density_from_forms(p, data))
-                        for p in points)
+    worst_density = np.max([abs(gh.l2_density(p, data) - gh.l2_density_from_forms(p, data))
+                            for p in points])
     rec.le("density-two-routes", "wedge-vs-closed-form-density", worst_density, 1e-10)
 
     north = gh.GHData(m=m, patch="north")
     south = gh.GHData(m=m, patch="south")
-    worst_patch = max(abs(gh.l2_density_from_forms(p, north) - gh.l2_density_from_forms(p, south))
-                      for p in points[:20])
+    worst_patch = np.max([abs(gh.l2_density_from_forms(p, north)
+                              - gh.l2_density_from_forms(p, south)) for p in points[:20]])
     rec.le("gauge-patch-independence", "scalar-agreement-on-overlap", worst_patch, 1e-10)
 
     value = gh.l2_norm(data)
@@ -172,8 +174,8 @@ def run_taubnut(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     scaling_dev = 0.0
     for mm in (0.5, 1.0, 2.0):
         dm = gh.GHData(m=mm)
-        scaling_dev = max(scaling_dev,
-                          abs(gh.l2_norm(dm) / (mm * dm.tau_period) - 4.0 * math.pi))
+        scaling_dev = np.maximum(scaling_dev,
+                                 abs(gh.l2_norm(dm) / (mm * dm.tau_period) - 4.0 * math.pi))
     rec.le("l2-norm-mass-scaling", "norm-linear-in-mass-and-period",
            scaling_dev, 1e-6 * 4.0 * math.pi)
 
@@ -214,7 +216,7 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
              ah_v[1].integrable and not ah_v[2].integrable and not ah_v[3].integrable
              and ah_v[2].divergent_endpoints == (math.pi,)
              and ah_v[3].divergent_endpoints == (math.pi,))
-    worst_exp = max(abs(ah_v[axis].fitted_exponents[math.pi] + 2.0) for axis in (2, 3))
+    worst_exp = np.max([abs(ah_v[axis].fitted_exponents[math.pi] + 2.0) for axis in (2, 3)])
     rec.le("two-monopole-endpoint-exponent", "inverse-square-density", worst_exp, 0.05)
 
     eh_v = bx.classify_l2(eh)
@@ -255,9 +257,12 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
                            6.0 * rng.random(), 6.0 * rng.random()])
         for axis in (1, 2, 3):
             F = bx.ClosednessSolution(axis, profile)
-            worst_closed = max(worst_closed, bx.closedness_residual(axis, profile, coords, F))
-            worst_asd = max(worst_asd, bx.anti_self_duality_residual(axis, profile, coords, F))
-            worst_wedge = max(worst_wedge, bx.wedge_density_cross_check(axis, profile, coords, F))
+            worst_closed = np.maximum(worst_closed,
+                                      bx.closedness_residual(axis, profile, coords, F))
+            worst_asd = np.maximum(worst_asd,
+                                   bx.anti_self_duality_residual(axis, profile, coords, F))
+            worst_wedge = np.maximum(worst_wedge,
+                                     bx.wedge_density_cross_check(axis, profile, coords, F))
     rec.le("ansatz-closed", "finite-difference-d-phi", worst_closed, 1e-6)
     rec.le("ansatz-anti-self-dual", "star-plus-identity", worst_asd, 1e-8)
 
@@ -274,7 +279,7 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
         iu = np.triu_indices(4, 1)
         mask = np.abs(pulled[iu]) > 1e-8
         constants.append(float(np.median((phi3[iu][mask] / pulled[iu][mask]).real)))
-    dev = max(abs(c - constants[0]) for c in constants) / abs(constants[0])
+    dev = np.max([abs(c - constants[0]) for c in constants]) / abs(constants[0])
     rec.le("cross-module-proportionality", "invariant-form-matches-gibbons-hawking", dev, 1e-6)
     rec.le("density-wedge-route", "minus-phi-wedge-phi-vs-density", worst_wedge, 1e-10)
 
@@ -316,7 +321,7 @@ def _eguchi_hanson_deviation(chart: QuotientChart, profile: bx.BianchiProfile,
     d = calabi_orbit_data(chart, t)
     f, _, _, c = profile.coefficients(math.sqrt(d["A_sq"]))
     radial = 2.0 * f * partial_derivative(radius, np.array([t]), 0)
-    return max(abs(d["C_sq"] - c * c) / (c * c), abs(math.sqrt(d["f_sq"]) - radial) / radial)
+    return np.max([abs(d["C_sq"] - c * c) / (c * c), abs(math.sqrt(d["f_sq"]) - radial) / radial])
 
 
 def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
@@ -334,13 +339,13 @@ def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
         grid = [rng.standard_normal(4) for _ in range(9)]
         for u in grid:
             p = chart.solve_level_set(u)
-            worst_moment = max(worst_moment, spec.moment_residual(p))
+            worst_moment = np.maximum(worst_moment, spec.moment_residual(p))
             P = chart.projector(p)
-            worst_proj = max(worst_proj,
-                             float(np.abs(P @ P - P).max()),
-                             float(np.abs(P - P.T).max()),
-                             float(np.abs(P @ spec.generator_real(p)).max()),
-                             float(np.abs(spec.moment_gradient_rows(p) @ P).max()))
+            worst_proj = np.max([worst_proj,
+                                 float(np.abs(P @ P - P).max()),
+                                 float(np.abs(P - P.T).max()),
+                                 float(np.abs(P @ spec.generator_real(p)).max()),
+                                 float(np.abs(spec.moment_gradient_rows(p) @ P).max())])
         rec.le(f"{tag}-moment-residual", "level-set-solve", worst_moment, 1e-12)
         rec.le(f"{tag}-projector", "horizontal-projection", worst_proj, 1e-10)
 
@@ -350,9 +355,9 @@ def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
         for _ in range(2):
             u = 0.7 * rng.standard_normal(4)
             for axis in (1, 2, 3):
-                worst_closed = max(worst_closed, chart.closedness_residual(axis, u))
-            worst_om = max(worst_om, max(chart.omegas_relation_residuals(u).values()))
-            worst_beta = max(worst_beta, chart.beta_exactness_residual(u))
+                worst_closed = np.maximum(worst_closed, chart.closedness_residual(axis, u))
+            worst_om = np.max([worst_om, *chart.omegas_relation_residuals(u).values()])
+            worst_beta = np.maximum(worst_beta, chart.beta_exactness_residual(u))
         rec.le(f"{tag}-forms-closed", "d-omega-finite-difference", worst_closed, 1e-5)
         rec.le(f"{tag}-rotation-relations", "circle-rotates-complex-forms", worst_om, 1e-5)
         rec.le(f"{tag}-beta-exactness", "d-iota-X-omega2", worst_beta, 1e-5)
@@ -375,20 +380,20 @@ def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     chart = QuotientChart(spec)
     worst_tri = 0.0
     for _ in range(2):
-        L = chart.lie_derivatives(chart.triholomorphic_ambient, 0.7 * rng.standard_normal(4))
-        worst_tri = max(worst_tri, float(np.abs(L).max()))
+        L = chart.lie_derivatives(chart.triholomorphic_ambient, 0.7 * rng.standard_normal(4))[0]
+        worst_tri = np.maximum(worst_tri, float(np.abs(L).max()))
     rec.le("taubnut-triholomorphic-circle", "all-forms-invariant", worst_tri, 1e-5)
 
     chart = QuotientChart(GroupActionSpec("calabi_circle", level_shift=0.5))
     worst_orbit = 0.0
     for t in (0.0, 0.4, 1.1):
         d = calabi_orbit_data(chart, t)
-        worst_orbit = max(worst_orbit, abs(d["A_sq"] - d["B_sq"]), d["cross_max"],
-                          d["radial_cross"])
+        worst_orbit = np.max([worst_orbit, abs(d["A_sq"] - d["B_sq"]), d["cross_max"],
+                              d["radial_cross"]])
     rec.le("calabi-orbit-biaxial", "su2-orbit-metric-biaxial", worst_orbit, 1e-10)
     # the bolt radius A(0) = 1/2 fixes the Eguchi-Hanson parameter
     eh = bx.eguchi_hanson_profile(math.sqrt(calabi_orbit_data(chart, 0.0)["A_sq"]))
-    worst_eh = max(_eguchi_hanson_deviation(chart, eh, t) for t in (0.25, 0.5, 0.9, 1.4, 2.0))
+    worst_eh = np.max([_eguchi_hanson_deviation(chart, eh, t) for t in (0.25, 0.5, 0.9, 1.4, 2.0)])
     rec.le("calabi-is-eguchi-hanson", "orbit-metric-matches-profile", worst_eh, 1e-8)
     return rec, details
 

@@ -31,6 +31,7 @@ from hkforms.numerics import (
     exterior_derivative_at,
     gauss_kronrod,
     loglog_slope,
+    richardson_stencil,
     smoothstep_c2,
     smoothstep_c3,
 )
@@ -721,6 +722,24 @@ def test_closedness_residual_builds_the_form_once_per_stencil_point(monkeypatch)
         calls.clear()
         closedness_residual(axis, EH, coords, ClosednessSolution(axis, EH))
         assert len(calls) == 17
+
+
+def test_closedness_residual_is_nan_when_a_later_stencil_point_is(monkeypatch):
+    # one NaN coefficient of phi at x + h e_2 feeds only the last coefficient
+    # of d(phi), (1, 2, 3); Python's max would return the largest finite one
+    coords = sample_coords(np.random.default_rng(30), 0.7)
+    target = richardson_stencil(coords)[9].tobytes()
+    form = bianchi.ansatz_form_matrix
+
+    def poisoned(axis, profile, c, F):
+        phi = form(axis, profile, c, F)
+        if c.tobytes() == target:
+            phi[1, 3] = math.nan
+        return phi
+
+    monkeypatch.setattr(bianchi, "ansatz_form_matrix", poisoned)
+    for axis in (1, 2, 3):
+        assert math.isnan(closedness_residual(axis, EH, coords, ClosednessSolution(axis, EH)))
 
 
 # -- classification ------------------------------------------------------------

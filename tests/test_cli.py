@@ -411,6 +411,35 @@ def test_json_non_finite_values_are_strict(tmp_path):
                                  "nested": {"x": ["Infinity", 2]}}
 
 
+_LATER_NAN_CASES = [
+    ("taubnut", suites.gh, "ddtheta_residual", "harmonic-form-closed"),
+    ("taubnut", suites.gh, "anti_self_duality_residual", "harmonic-form-anti-self-dual"),
+    ("bianchi", bx, "closedness_residual", "ansatz-closed"),
+    ("quotient", suites.QuotientChart, "closedness_residual", "taubnut-forms-closed"),
+    ("quotient", suites.QuotientChart, "beta_exactness_residual", "taubnut-beta-exactness"),
+    ("quotient", suites.GroupActionSpec, "moment_residual", "taubnut-moment-residual"),
+]
+
+
+@pytest.mark.parametrize("suite, owner, name, check", _LATER_NAN_CASES,
+                         ids=[case[3] for case in _LATER_NAN_CASES])
+def test_a_nan_residual_at_a_later_sample_point_fails_its_record(monkeypatch, suite, owner,
+                                                                 name, check):
+    # Python's max keeps an earlier value when a later one is NaN
+    residual = getattr(owner, name)
+    calls = []
+
+    def poisoned(*args):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else residual(*args)
+
+    monkeypatch.setattr(owner, name, poisoned)
+    records, _ = run_suite(suite, SuiteConfig(seed=7))
+    (record,) = [r for r in records if r.check == check]
+    assert len(calls) > 2
+    assert math.isnan(record.measured) and not record.passed
+
+
 def test_json_finite_output_unchanged(tmp_path):
     records = Records("s", 1.0)
     records.le("c", "a", 1.0 / 3.0, 1e-300)

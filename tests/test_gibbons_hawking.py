@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hkforms import gibbons_hawking
+from hkforms.numerics import richardson_stencil
 from hkforms.gibbons_hawking import (
     GHData,
     GHPoint,
@@ -342,3 +343,20 @@ def test_ddtheta_residual_refuses_the_excluded_axis():
         ddtheta_residual(GHPoint(np.array([0.0, 0.0, -2.0]), 0.5), GHData(m=1.0, patch="north"))
     with pytest.raises(ValueError, match="south patch"):
         ddtheta_residual(GHPoint(np.array([0.0, 0.0, 2.0]), 0.5), GHData(m=1.0, patch="south"))
+
+
+def test_ddtheta_residual_is_nan_when_a_later_stencil_point_is(monkeypatch):
+    # one NaN coefficient of dtheta at x + h e_2 feeds only the last coefficient
+    # of d(dtheta), (1, 2, 3); Python's max would return the largest finite one
+    p = GHPoint(np.array([0.7, -0.3, 1.1]), 0.2)
+    target = richardson_stencil(np.append(p.x, p.tau))[9, :3].tolist()
+    kernel = gibbons_hawking._dtheta
+
+    def poisoned(x, r, d):
+        B = kernel(x, r, d)
+        if x == target:
+            B[1, 3] = math.nan
+        return B
+
+    monkeypatch.setattr(gibbons_hawking, "_dtheta", poisoned)
+    assert math.isnan(ddtheta_residual(p, D1))

@@ -1,6 +1,7 @@
 """Nahm flows: residuals, gauge covariance, the rotation contraction identity."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -297,6 +298,19 @@ def test_residuals_match_the_per_component_oracle_bit_for_bit(nodes):
             flow, linear = _per_component_residuals(tangent, base)
             assert nahm_residual(base) == flow
             assert linearized_residual(tangent, base) == linear
+
+
+def test_residuals_are_nan_when_one_entry_is():
+    # one NaN entry of B_3 (A_3) enters every equation; Python's max over the
+    # three equations kept its starting 0.0 and read the residual as exact
+    state = one_pole_state(0.1, 1.0, 501)
+    B = [b.copy() for b in state.B]
+    B[3][250, 2] = math.nan
+    assert math.isnan(nahm_residual(NahmState(state.s, tuple(B))))
+    tangent = translation_tangent(state, np.array([0.7, -0.3, 1.1]))
+    A = [a.copy() for a in tangent.A]
+    A[3][250, 2] = math.nan
+    assert math.isnan(linearized_residual(TangentState(state.s, tuple(A)), state))
 
 
 def test_translation_tangent_linearized():

@@ -10,11 +10,13 @@ import pytest
 
 from hkforms.bianchi import ClosednessSolution, ansatz_form_matrix, eguchi_hanson_profile
 from hkforms.gibbons_hawking import GHData, GHPoint, dtheta
+from hkforms import nahm, numerics
 from hkforms.numerics import (
     FD_STEP,
     adaptive_simpson,
     composite_simpson,
     exterior_derivative_at,
+    exterior_derivative_on_stencil,
     fd_weights,
     gauss_kronrod,
     grid_derivative,
@@ -22,7 +24,6 @@ from hkforms.numerics import (
     integrate_to_infinity,
     loglog_slope,
     nullspace,
-    once_per_point,
     partial_derivative,
     richardson_stencil,
     smoothstep_c2,
@@ -137,19 +138,27 @@ def _form_fields():
                            eh_points, id=f"bianchi-phi{axis}")
     chart = QuotientChart(GroupActionSpec("calabi_circle", level_shift=0.5))
     chart_points = [rng.standard_normal(4) for _ in range(3)]
+
+    def omega(axis, v):
+        # the pushed-down omega_axis at one chart point, from a one-row frame stack
+        T = chart._horizontal_frames(v[None])[1][0]
+        return T.T @ chart.spec.structure.omega_matrix(axis) @ T
+
+    def beta(v):
+        (p,), _, (T_pinv,) = chart._horizontal_frames(v[None])
+        return T_pinv @ chart.rotation_ambient(p) @ omega(2, v)
+
     for axis in (1, 2, 3):
-        yield pytest.param(lambda v, axis=axis: chart.kahler_form(axis, v), chart_points,
+        yield pytest.param(lambda v, axis=axis: omega(axis, v), chart_points,
                            id=f"quotient-omega{axis}")
-    yield pytest.param(
-        lambda v: chart.pushdown_field(chart.rotation_ambient, v) @ chart.kahler_form(2, v),
-        chart_points, id="quotient-beta")
+    yield pytest.param(beta, chart_points, id="quotient-beta")
 
 
 @pytest.mark.parametrize("field, points", list(_form_fields()))
 def test_exterior_derivative_matches_dict_route_bit_for_bit(field, points):
     # the array route differences the same components in the same order as the
     # dict route, so every coefficient and the evaluation count agree exactly;
-    # through once_per_point the field itself is built once per stencil point
+    # so does the route through the field's values on the stencil, built once each
     def counted(fn, calls):
         def wrapped(x):
             calls.append(None)
@@ -161,29 +170,82 @@ def test_exterior_derivative_matches_dict_route_bit_for_bit(field, points):
         return {k: B[k] for k in itertools.combinations(range(4), B.ndim)}
 
     for x in points:
-        array_calls, dict_calls, outer_calls, inner_calls = [], [], [], []
+        array_calls, dict_calls = [], []
         got = exterior_derivative_at(counted(field, array_calls), x)
         want = _dict_exterior_derivative(counted(as_dict, dict_calls), x, 4)
-        once = exterior_derivative_at(
-            counted(once_per_point(counted(field, inner_calls)), outer_calls), x)
-        assert list(got) == list(want) == list(once)
-        assert all(got[k] == want[k] == once[k] for k in want)
-        assert len(array_calls) == len(dict_calls) == len(outer_calls) == 49
-        assert len(inner_calls) == 17
+        rows = exterior_derivative_on_stencil([field(p) for p in richardson_stencil(x)], x)
+        assert list(got) == list(want) == list(rows)
+        assert all(got[k] == want[k] == rows[k] for k in want)
+        assert len(array_calls) == len(dict_calls) == 49
 
 
-def test_once_per_point_keys_on_the_exact_bytes_of_a_point():
-    calls = []
-    field = once_per_point(lambda x: calls.append(x.tobytes()) or np.array([x.sum()]))
-    x = np.array([0.1, -0.2])
-    first = field(x)
-    assert field(x.copy()) is first and len(calls) == 1
-    # signed zeros and a one-ulp move are other points
-    for y in (np.array([0.0, 0.0]), np.array([-0.0, 0.0]), np.nextafter(x, 1.0)):
-        field(y)
-    assert len(calls) == 4 and len(set(calls)) == 4
-    # each wrapped field keeps its own values
-    assert once_per_point(lambda x: np.array([7.0]))(x)[0] == 7.0
+def test_exterior_derivative_on_stencil_builds_17_rows_and_reads_them_49_times(monkeypatch):
+    # a stacked field is called once, on the 17 stencil rows; exterior_derivative_at
+    # still reads its components 49 times, each a lookup into those rows
+    reads, stacks = [], []
+    inner = numerics.exterior_derivative_at
+    monkeypatch.setattr(numerics, "exterior_derivative_at", lambda components, x: inner(
+        lambda p: (reads.append(p.tobytes()), components(p))[1], x))
+
+    def stacked(points):    # the 1-form x1 x2 dx0 + x0^2 dx1 + x3 dx2 at each row
+        stacks.append(len(points))
+        return np.array([[p[1] * p[2], p[0] ** 2, p[3], 0.0] for p in points])
+
+    x = np.array([0.3, -0.7, 0.4, 0.1])
+    stencil = richardson_stencil(x)
+    out = exterior_derivative_on_stencil(stacked(stencil), x)
+    assert stacks == [17]
+    assert len(reads) == 49 and set(reads) == {p.tobytes() for p in stencil}
+    assert out == inner(lambda p: stacked(p[None])[0], x)
+    with pytest.raises(ValueError):    # one value per stencil row
+        exterior_derivative_on_stencil(stacked(stencil[:-1]), x)
+
+
+def _numpy_fd_weights(x0, xs, m):
+    """Fornberg's recurrence on numpy scalars in a 2-D array, returned as a
+    column view: the reference for fd_weights' Python-float recurrence."""
+    xs = np.asarray(xs, dtype=float)
+    n = len(xs)
+    c = np.zeros((n, m + 1))
+    c[0, 0] = 1.0
+    c1, c4 = 1.0, xs[0] - x0
+    for i in range(1, n):
+        c2, c5, c4 = 1.0, c4, xs[i] - x0
+        for j in range(i):
+            c3 = xs[i] - xs[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(min(i, m), 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(min(i, m), 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c[:, m]
+
+
+def test_fd_weights_match_the_numpy_scalar_recurrence_bit_for_bit():
+    # the centred and both skewed stencils of grid_derivative, at random steps
+    # and at the steps of the Nahm suite's grids
+    rng = np.random.default_rng(31)
+    suite_h = [nahm.one_pole_state(eps, 1.0, nodes).h for eps, nodes in
+               ((0.1, 2001), (1e-3, 20001), (1e-2, 8001), (5e-3, 8001), (2.5e-3, 8001),
+                (1e-2, 501), (1e-2, 1001), (1e-2, 2001))]
+    npts = 2001
+    for h in list(10.0 ** rng.uniform(-6.0, 0.0, 300)) + suite_h:
+        stencils = [(0.0, np.arange(-3, 4) * h)]
+        for i in range(3):
+            stencils += [(i * h, np.arange(7) * h),
+                         ((npts - 1 - i) * h, (npts - 7 + np.arange(7)) * h)]
+        for x0, xs in stencils:
+            assert fd_weights(x0, xs, 1).tobytes() == _numpy_fd_weights(x0, xs, 1).tobytes()
+    # the weights keep the reference's strided layout, which the edge rows'
+    # tensordot rounds by
+    values = rng.standard_normal((npts, 3, 4))
+    h = suite_h[0]
+    edge = np.tensordot(_numpy_fd_weights(0.0, np.arange(7) * h, 1), values[:7], axes=(0, 0))
+    assert np.array_equal(grid_derivative(values, h)[0], edge)
 
 
 @pytest.mark.parametrize("nodes", [7, 8, 13, 101, 501, 2001, 3000])

@@ -7,11 +7,11 @@ import pytest
 
 from hkforms import quotient, suites
 from hkforms.bianchi import eguchi_hanson_profile, ratio
-from hkforms.numerics import FD_STEP, SU2_BASIS, nullspace, partial_derivative
+from hkforms.numerics import (FD_STEP, SU2_BASIS, nullspace, partial_derivative,
+                              richardson_stencil)
 from hkforms.quotient import (
     GroupActionSpec,
     QuotientChart,
-    _FRAME_MEMO_SIZE,
     ambient_linear_part,
     calabi_orbit_data,
     flat_structure,
@@ -49,10 +49,29 @@ def _act(spec, t, z, w):
     return np.exp(1j * t) * z, np.exp(-1j * t) * w
 
 
+def _frame(chart, u):
+    """(p, T, T+) at one chart point, from a one-row frame stack."""
+    return [arr[0] for arr in chart._horizontal_frames(np.asarray(u, dtype=float)[None])]
+
+
 def _metric(chart, u):
     """Gram matrix of the quotient metric on chart-coordinate directions."""
-    T = chart.chart_tangents(u)
+    T = _frame(chart, u)[1]
     return T.T @ T
+
+
+def _kahler_form(chart, axis, u):
+    """Pushed-down omega_axis at one chart point, T^T omega T: the per-point
+    oracle of the checks' stacked forms."""
+    T = _frame(chart, u)[1]
+    return T.T @ chart.spec.structure.omega_matrix(axis) @ T
+
+
+def _pushdown_field(chart, field, u):
+    """Chart components T+ X of an ambient field at one chart point: the
+    per-point oracle of the checks' stacked fields."""
+    p, _, T_pinv = _frame(chart, u)
+    return T_pinv @ field(p)
 
 
 # -- flat structure ------------------------------------------------------------
@@ -107,7 +126,6 @@ def test_quotient_forms_refuse_axes_other_than_1_2_3(axis):
     # axis 0 used to read omega_3 and pass closedness_residual at 4.6e-12
     u = np.array([0.3, -0.2, 0.5, 0.1])
     calls = (lambda: flat_structure(2).omega_matrix(axis),
-             lambda: CHART_TN.kahler_form(axis, u),
              lambda: CHART_CAL.closedness_residual(axis, np.full(4, 0.3)))
     for call in calls:
         with pytest.raises(ValueError):
@@ -281,7 +299,7 @@ def test_chart_map_well_conditioned():
     rng = np.random.default_rng(9)
     for chart in (CHART_TN, CHART_CAL):
         for _ in range(10):
-            T = chart.chart_tangents(rng.standard_normal(4))
+            T = _frame(chart, rng.standard_normal(4))[1]
             s = np.linalg.svd(T, compute_uv=False)
             assert s[0] / s[-1] < 50.0
 
@@ -307,7 +325,7 @@ def test_taubnut_forms_flat_at_origin():
         3: np.array([[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]], float),
     }
     for axis, mat in expected.items():
-        assert np.abs(CHART_TN.kahler_form(axis, np.zeros(4)) - mat).max() <= 1e-12
+        assert np.abs(_kahler_form(CHART_TN, axis, np.zeros(4)) - mat).max() <= 1e-12
 
 
 def test_quotient_forms_closed():
@@ -327,7 +345,7 @@ def test_complex_structures_reconstructed_from_forms():
             u = 0.6 * rng.standard_normal(4)
             g = _metric(chart, u)
             ginv = np.linalg.inv(g)
-            Is = [-ginv @ chart.kahler_form(axis, u) for axis in (1, 2, 3)]
+            Is = [-ginv @ _kahler_form(chart, axis, u) for axis in (1, 2, 3)]
             eye = np.eye(4)
             for M in Is:
                 assert np.abs(M @ M + eye).max() <= 1e-8
@@ -364,79 +382,40 @@ def _stencil(u, h):
 
 
 def _count_batches(chart):
-    # the number of chart points of every stacked chart-map call: one batch of
-    # frames each, since the residuals never ask for a bare representative
+    # the number of chart points of every stacked chart-map call
     batches = []
     chart_map = chart._chart_map
     chart._chart_map = lambda U: (batches.append(len(U)), chart_map(U))[1]
     return batches
 
 
-def test_frame_memo_matches_fresh_chart():
-    rng = np.random.default_rng(16)
-    for spec in (TN, CAL):
-        chart = QuotientChart(spec)
-        u = 0.7 * rng.standard_normal(4)
-        chart.closedness_residual(1, u)
-        for v in _stencil(u, FD_STEP):
-            assert v.tobytes() in chart._frames
-            fresh = QuotientChart(spec)
-            for cached, built in zip(chart._frame(v), fresh._frame(v), strict=True):
-                assert np.array_equal(cached, built)
-            # (p, T, T+): T+ is T's left inverse
-            p, T, T_pinv = chart._frame(v)
-            assert np.array_equal(T, chart.chart_tangents(v))
-            assert np.abs(T_pinv @ T - np.eye(4)).max() <= 1e-12
-        assert len(chart._frames) == 17
-
-
-def test_frame_arrays_are_read_only():
-    u = np.array([0.3, -0.2, 0.5, 0.1])
-    chart = QuotientChart(CAL)
-    with pytest.raises(ValueError):
-        chart.chart_tangents(u)[0, 0] = 1.0
-    for arr in chart._frame(u):
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
-
-
-def test_frame_memo_is_per_chart():
-    u = np.array([0.3, -0.2, 0.5, 0.1])
-    # the taubnut shift only translates Im z_2, and neither the Jacobian nor
-    # Y involves z_2: the two charts share T bit for bit but not p
-    a, b = (QuotientChart(GroupActionSpec("taubnut_R", level_shift=s)) for s in (0.0, 0.3))
-    assert np.array_equal(a.chart_tangents(u), b.chart_tangents(u))
-    assert not np.array_equal(a._frame(u)[0], b._frame(u)[0])
-    a, b = (QuotientChart(GroupActionSpec("calabi_circle", level_shift=s)) for s in (0.5, 0.75))
-    assert not np.array_equal(a.chart_tangents(u), b.chart_tangents(u))
-    assert not np.array_equal(a._frame(u)[0], b._frame(u)[0])
-
-
-def test_frame_memo_is_bounded():
-    rng = np.random.default_rng(17)
-    chart = QuotientChart(TN)
-    for _ in range(300):
-        chart.chart_tangents(rng.standard_normal(4))
-        assert len(chart._frames) <= _FRAME_MEMO_SIZE
+def _fd_checks(chart):
+    """Every finite-difference check on the chart, as functions of u."""
+    checks = [lambda u, axis=axis: chart.closedness_residual(axis, u) for axis in (1, 2, 3)]
+    checks += [chart.omegas_relation_residuals, chart.beta_exactness_residual,
+               lambda u: chart.lie_derivatives(chart.rotation_ambient, u)]
+    if chart.spec.model == "taubnut_R":
+        checks.append(lambda u: chart.lie_derivatives(chart.triholomorphic_ambient, u))
+    return checks
 
 
 def test_residuals_build_one_frame_per_stencil_point():
-    # 17 frames, all built in one batch, per check point
+    # each check builds the 17 frames of its stencil in one chart-map call,
+    # and builds them again when asked again: the chart keeps no frames
     rng = np.random.default_rng(18)
     for spec in (TN, CAL):
         u = 0.7 * rng.standard_normal(4)
         chart = QuotientChart(spec)
         batches = _count_batches(chart)
-        chart.omegas_relation_residuals(u)
-        assert batches == [17]
-        assert len(chart._frames) == 17
+        for check in _fd_checks(chart):
+            for _ in range(2):
+                batches.clear()
+                check(u)
+                assert batches == [17]
         chart = QuotientChart(spec)
-        batches = _count_batches(chart)
-        for axis in (1, 2, 3):
-            chart.closedness_residual(axis, u)
-        chart.beta_exactness_residual(u)
-        assert batches == [17]
-        assert len(chart._frames) == 17
+        for check in _fd_checks(chart):
+            check(u)
+        assert vars(chart) == {"spec": spec}
 
 
 def _scalar_chart_map(spec, u):
@@ -483,14 +462,13 @@ def _scalar_frame(spec, u):
 def test_batched_frames_match_the_point_by_point_oracle(spec):
     # every frame of a stencil batch, the neighbours' too, against its own point
     rng = np.random.default_rng(27)
+    chart = QuotientChart(spec)
     for _ in range(50):
-        chart = QuotientChart(spec)
         u = 0.7 * rng.standard_normal(4)
-        chart._frame(u)
-        for v in _stencil(u, FD_STEP):
-            for got, want in zip(chart._frame(v), _scalar_frame(spec, v), strict=True):
-                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        assert len(chart._frames) == 17
+        frames = chart._horizontal_frames(richardson_stencil(u))
+        for i, v in enumerate(_stencil(u, FD_STEP)):
+            for got, want in zip(frames, _scalar_frame(spec, v), strict=True):
+                assert np.abs(got[i] - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_a_stencil_reaching_past_the_calabi_domain_keeps_its_centre():
@@ -500,13 +478,15 @@ def test_a_stencil_reaching_past_the_calabi_domain_keeps_its_centre():
     u = np.array([0.0, 0.0, 1.0 + 2e-5, 0.0])
     outside = [v for v in _stencil(u, FD_STEP) if abs(v[2]) ** 2 - 1.0 / (1.0 + v[0] ** 2) <= 0]
     assert len(outside) == 2
-    omega = chart.kahler_form(1, u)
-    assert np.isfinite(omega).all()
-    assert np.array_equal(omega, QuotientChart(chart.spec).kahler_form(1, u))
-    assert len(chart._frames) == 15
+    # the centre alone has a finite frame
+    assert all(np.isfinite(arr).all() for arr in _frame(chart, u))
+    # every finite-difference check refuses the stencil: no NaN frame of a
+    # neighbour past the edge reaches a residual
+    for check in _fd_checks(chart):
+        with pytest.raises(ValueError, match="outside the level-set domain"):
+            check(u)
     for v in outside:
-        # a point outside the domain raises, whether or not a batch reached it
-        for ask in (chart.representative, lambda v: chart.kahler_form(1, v)):
+        for ask in (chart.representative, lambda v: _frame(chart, v)):
             with pytest.raises(ValueError, match="outside the level-set domain"):
                 ask(v)
 
@@ -568,60 +548,86 @@ def test_lie_derivative_matches_inline_stencil():
         chart = QuotientChart(spec)
         u = 0.7 * rng.standard_normal(4)
         h = FD_STEP
-        L = chart.lie_derivatives(chart.rotation_ambient, u)
-        assert L.shape == (3, 4, 4)
+        L, forms = chart.lie_derivatives(chart.rotation_ambient, u)
+        assert L.shape == forms.shape == (3, 4, 4)
         for axis in (1, 2, 3):
-            omega_fn = lambda v: chart.kahler_form(axis, v)
-            X_fn = lambda v: chart.pushdown_field(chart.rotation_ambient, v)
+            omega_fn = lambda v: _kahler_form(chart, axis, v)
+            X_fn = lambda v: _pushdown_field(chart, chart.rotation_ambient, v)
             X, B = X_fn(u), omega_fn(u)
             dB = np.array([_inline_richardson(omega_fn, u, g, h) for g in range(4)])
             dX = np.array([_inline_richardson(X_fn, u, g, h) for g in range(4)])
             inline = np.array([[X @ dB[:, a, b] + dX[a, :] @ B[:, b] + B[a, :] @ dX[b, :]
                                 for b in range(4)] for a in range(4)])
             assert np.array_equal(L[axis - 1], inline)
+            assert np.array_equal(forms[axis - 1], B)
+
+
+def test_residuals_are_nan_when_a_later_stencil_row_is(monkeypatch):
+    # a NaN chart direction 3 in the frame at u + h e_2 reaches only some
+    # coefficients, not the first; Python's max would return the largest finite one
+    frames = QuotientChart._horizontal_frames
+
+    def poisoned(self, U):
+        p, T, T_pinv = frames(self, U)
+        T[9, :, 3] = math.nan
+        return p, T, T_pinv
+
+    monkeypatch.setattr(QuotientChart, "_horizontal_frames", poisoned)
+    u = np.array([0.3, -0.2, 0.5, 0.1])
+    for chart in (CHART_TN, CHART_CAL):
+        for axis in (1, 2, 3):
+            assert math.isnan(chart.closedness_residual(axis, u))
+        assert math.isnan(chart.beta_exactness_residual(u))
+        assert all(math.isnan(v) for v in chart.omegas_relation_residuals(u).values())
 
 
 def test_rotation_relations_evaluate_the_field_once_per_stencil_point():
-    # u and the 16 points of the four Richardson stencils: 17 evaluations in
-    # all, not 17 for each of the three forms
+    # u and the 16 points of the four Richardson stencils: one call on all 17
+    # rows, not one for each of the three forms
     rng = np.random.default_rng(25)
     for spec in (TN, CAL):
         chart = QuotientChart(spec)
         calls = []
         field = chart.rotation_ambient
-        chart.rotation_ambient = lambda p: (calls.append(1), field(p))[1]
+        chart.rotation_ambient = lambda p: (calls.append(p.shape), field(p))[1]
         chart.omegas_relation_residuals(0.7 * rng.standard_normal(4))
-        assert len(calls) == 17
+        assert calls == [(17, 8)]
 
 
 def test_closedness_and_beta_checks_build_each_field_once_per_stencil_point(monkeypatch):
-    # 17 forms per closedness call (the scale at u included) and 17 beta per
-    # exactness call, each beta one pushed-down field; 49 reads of each
-    kahler, pushdown = [], []
-    form, field = QuotientChart.kahler_form, QuotientChart.pushdown_field
-    monkeypatch.setattr(QuotientChart, "kahler_form",
-                        lambda self, *args: (kahler.append(None), form(self, *args))[1])
-    monkeypatch.setattr(QuotientChart, "pushdown_field",
-                        lambda self, *args: (pushdown.append(None), field(self, *args))[1])
+    # each differenced field arrives as one 17-row stack, the forms' values at u
+    # in row 0; the beta check pushes the rotation field down once, on all rows
+    stacks = []
+    on_stencil = quotient.exterior_derivative_on_stencil
+    monkeypatch.setattr(quotient, "exterior_derivative_on_stencil",
+                        lambda values, x: (stacks.append(values), on_stencil(values, x))[1])
     rng = np.random.default_rng(29)
     for spec in (TN, CAL):
         chart = QuotientChart(spec)
         u = 0.7 * rng.standard_normal(4)
         for axis in (1, 2, 3):
-            kahler.clear()
+            stacks.clear()
             chart.closedness_residual(axis, u)
-            assert len(kahler) == 17
-        kahler.clear()
+            (omega,) = stacks
+            assert omega.shape == (17, 4, 4)
+            for v, row in zip(_stencil(u, FD_STEP), omega, strict=True):
+                assert np.array_equal(row, _kahler_form(chart, axis, v))
+        stacks.clear()
+        calls = []
+        field = chart.rotation_ambient
+        chart.rotation_ambient = lambda p: (calls.append(p.shape), field(p))[1]
         chart.beta_exactness_residual(u)
-        assert len(pushdown) == 17
-        assert len(kahler) == 17 + 1     # and the target omega_3 at u
-        pushdown.clear()
+        (beta,) = stacks
+        assert beta.shape == (17, 4) and calls == [(17, 8)]
+        for v, row in zip(_stencil(u, FD_STEP), beta, strict=True):
+            X = _pushdown_field(chart, field, v)
+            assert np.array_equal(row, X @ _kahler_form(chart, 2, v))
 
 
 def _lstsq_pushdown(chart, field, u):
     """The least-squares chart components of P X, solved by lstsq at every call."""
     p = chart.representative(u)
-    coeffs, *_ = np.linalg.lstsq(chart.chart_tangents(u), chart.projector(p) @ field(p),
+    coeffs, *_ = np.linalg.lstsq(_frame(chart, u)[1], chart.projector(p) @ field(p),
                                  rcond=None)
     return coeffs
 
@@ -634,32 +640,47 @@ def test_pushdown_field_matches_lstsq_oracle(spec):
     chart = QuotientChart(spec)
     # a linear field with vertical components too, which the projection removes
     A = rng.standard_normal((8, 8))
-    fields = (chart.rotation_ambient, chart.triholomorphic_ambient, lambda p: A @ p)
+    fields = (chart.rotation_ambient, chart.triholomorphic_ambient, lambda p: p @ A.T)
     for _ in range(4):
         u = 0.7 * rng.standard_normal(4)
+        p, _, T_pinv = chart._horizontal_frames(richardson_stencil(u))
         for field in fields:
-            oracle = _lstsq_pushdown(chart, field, u)
-            got = chart.pushdown_field(field, u)
-            assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+            got = chart._pushdown(field, p, T_pinv)
+            for v, row in zip(_stencil(u, FD_STEP), got, strict=True):
+                oracle = _lstsq_pushdown(chart, field, v)
+                assert np.abs(row - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("field", ["rotation_ambient", "triholomorphic_ambient"])
+def test_ambient_fields_on_a_stack_equal_their_rows(field):
+    # a stack of points gives the field at each, bit for bit; the triholomorphic
+    # field once wrote only the first point of a stack
+    rng = np.random.default_rng(33)
+    field = getattr(CHART_TN, field)
+    P = rng.standard_normal((17, 8))
+    stacked = field(P)
+    assert stacked.shape == P.shape
+    for p, row in zip(P, stacked, strict=True):
+        assert np.array_equal(row, field(p))
 
 
 def test_triholomorphic_circle_annihilates_forms():
     rng = np.random.default_rng(15)
     for _ in range(3):
         u = 0.7 * rng.standard_normal(4)
-        L = CHART_TN.lie_derivatives(CHART_TN.triholomorphic_ambient, u)
+        L, _ = CHART_TN.lie_derivatives(CHART_TN.triholomorphic_ambient, u)
         for axis in (1, 2, 3):
             assert np.abs(L[axis - 1]).max() <= 1e-5
 
 
 def test_rotation_field_fixed_on_zero_section():
-    X = CHART_TN.pushdown_field(CHART_TN.rotation_ambient, np.array([0.7, -0.2, 0.0, 0.0]))
+    X = _pushdown_field(CHART_TN, CHART_TN.rotation_ambient, np.array([0.7, -0.2, 0.0, 0.0]))
     assert np.abs(X).max() <= 1e-12
 
 
 def test_rotating_field_bundle():
     u = np.array([0.4, -0.3, 0.5, 0.2])
-    vec = CHART_TN.pushdown_field(CHART_TN.rotation_ambient, u)
+    vec = _pushdown_field(CHART_TN, CHART_TN.rotation_ambient, u)
     assert vec.shape == (4,)
     assert np.abs(vec).max() > 1e-3      # nonzero away from the fixed set
     assert max(CHART_TN.omegas_relation_residuals(u).values()) <= 1e-5
