@@ -58,6 +58,8 @@ def _coefficients(X) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     if X.shape[-2:] != (2, 2):
         raise ValueError("Nahm matrices are 2 x 2")
+    if not np.isfinite(X).all():
+        raise ValueError("Nahm matrices must be finite")
     if np.abs(X + np.conj(np.swapaxes(X, -1, -2))).max() > 1e-12 * max(1.0, np.abs(X).max()):
         raise ValueError("Nahm matrices must be anti-hermitian")
     a, b, c, d = X[..., 0, 0], X[..., 0, 1], X[..., 1, 0], X[..., 1, 1]
@@ -191,6 +193,8 @@ def gauge_transform(state: NahmState, R: np.ndarray, c: np.ndarray) -> NahmState
     R = np.asarray(R, dtype=float)
     if R.shape != (state.s.size, 3, 3) or np.shape(c) != (state.s.size, 4):
         raise ValueError("gauge path must match the grid")
+    if not (np.isfinite(R).all() and np.isfinite(c).all()):
+        raise ValueError("gauge path must be finite")
     det = np.einsum("ni,ni->n", R[:, 0], np.cross(R[:, 1], R[:, 2]))
     if np.abs(np.einsum("nji,njk->nik", R, R) - np.eye(3)).max() > 1e-10 or (det <= 0).any():
         raise ValueError("gauge path must be a rotation on every node")

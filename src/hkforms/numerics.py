@@ -1,14 +1,14 @@
 """Shared numerical machinery: finite differences, quadrature, linear algebra.
 
 Everything here is dimension-agnostic plumbing used by the geometry modules:
-high-order finite-difference stencils (Fornberg weights), Richardson-extrapolated
-partial derivatives, the exterior derivative of a form field given by its
-coefficient arrays (every point from one Richardson stencil, on which a field
-is built once as a (17, ...) stack on R^4), adaptive Simpson quadrature with
-endpoint substitutions for improper integrals, adaptive Gauss-Kronrod 7-15
-quadrature, SVD nullspaces and subspace distances, pointwise Hodge duality for
-2-forms on 4-dimensional coordinate patches, the su(2) basis and the cyclic
-triples of axes 1, 2, 3.
+order-6 first-derivative stencils on uniform grids (exact rational weights),
+Richardson-extrapolated partial derivatives, the exterior derivative of a form
+field given by its coefficient arrays (every point from one Richardson
+stencil, on which a field is built once as a (17, ...) stack on R^4), adaptive
+Simpson quadrature with endpoint substitutions for improper integrals,
+adaptive Gauss-Kronrod 7-15 quadrature, SVD nullspaces and subspace
+distances, pointwise Hodge duality for 2-forms on 4-dimensional coordinate
+patches, the su(2) basis and the cyclic triples of axes 1, 2, 3.
 """
 
 from __future__ import annotations
@@ -45,69 +45,38 @@ FD_STEP = 1e-4
 # finite differences
 # ---------------------------------------------------------------------------
 
-def fd_weights(x0: float, xs: Sequence[float], m: int) -> np.ndarray:
-    """Fornberg weights for the m-th derivative at x0 from nodes xs.
-
-    The recurrence runs on Python floats and lists: numpy scalars would round
-    the same way, at twice the cost per call.
-    """
-    xs = np.asarray(xs, dtype=float).tolist()
-    x0 = float(x0)
-    n = len(xs)
-    if m >= n:
-        raise ValueError("need more nodes than derivative order")
-    c = [[0.0] * (m + 1) for _ in range(n)]
-    c[0][0] = 1.0
-    c1 = 1.0
-    c4 = xs[0] - x0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = xs[i] - x0
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i][k] = c1 * (k * c[i - 1][k - 1] - c5 * c[i - 1][k]) / c2
-                c[i][0] = -c1 * c5 * c[i - 1][0] / c2
-            for k in range(mn, 0, -1):
-                c[j][k] = (c4 * c[j][k] - k * c[j][k - 1]) / c3
-            c[j][0] = c4 * c[j][0] / c3
-        c1 = c2
-    # a column view, as the weights always were: grid_derivative's edge
-    # tensordot rounds a strided vector otherwise than a contiguous one
-    return np.array(c)[:, m]
+# 60 h times the first-derivative weights on seven equispaced nodes: rows 0-2
+# at nodes 0-2 (the left edge), row 3 at the middle node; the right edge uses
+# the negated reversals of rows 0-2
+_D1_WEIGHTS = np.array([[-147, 360, -450, 400, -225, 72, -10],
+                        [-10, -77, 150, -100, 50, -15, 2],
+                        [2, -24, -35, 80, -30, 8, -1],
+                        [-1, 9, -45, 0, 45, -9, 1]])
 
 
 def grid_derivative(values: np.ndarray, h: float) -> np.ndarray:
     """First derivative along axis 0 of uniformly gridded values.
 
-    Uses centered order-6 stencils in the interior and skewed stencils of the
-    same width near the edges, so the error is O(h^6) uniformly.  Works on
-    arrays of matrices (derivative taken entrywise), so several fields on one
-    grid can be stacked along axis 1 and share the seven weight vectors.
+    Uses the centered order-6 stencil in the interior and skewed stencils of
+    the same width at the three nodes nearest each edge, so the error is
+    O(h^6) uniformly.  The weights are the exact rationals of _D1_WEIGHTS
+    scaled by 1/(60 h).  Works on arrays of matrices (derivative taken
+    entrywise), so several fields on one grid can be stacked along axis 1.
     """
     npts = values.shape[0]
-    width = 7
-    if npts < width:
-        raise ValueError(f"grid too coarse: need at least {width} nodes")
-    half = 3
+    if npts < 7:
+        raise ValueError("grid too coarse: need at least 7 nodes")
+    w = _D1_WEIGHTS / 60.0 / h
     out = np.zeros_like(values)
     # interior: centered stencil applied by shifted slices, summed in place
     # into out, so a stack of fields needs one term buffer beside it
-    w = fd_weights(0.0, np.arange(-half, half + 1) * h, 1)
-    acc = out[half:npts - half]
+    acc = out[3:npts - 3]
     term = np.empty_like(acc)
-    for j, wj in enumerate(w):
-        acc += np.multiply(wj, values[j:npts - 2 * half + j], out=term)
-    # edges: skewed stencils of the same width
-    for i in range(half):
-        w = fd_weights(i * h, np.arange(width) * h, 1)
-        out[i] = np.tensordot(w, values[:width], axes=(0, 0))
-        w = fd_weights((npts - 1 - i) * h, (npts - width + np.arange(width)) * h, 1)
-        out[npts - 1 - i] = np.tensordot(w, values[npts - width:], axes=(0, 0))
+    for j, wj in enumerate(w[3]):
+        acc += np.multiply(wj, values[j:npts - 6 + j], out=term)
+    # edges: the skewed rows at the left, their negated reversals at the right
+    out[:3] = np.tensordot(w[:3], values[:7], axes=(1, 0))
+    out[npts - 3:] = np.tensordot(-w[2::-1, ::-1], values[npts - 7:], axes=(1, 0))
     return out
 
 

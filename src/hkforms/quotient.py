@@ -124,7 +124,7 @@ class GroupActionSpec:
 
     def moment_residual(self, p: np.ndarray) -> float:
         mu1, muc = self.moment_maps(*to_complex(p))
-        return max(abs(mu1), abs(muc))
+        return float(np.maximum(abs(mu1), abs(muc)))
 
     def moment_gradient_rows(self, p: np.ndarray) -> np.ndarray:
         """Real gradients of (mu_1, Re mu^c, Im mu^c) as rows: d mu_a = iota(Y) omega_a.
@@ -233,14 +233,14 @@ class QuotientChart:
         """Representative with a Newton polish; residual must meet _LEVEL_SET_TOL."""
         p = self.representative(u)
         res = self.spec.moment_residual(p)
-        if res > _LEVEL_SET_TOL:
+        if not res <= _LEVEL_SET_TOL:
             # one Gauss-Newton step on the three moment equations
             rows = self.spec.moment_gradient_rows(p)
             mu1, muc = self.spec.moment_maps(*to_complex(p))
             rhs = np.array([mu1, muc.real, muc.imag])
             p = p - rows.T @ np.linalg.solve(rows @ rows.T, rhs)
             res = self.spec.moment_residual(p)
-        if res > _LEVEL_SET_TOL:
+        if not res <= _LEVEL_SET_TOL:
             raise ArithmeticError(f"level-set residual {res:.3e} above {_LEVEL_SET_TOL:.1e}")
         return p
 
@@ -411,12 +411,12 @@ def growth_check(chart: QuotientChart,
         X = ambient_field(p)
         Xh = chart.projector(p) @ X
         nX, nXh = float(np.linalg.norm(X)), float(np.linalg.norm(Xh))
-        if nXh > nX * (1.0 + 1e-12):
+        if not nXh <= nX * (1.0 + 1e-12):
             violations += 1
-        if nXh > a_norm * dist + c0 + 1e-9:
+        if not nXh <= a_norm * dist + c0 + 1e-9:
             violations += 1
-        c1_pushed = max(c1_pushed, (nXh - c0) / dist)
-        c1_ambient = max(c1_ambient, (nX - c0) / dist)
+        c1_pushed = float(np.maximum(c1_pushed, (nXh - c0) / dist))
+        c1_ambient = float(np.maximum(c1_ambient, (nX - c0) / dist))
     return GrowthReport(c1_pushed, c1_ambient, c0, violations, a_norm)
 
 

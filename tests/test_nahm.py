@@ -164,6 +164,17 @@ def test_bad_residues_rejected():
             ResidueTriple(bad)
 
 
+def test_non_finite_matrices_rejected():
+    # NaN and inf - inf compare False, so the anti-hermitian test alone lets them by
+    nan_entry = SU2_BASIS[0].copy()
+    nan_entry[0, 1] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        ResidueTriple((nan_entry,) + SU2_BASIS[1:])
+    state = one_pole_state(0.1, 1.0, 101)
+    with pytest.raises(ValueError, match="finite"):
+        bump_gauge_path(state, np.diag([1j * math.inf, 0.0]))
+
+
 # -- states and residuals ----------------------------------------------------------
 
 def test_one_pole_residual_meets_target():
@@ -252,6 +263,20 @@ def test_nonunitary_gauge_rejected():
     for R in (2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0]), np.eye(4)):
         with pytest.raises(ValueError):
             gauge_transform(state, np.broadcast_to(R, (501,) + R.shape), c)
+
+
+def test_non_finite_gauge_path_rejected():
+    # a NaN rotation on one node compares False in the orthogonality and det tests
+    state = one_pole_state(0.1, 1.0, 501)
+    R = np.tile(np.eye(3), (501, 1, 1))
+    c = np.zeros((501, 4))
+    R[250, 0, 0] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        gauge_transform(state, R, c)
+    R[250, 0, 0] = 1.0
+    c[250, 1] = math.inf
+    with pytest.raises(ValueError, match="finite"):
+        gauge_transform(state, R, c)
 
 
 def test_translation_preserves_residual_exactly():

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from hkforms.numerics import (
     composite_simpson,
     exterior_derivative_at,
     exterior_derivative_on_stencil,
-    fd_weights,
     gauss_kronrod,
     grid_derivative,
     hodge_star_2form,
@@ -33,14 +33,15 @@ from hkforms.numerics import (
 from hkforms.quotient import GroupActionSpec, QuotientChart
 
 
-def test_fd_weights_centered_order2():
-    w = fd_weights(0.0, [-1.0, 0.0, 1.0], 1)
-    assert np.allclose(w, [-0.5, 0.0, 0.5])
-
-
-def test_fd_weights_second_derivative():
-    w = fd_weights(0.0, [-1.0, 0.0, 1.0], 2)
-    assert np.allclose(w, [1.0, -2.0, 1.0])
+def test_derivative_weights_are_exact_rationals_at_both_edges():
+    # with h = 1, each row of the table and each right-edge mirror (negated and
+    # reversed) differentiates 1, x, ..., x^6 exactly at its node of 0..6
+    rows = [(row, node) for node, row in zip((0, 1, 2, 3), numerics._D1_WEIGHTS.tolist())]
+    rows += [([-w for w in reversed(row)], 6 - node) for row, node in rows[:3]]
+    for row, node in rows:
+        for k in range(7):
+            derivative = sum(Fraction(w, 60) * Fraction(x) ** k for x, w in enumerate(row))
+            assert derivative == (k * Fraction(node) ** (k - 1) if k else 0)
 
 
 def test_grid_derivative_polynomial_exact():
@@ -199,53 +200,6 @@ def test_exterior_derivative_on_stencil_builds_17_rows_and_reads_them_49_times(m
     assert out == inner(lambda p: stacked(p[None])[0], x)
     with pytest.raises(ValueError):    # one value per stencil row
         exterior_derivative_on_stencil(stacked(stencil[:-1]), x)
-
-
-def _numpy_fd_weights(x0, xs, m):
-    """Fornberg's recurrence on numpy scalars in a 2-D array, returned as a
-    column view: the reference for fd_weights' Python-float recurrence."""
-    xs = np.asarray(xs, dtype=float)
-    n = len(xs)
-    c = np.zeros((n, m + 1))
-    c[0, 0] = 1.0
-    c1, c4 = 1.0, xs[0] - x0
-    for i in range(1, n):
-        c2, c5, c4 = 1.0, c4, xs[i] - x0
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(min(i, m), 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(min(i, m), 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m]
-
-
-def test_fd_weights_match_the_numpy_scalar_recurrence_bit_for_bit():
-    # the centred and both skewed stencils of grid_derivative, at random steps
-    # and at the steps of the Nahm suite's grids
-    rng = np.random.default_rng(31)
-    suite_h = [nahm.one_pole_state(eps, 1.0, nodes).h for eps, nodes in
-               ((0.1, 2001), (1e-3, 20001), (1e-2, 8001), (5e-3, 8001), (2.5e-3, 8001),
-                (1e-2, 501), (1e-2, 1001), (1e-2, 2001))]
-    npts = 2001
-    for h in list(10.0 ** rng.uniform(-6.0, 0.0, 300)) + suite_h:
-        stencils = [(0.0, np.arange(-3, 4) * h)]
-        for i in range(3):
-            stencils += [(i * h, np.arange(7) * h),
-                         ((npts - 1 - i) * h, (npts - 7 + np.arange(7)) * h)]
-        for x0, xs in stencils:
-            assert fd_weights(x0, xs, 1).tobytes() == _numpy_fd_weights(x0, xs, 1).tobytes()
-    # the weights keep the reference's strided layout, which the edge rows'
-    # tensordot rounds by
-    values = rng.standard_normal((npts, 3, 4))
-    h = suite_h[0]
-    edge = np.tensordot(_numpy_fd_weights(0.0, np.arange(7) * h, 1), values[:7], axes=(0, 0))
-    assert np.array_equal(grid_derivative(values, h)[0], edge)
 
 
 @pytest.mark.parametrize("nodes", [7, 8, 13, 101, 501, 2001, 3000])

@@ -140,6 +140,30 @@ def test_taubnut_moment_example():
     assert mu1 == pytest.approx(1.0)
 
 
+def _taubnut_point_with_nan_re_w2():
+    z, w = to_complex(CHART_TN.representative(np.array([0.3, -0.2, 0.5, 0.1])))
+    w[1] = complex(math.nan, w[1].imag)
+    return to_real(z, w)
+
+
+def test_a_nan_complex_moment_is_not_dropped():
+    # Python's max keeps the finite |mu_1| = 0.0 when |mu^c| after it is NaN
+    assert math.isnan(TN.moment_residual(_taubnut_point_with_nan_re_w2()))
+
+
+def test_a_nan_representative_is_polished_and_refused(monkeypatch):
+    chart = QuotientChart(TN)
+    point = _taubnut_point_with_nan_re_w2()
+    monkeypatch.setattr(chart, "representative", lambda u: point)
+    polished = []
+    rows = GroupActionSpec.moment_gradient_rows
+    monkeypatch.setattr(GroupActionSpec, "moment_gradient_rows",
+                        lambda self, p: polished.append(p) or rows(self, p))
+    with pytest.raises(ArithmeticError, match="level-set residual nan"):
+        chart.solve_level_set(np.zeros(4))
+    assert len(polished) == 1
+
+
 def test_calabi_moment_on_level_points():
     # zero-section point of the level |z|^2 - |w|^2 = 1
     mu1, muc = CAL.moment_maps(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
@@ -712,6 +736,26 @@ def test_growth_pushed_never_exceeds_ambient():
             X = chart.rotation_ambient(p)
             Xh = chart.projector(p) @ X
             assert np.linalg.norm(Xh) <= np.linalg.norm(X) + 1e-12
+
+
+def _nan_at(chart, ambient, u):
+    """The ambient field, NaN at the representative of chart point u."""
+    bad = chart.representative(u)
+    return lambda p: np.full(p.shape, math.nan) if np.array_equal(p, bad) else ambient(p)
+
+
+def test_growth_counts_a_nan_sample(monkeypatch):
+    # comparisons with NaN are False: a NaN sample must still count as a violation
+    points = _growth_points()
+    report = growth_check(CHART_TN, _nan_at(CHART_TN, CHART_TN.rotation_ambient, points[-1]),
+                          points)
+    assert report.violations == 2
+    assert math.isnan(report.c1_pushed) and math.isnan(report.c1_ambient)
+    monkeypatch.setattr(suites, "growth_check", lambda chart, ambient, pts: growth_check(
+        chart, _nan_at(chart, ambient, pts[-1]), pts))
+    records, _ = suites.run_suite("quotient", suites.SuiteConfig(seed=7))
+    growth = [r for r in records if r.check.endswith(("-growth-violations", "-growth-linear-fit"))]
+    assert len(growth) == 4 and not any(r.passed for r in growth)
 
 
 def test_growth_zero_field():
