@@ -262,7 +262,11 @@ def atiyah_hitchin_model_profile(band: tuple[float, float] = None,
     classification must not depend on the interpolant.
     """
     lo, hi = band if band is not None else (math.pi + 1.0, math.pi + 2.0)
-    step = {"c2": smoothstep_c2, "c3": smoothstep_c3}[blend]
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"band must be finite with lo < hi, not {band!r}")
+    step = {"c2": smoothstep_c2, "c3": smoothstep_c3}.get(blend)
+    if step is None:
+        raise ValueError(f"blend must be 'c2' or 'c3', not {blend!r}")
 
     def coefficients(rho):
         w = step((rho - lo) / (hi - lo))

@@ -71,30 +71,20 @@ def load_config(args: argparse.Namespace) -> tuple[str, SuiteConfig, Path | None
     return cfg["suite"], SuiteConfig(seed=cfg["seed"], tol_scale=cfg["tol_scale"]), out, fmt
 
 
-def _write_outputs(out: Path, fmt: str, payload: dict, records, details: dict) -> None:
+def _write_outputs(out: Path, fmt: str, payload: dict, records, profiles: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     emit_json(payload, out / "report.json")
     if fmt == "csv":
         emit_csv(records, out / "report.csv")
-    # plot-ready profile tables, one file per table
-    def walk(prefix: str, node):
-        if isinstance(node, dict):
-            if node and all(isinstance(v, list) for v in node.values()):
-                lengths = {len(v) for v in node.values()}
-                if len(lengths) == 1 and lengths.pop() > 1 and prefix.endswith("profile"):
-                    emit_profile_csv(node, out / f"{prefix}.csv")
-                    return
-            for key, sub in node.items():
-                walk(f"{prefix}_{key}" if prefix else str(key), sub)
-
-    walk("", details)
+    for stem, columns in profiles.items():
+        emit_profile_csv(columns, out / f"{stem}.csv")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         suite, config, out, fmt = load_config(args)
-        records, details = run_suite(suite, config)
+        records, details, profiles = run_suite(suite, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -108,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
                              tol_scale=config.tol_scale, details=details)
     if out is not None:
         try:
-            _write_outputs(out, fmt, payload, records, details)
+            _write_outputs(out, fmt, payload, records, profiles)
         except OSError as exc:
             print(f"error: cannot write reports to {out}: {exc}", file=sys.stderr)
             return 2

@@ -7,9 +7,9 @@ X = x_0 i Id + sum_a x_a E_a with E = SU2_BASIS.  A state holds four
 [X, Y] = (0, -x x y) with x x y the cross product of the su(2) parts, and
 tr(X Y) = -2 x_0 y_0 - (x . y) / 2.  A gauge path g = exp(phi xi) fixes x_0,
 rotates the su(2) part by R = exp(-phi [xi]_x) and has g' g* = phi' xi.
-Matrices appear only at the edges: a residue or direction given as a matrix
-is converted and refused unless anti-hermitian 2 x 2, and `to_matrix` writes
-the state profile.
+Matrices appear only at the input edge: a residue or direction given as a
+matrix is converted and refused unless anti-hermitian 2 x 2.  The state
+profile is written in coefficients too.
 
 Derivatives use order-6 stencils so that the exact one-pole solution
 B_i = rho_i / s meets tight residual targets on moderate grids; integrals use
@@ -64,17 +64,6 @@ def _coefficients(X) -> np.ndarray:
         raise ValueError("Nahm matrices must be anti-hermitian")
     a, b, c, d = X[..., 0, 0], X[..., 0, 1], X[..., 1, 0], X[..., 1, 1]
     return np.stack([0.5 * (a + d).imag, (b + c).imag, (b - c).real, (a - d).imag], axis=-1)
-
-
-def to_matrix(x: np.ndarray) -> np.ndarray:
-    """The anti-hermitian 2 x 2 matrices of coefficient arrays x of shape (..., 4)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = 1j * x[..., 0] + 0.5j * x[..., 3]
-    out[..., 0, 1] = 0.5 * x[..., 2] + 0.5j * x[..., 1]
-    out[..., 1, 0] = -0.5 * x[..., 2] + 0.5j * x[..., 1]
-    out[..., 1, 1] = 1j * x[..., 0] - 0.5j * x[..., 3]
-    return out
 
 
 def _bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

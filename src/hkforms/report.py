@@ -11,7 +11,7 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # stable CSV column order (documented interface)
 CSV_FIELDS = ("suite", "check", "anchor", "mode", "measured", "expected", "passed")
@@ -116,6 +116,9 @@ def emit_csv(records: list[ReportRecord], path: Path) -> bytes:
 
 
 def emit_profile_csv(columns: dict[str, list], path: Path) -> bytes:
-    """Plot-ready numeric table with 17-significant-digit formatting."""
-    return _write_table(columns, zip(*([float(v) for v in col] for col in columns.values())),
-                        path)
+    """Plot-ready numeric table with 17-significant-digit formatting.
+
+    Columns of unequal length raise ValueError.
+    """
+    return _write_table(columns, zip(*([float(v) for v in col] for col in columns.values()),
+                                     strict=True), path)

@@ -1,4 +1,5 @@
-"""Verification suites: each runs one module's checks and returns records.
+"""Verification suites: each runs one module's checks and returns records,
+report.json summaries and CSV-only profile tables (see `run_suite`).
 
 Suites are deterministic given (seed, tol_scale).  Each runner writes its
 bounds as contract values; `tol_scale` multiplies the bound of every `le`
@@ -66,7 +67,7 @@ def _random_form(rng, dim, degree):
 # algebra
 # ---------------------------------------------------------------------------
 
-def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
+def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict, dict]:
     rng = np.random.default_rng(config.seed)
     rec = Records("algebra", config.tol_scale)
     details: dict = {}
@@ -131,7 +132,7 @@ def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
         rec.eq(f"lie-closure-killing-negative-k{k}", "so41-killing", negative, 6)
         details["lie_closure"][f"k{k}"] = {"smallest_singular_value": c.smallest_singular_value}
     details["middle_kernel_dimensions"] = {"k1": len(kernel1), "k2": len(kernel2)}
-    return rec, details
+    return rec, details, {}
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,7 @@ def run_algebra(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
 
 _TAUBNUT_MASS = 1.0
 
-def run_taubnut(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
+def run_taubnut(config: SuiteConfig) -> tuple[list[ReportRecord], dict, dict]:
     m = _TAUBNUT_MASS
     rng = np.random.default_rng(config.seed + 1)
     rec = Records("taubnut", config.tol_scale)
@@ -196,14 +197,14 @@ def run_taubnut(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     profile = {"r": list(radii),
                "density": [gh.l2_density(gh.GHPoint(np.array([r, 0.0, 0.0])), data)
                            for r in radii]}
-    return rec, {"record": details, "radial_profile": profile}
+    return rec, {"record": details}, {"radial_profile": profile}
 
 
 # ---------------------------------------------------------------------------
 # bianchi
 # ---------------------------------------------------------------------------
 
-def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
+def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict, dict]:
     rng = np.random.default_rng(config.seed + 2)
     rec = Records("bianchi", config.tol_scale)
 
@@ -301,8 +302,8 @@ def run_bianchi(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     F1 = bx.ClosednessSolution(1, ah)
     density_profile = {"rho_minus_pi": list(rhos),
                        "density_axis1": [abs(F1.density(math.pi + float(r))) for r in rhos]}
-    return rec, {"verdicts": verdict_records, "density_profile": density_profile,
-                     "proportionality_constant": constants[0]}
+    details = {"verdicts": verdict_records, "proportionality_constant": constants[0]}
+    return rec, details, {"density_profile": density_profile}
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +325,7 @@ def _eguchi_hanson_deviation(chart: QuotientChart, profile: bx.BianchiProfile,
     return np.max([abs(d["C_sq"] - c * c) / (c * c), abs(math.sqrt(d["f_sq"]) - radial) / radial])
 
 
-def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
+def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict, dict]:
     rng = np.random.default_rng(config.seed + 3)
     rec = Records("quotient", config.tol_scale)
     details: dict = {}
@@ -395,7 +396,7 @@ def run_quotient(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
     eh = bx.eguchi_hanson_profile(math.sqrt(calabi_orbit_data(chart, 0.0)["A_sq"]))
     worst_eh = np.max([_eguchi_hanson_deviation(chart, eh, t) for t in (0.25, 0.5, 0.9, 1.4, 2.0)])
     rec.le("calabi-is-eguchi-hanson", "orbit-metric-matches-profile", worst_eh, 1e-8)
-    return rec, details
+    return rec, details, {}
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +411,7 @@ def _euler_record(rec: Records, rho: np.ndarray) -> list[float]:
     return [float(x) for x in lam]
 
 
-def run_nahm(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
+def run_nahm(config: SuiteConfig) -> tuple[list[ReportRecord], dict, dict]:
     rec = Records("nahm", config.tol_scale)
     eta = 1j * np.array([[0.1, 0.4 - 0.2j], [0.4 + 0.2j, -0.1]])
     xi = 1j * np.array([[0.3, 0.2 + 0.1j], [0.2 - 0.1j, -0.3]])
@@ -488,14 +489,12 @@ def run_nahm(config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
         "epsilon_orders": list(map(float, eps_orders)),
         "h_orders": list(map(float, h_orders)),
     }
+    # coefficients of B_i in the basis (i Id, E_1, E_2, E_3), E = SU2_BASIS
     state_csv = {"s": list(state.s)}
     for i in range(4):
-        matrices = nahm.to_matrix(state.B[i])
-        for row in range(2):
-            for col in range(2):
-                state_csv[f"B{i}_{row}{col}_re"] = list(matrices[:, row, col].real)
-                state_csv[f"B{i}_{row}{col}_im"] = list(matrices[:, row, col].imag)
-    return rec, {"record": details, "state_profile": state_csv}
+        for a, name in enumerate(("id", "E1", "E2", "E3")):
+            state_csv[f"B{i}_{name}"] = list(state.B[i][:, a])
+    return rec, {"record": details}, {"state_profile": state_csv}
 
 
 _RUNNERS = {
@@ -512,29 +511,36 @@ SUITE_NAMES = tuple(_RUNNERS)
 SUITE_FAULTS = (ArithmeticError, RuntimeError, np.linalg.LinAlgError)
 
 
-def _run_isolated(suite: str, config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
+def _run_isolated(suite: str, config: SuiteConfig) -> tuple[list[ReportRecord], dict, dict]:
     try:
         return _RUNNERS[suite](config)
     except SUITE_FAULTS as exc:
         rec = Records(suite, config.tol_scale)
         rec.flag("suite-error", "plumbing", False)
-        return rec, {"error": f"{type(exc).__name__}: {exc}"}
+        return rec, {"error": f"{type(exc).__name__}: {exc}"}, {}
 
 
-def run_suite(name: str, config: SuiteConfig) -> tuple[list[ReportRecord], dict]:
+def run_suite(name: str, config: SuiteConfig) -> tuple[list[ReportRecord], dict, dict]:
     """Run one suite (or 'all'); unknown names raise ValueError.
 
-    A suite that raises one of SUITE_FAULTS yields a single failed
-    `<suite>/suite-error` record in place of its own, and the others still run.
+    Returns (records, details, profiles).  `details` holds the per-suite
+    summaries of report.json, keyed by suite under 'all'.  `profiles` is a flat
+    {file stem: {column: list}} of the plot-ready tables, each written only as
+    its own CSV; under 'all' each stem gets its suite as a prefix
+    (`nahm_state_profile`).  A suite that raises one of SUITE_FAULTS yields a
+    single failed `<suite>/suite-error` record in place of its own, no
+    profiles, and the others still run.
     """
     if name == "all":
         records: list[ReportRecord] = []
         details: dict = {}
+        profiles: dict = {}
         for suite in SUITE_NAMES:
-            r, d = _run_isolated(suite, config)
+            r, d, p = _run_isolated(suite, config)
             records.extend(r)
             details[suite] = d
-        return records, details
+            profiles.update({f"{suite}_{stem}": table for stem, table in p.items()})
+        return records, details, profiles
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     return _run_isolated(name, config)

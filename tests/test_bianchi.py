@@ -92,6 +92,21 @@ def test_profile_validation():
         ratio(1, EH, 0.3)
 
 
+@pytest.mark.parametrize("band", [(6.0, 5.0), (5.0, 5.0), (5.0, math.nan), (math.nan, 6.0),
+                                  (5.0, math.inf), (-math.inf, 5.0)])
+def test_two_monopole_model_refuses_a_bad_band(band):
+    # a reversed band made every axis "integrable", an empty one divided by zero
+    # at the first evaluation and a NaN end gave NaN coefficients
+    with pytest.raises(ValueError, match="band must be finite with lo < hi"):
+        atiyah_hitchin_model_profile(band=band)
+
+
+def test_two_monopole_model_names_the_valid_blends():
+    with pytest.raises(ValueError, match="blend must be 'c2' or 'c3', not 'c4'"):
+        atiyah_hitchin_model_profile(blend="c4")
+    assert atiyah_hitchin_model_profile(band=(5.0, 5.5), blend="c3").coefficients(5.2)[0] == -1.0
+
+
 @pytest.mark.parametrize("axis", (0, -1, 4))
 def test_ratio_refuses_axes_other_than_1_2_3(axis):
     with pytest.raises(ValueError):
@@ -679,7 +694,7 @@ def test_wedge_route_record_sees_a_negated_coframe_row(monkeypatch):
             F = ClosednessSolution(axis, profile)
             assert wedge_density_cross_check(axis, profile, coords, F) == \
                 pytest.approx(2.0, rel=1e-12)
-    records, _ = suites.run_bianchi(suites.SuiteConfig(seed=7))
+    records, _, _ = suites.run_bianchi(suites.SuiteConfig(seed=7))
     record = next(r for r in records if r.check == "density-wedge-route")
     assert not record.passed
     assert record.measured == pytest.approx(2.0, rel=1e-12)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hkforms import bianchi as bx
-from hkforms import suites
+from hkforms import nahm, suites
 from hkforms.cli import build_parser, load_config, main
 from hkforms.report import (
     CSV_FIELDS,
@@ -53,7 +53,7 @@ def test_json_roundtrip(tmp_path):
     data = emit_json(payload, tmp_path / "r.json")
     parsed = json.loads(data)
     assert parsed == payload
-    assert parsed["schema"] == 1
+    assert parsed["schema"] == 2
     assert parsed["records"][0]["measured"] == 0.5
 
 
@@ -70,6 +70,61 @@ def test_csv_stable_columns(tmp_path):
 def test_profile_csv_17_digits(tmp_path):
     data = emit_profile_csv({"x": [1.0 / 3.0], "y": [2.0]}, tmp_path / "p.csv").decode()
     assert "0.33333333333333331" in data
+
+
+def test_profile_csv_refuses_unequal_columns(tmp_path):
+    with pytest.raises(ValueError):
+        emit_profile_csv({"x": [1.0, 2.0, 3.0], "y": [1.0]}, tmp_path / "p.csv")
+
+
+def _read_profile(path: Path) -> dict:
+    header, *rows = path.read_text().splitlines()
+    columns = zip(*(map(float, row.split(",")) for row in rows), strict=True)
+    return dict(zip(header.split(","), map(list, columns), strict=True))
+
+
+def _keys(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key, value
+            yield from _keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _keys(value)
+
+
+def test_profiles_go_only_to_their_csv_files(tmp_path):
+    assert main(["--suite", "all", "--seed", "7", "--out", str(tmp_path), "--format", "csv",
+                 "--quiet"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    # the one key ending in "profile" names a Bianchi verdict's profile; no table is left
+    assert {(key, type(value)) for key, value in _keys(report) if key.endswith("profile")} \
+        == {("profile", str)}
+    _, _, profiles = run_suite("all", SuiteConfig(seed=7))
+    assert set(profiles) == {"taubnut_radial_profile", "bianchi_density_profile",
+                             "nahm_state_profile"}
+    assert {p.name for p in tmp_path.iterdir()} \
+        == {"report.json", "report.csv"} | {f"{stem}.csv" for stem in profiles}
+    for stem, table in profiles.items():
+        assert _read_profile(tmp_path / f"{stem}.csv") == table
+
+
+def test_json_format_still_writes_the_profile_csv(tmp_path):
+    assert main(["--suite", "taubnut", "--out", str(tmp_path), "--format", "json",
+                 "--quiet"]) == 0
+    assert {p.name for p in tmp_path.iterdir()} == {"report.json", "radial_profile.csv"}
+
+
+def test_nahm_profile_csv_holds_the_state_coefficients(tmp_path):
+    assert main(["--suite", "nahm", "--seed", "7", "--out", str(tmp_path), "--quiet"]) == 0
+    table = _read_profile(tmp_path / "state_profile.csv")
+    assert list(table) == ["s"] + [f"B{i}_{name}" for i in range(4)
+                                   for name in ("id", "E1", "E2", "E3")]
+    state = nahm.one_pole_state(0.1, 1.0, 2000)   # the suite's state
+    assert np.array_equal(table["s"], state.s)
+    for i in range(4):
+        columns = [table[f"B{i}_{name}"] for name in ("id", "E1", "E2", "E3")]
+        assert np.array_equal(np.array(columns).T, state.B[i])
 
 
 def test_unknown_suite_raises():
@@ -159,8 +214,8 @@ def test_cli_tol_scale_tightening_can_fail(tmp_path, capsys):
 
 def test_every_le_bound_follows_tol_scale():
     # fitted slopes and exponents included: doubling tol_scale doubles each bound
-    base, _ = run_suite("all", SuiteConfig(seed=7, tol_scale=1.0))
-    doubled, _ = run_suite("all", SuiteConfig(seed=7, tol_scale=2.0))
+    base, _, _ = run_suite("all", SuiteConfig(seed=7, tol_scale=1.0))
+    doubled, _, _ = run_suite("all", SuiteConfig(seed=7, tol_scale=2.0))
     assert [(r.suite, r.check, r.mode, r.measured) for r in base] \
         == [(r.suite, r.check, r.mode, r.measured) for r in doubled]
     assert "suite-error" not in {r.check for r in base}
@@ -172,7 +227,7 @@ def test_every_le_bound_follows_tol_scale():
 
 
 def test_algebra_suite_schema():
-    records, details = run_suite("algebra", SuiteConfig(seed=7))
+    records, details, _ = run_suite("algebra", SuiteConfig(seed=7))
     assert all(r.passed for r in records)
     checks = {r.check for r in records}
     for k in (1, 2):
@@ -188,14 +243,15 @@ def test_algebra_suite_schema():
 
 
 def test_bianchi_suite_schema():
-    records, details = run_suite("bianchi", SuiteConfig(seed=7))
+    records, details, tables = run_suite("bianchi", SuiteConfig(seed=7))
     assert [r.check for r in records] == [
         "two-monopole-verdicts", "two-monopole-endpoint-exponent", "eguchi-hanson-verdicts",
         "biaxial-taubnut-verdicts", "interpolant-independence",
         "reparametrization-independence", "ansatz-closed", "ansatz-anti-self-dual",
         "cross-module-proportionality", "density-wedge-route"]
     assert all(r.passed for r in records)
-    assert set(details) == {"verdicts", "density_profile", "proportionality_constant"}
+    assert set(details) == {"verdicts", "proportionality_constant"}
+    assert set(tables) == {"density_profile"}
     profiles = {"two-monopole": bx.atiyah_hitchin_model_profile(),
                 "eguchi-hanson": bx.eguchi_hanson_profile(0.5),
                 "biaxial-taubnut": bx.biaxial_taubnut_profile(1.0)}
@@ -205,7 +261,7 @@ def test_bianchi_suite_schema():
 
 
 def test_bianchi_suite_verdict_schema():
-    records, details = run_suite("bianchi", SuiteConfig(seed=7))
+    records, details, _ = run_suite("bianchi", SuiteConfig(seed=7))
     assert all(r.passed for r in records)
     verdicts = details["verdicts"]
     assert {v["profile"] for v in verdicts} == {"two-monopole", "eguchi-hanson",
@@ -215,7 +271,7 @@ def test_bianchi_suite_verdict_schema():
 
 
 def test_quotient_suite_schema():
-    records, details = run_suite("quotient", SuiteConfig(seed=7))
+    records, details, _ = run_suite("quotient", SuiteConfig(seed=7))
     assert all(r.passed for r in records)
     assert [r.check for r in records[-3:]] == [
         "taubnut-triholomorphic-circle", "calabi-orbit-biaxial", "calabi-is-eguchi-hanson"]
@@ -227,7 +283,7 @@ def test_quotient_suite_schema():
 
 
 def test_nahm_suite_schema():
-    records, details = run_suite("nahm", SuiteConfig(seed=7))
+    records, details, _ = run_suite("nahm", SuiteConfig(seed=7))
     assert all(r.passed for r in records)
     assert [r.check for r in records[-5:]] == [
         "grid-halving-order", "linearized-translation", "linearized-gauge",
@@ -238,11 +294,13 @@ def test_nahm_suite_schema():
 
 
 def test_taubnut_suite_schema():
-    records, details = run_suite("taubnut", SuiteConfig(seed=7))
+    records, details, profiles = run_suite("taubnut", SuiteConfig(seed=7))
     assert all(r.passed for r in records)
     rec = details["record"]
     assert set(rec) >= {"m", "tau_period", "l2_norm", "closed_form", "rel_err"}
-    profile = details["radial_profile"]
+    assert set(details) == {"record"}
+    assert set(profiles) == {"radial_profile"}
+    profile = profiles["radial_profile"]
     assert set(profile) == {"r", "density"}
     assert len(profile["r"]) == len(profile["density"])
 
@@ -283,8 +341,26 @@ def _passing(name):
     def runner(config):
         rec = Records(name, config.tol_scale)
         rec.flag("ran", "plumbing", True)
-        return rec, {"ran": True}
+        return rec, {"ran": True}, {}
     return runner
+
+
+def _profiled(name):
+    def runner(config):
+        rec = Records(name, config.tol_scale)
+        rec.flag("ran", "plumbing", True)
+        return rec, {}, {"x_profile": {"x": [1.0, 2.0]}}
+    return runner
+
+
+def test_a_failing_suite_writes_no_profile_csv(tmp_path, monkeypatch):
+    for name in suites.SUITE_NAMES:
+        monkeypatch.setitem(suites._RUNNERS, name, _profiled(name))
+    monkeypatch.setitem(suites._RUNNERS, "bianchi", _raise(ArithmeticError("no verdict")))
+    assert main(["--suite", "all", "--out", str(tmp_path), "--quiet"]) == 1
+    assert {p.name for p in tmp_path.iterdir()} == {"report.json"} | {
+        f"{name}_x_profile.csv" for name in suites.SUITE_NAMES if name != "bianchi"}
+    assert suites.run_suite("bianchi", SuiteConfig())[2] == {}
 
 
 @pytest.mark.parametrize("exc", [ArithmeticError("no verdict"), RuntimeError("no closure"),
@@ -434,7 +510,7 @@ def test_a_nan_residual_at_a_later_sample_point_fails_its_record(monkeypatch, su
         return math.nan if len(calls) == 2 else residual(*args)
 
     monkeypatch.setattr(owner, name, poisoned)
-    records, _ = run_suite(suite, SuiteConfig(seed=7))
+    records, _, _ = run_suite(suite, SuiteConfig(seed=7))
     (record,) = [r for r in records if r.check == check]
     assert len(calls) > 2
     assert math.isnan(record.measured) and not record.passed

@@ -753,7 +753,7 @@ def test_growth_counts_a_nan_sample(monkeypatch):
     assert math.isnan(report.c1_pushed) and math.isnan(report.c1_ambient)
     monkeypatch.setattr(suites, "growth_check", lambda chart, ambient, pts: growth_check(
         chart, _nan_at(chart, ambient, pts[-1]), pts))
-    records, _ = suites.run_suite("quotient", suites.SuiteConfig(seed=7))
+    records, _, _ = suites.run_suite("quotient", suites.SuiteConfig(seed=7))
     growth = [r for r in records if r.check.endswith(("-growth-violations", "-growth-linear-fit"))]
     assert len(growth) == 4 and not any(r.passed for r in growth)
 
@@ -839,7 +839,7 @@ def test_calabi_ratio3_matches_quotient_coefficients():
 
 
 def _quotient_record(check):
-    records, _ = suites.run_quotient(suites.SuiteConfig(seed=7))
+    records, _, _ = suites.run_quotient(suites.SuiteConfig(seed=7))
     return next(r for r in records if r.check == check)
 
 
@@ -925,7 +925,7 @@ def test_a_shifted_level_set_fails_the_quotient_suite(monkeypatch):
     # a constant shift leaves a moment residual of 1e-3, which one Gauss-Newton
     # step cannot bring under 1e-12: the level-set solve raises
     _shift_representatives(monkeypatch, lambda u: 1e-3)
-    records, details = suites.run_suite("quotient", suites.SuiteConfig(seed=7))
+    records, details, _ = suites.run_suite("quotient", suites.SuiteConfig(seed=7))
     assert [(r.check, r.passed) for r in records] == [("suite-error", False)]
     assert details["error"].startswith("ArithmeticError: level-set residual")
 
